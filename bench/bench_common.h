@@ -2,6 +2,7 @@
 #define UV_BENCH_BENCH_COMMON_H_
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -61,7 +62,7 @@ struct BenchConfig {
   }
 
   // Environment first, then CLI flags override. Unrecognized arguments are
-  // left alone (the google-benchmark binaries mix in their own flags).
+  // left alone (each binary parses its own flags, e.g. --out).
   static BenchConfig FromArgs(int argc, char** argv) {
     BenchConfig config = FromEnv();
     auto value_of = [&](int* i, const char* flag) -> const char* {
@@ -101,11 +102,17 @@ inline obs::Report MakeReport(const std::string& suite,
 }
 
 // Resolves where a bench binary writes its ledger: --out/-o flag, then
-// UV_BENCH_OUT, then the per-binary default (BENCH_<suite>.json).
+// UV_BENCH_OUT, then the per-binary default (BENCH_<suite>.json). A
+// trailing --out/-o without a value exits 2 rather than falling back to
+// the default, which from the repo root is the committed baseline.
 inline std::string LedgerPath(const std::string& default_path, int argc = 0,
                               char** argv = nullptr) {
-  for (int i = 1; i + 1 < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 || std::strcmp(argv[i], "-o") == 0) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "%s needs a file argument\n", argv[i]);
+        std::exit(2);
+      }
       return argv[i + 1];
     }
   }

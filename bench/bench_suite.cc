@@ -298,8 +298,9 @@ void RunCityScaleSuite(uv::obs::Report* report,
       const uint64_t base = uv::BufferPool::Stats().pool_bytes;
       uv::Rng rng(bench.seed);
       uv::core::CmsfModel model(cfg, urg.PoiDim(), urg.ImageDim(), &rng);
-      const auto result =
-          uv::core::TrainMasterMinibatch(&model, urg, train_ids, train_labels);
+      uv::core::BatchPlan plan(cfg.batch_size, cfg.fanout, cfg.maga_layers);
+      plan.SetTrainSet(train_ids, train_labels, cfg.pos_weight);
+      const auto result = uv::core::TrainMaster(&model, urg, &plan);
       step_ms = result.seconds_per_epoch * 1000.0 / num_batches;
       peak = uv::BufferPool::Stats().pool_bytes_peak;
       peak_delta = peak > base ? peak - base : 0;
@@ -621,6 +622,10 @@ int main(int argc, char** argv) {
   }
 
   const auto bench = uv::bench::BenchConfig::FromArgs(argc, argv);
+  // Resolved before any suite runs, so a bad --out fails fast instead of
+  // after minutes of measurement.
+  const std::string ledger_path =
+      uv::bench::LedgerPath("BENCH_core.json", argc, argv);
   auto report = uv::bench::MakeReport("core", bench);
   std::printf("=== bench_suite (warmup=%d, repeats=%d) ===\n", bench.warmup,
               bench.repeats);
@@ -634,9 +639,7 @@ int main(int argc, char** argv) {
   // The monitor demo records no benchmarks; running it alone must not
   // clobber an existing ledger with an empty one.
   if (micro || eval || serve || !city_scales.empty()) {
-    const std::string path =
-        uv::bench::LedgerPath("BENCH_core.json", argc, argv);
-    uv::bench::WriteLedger(report, path);
+    uv::bench::WriteLedger(report, ledger_path);
   }
   return 0;
 }

@@ -2,193 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
-#include "autograd/ops.h"
-#include "core/cmsf_model.h"
-#include "obs/metrics_log.h"
-#include "obs/trace.h"
 #include "util/check.h"
-#include "util/rng.h"
-#include "util/timer.h"
 
 namespace uv::baselines {
-
-double TrainLoop(ag::Optimizer* optimizer, int epochs,
-                 double lr_decay_per_epoch,
-                 const std::function<ag::VarPtr()>& build_loss,
-                 std::vector<double>* epoch_seconds, const char* stage) {
-  double total = 0.0;
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    optimizer->ZeroGradients();
-    ag::VarPtr loss = build_loss();
-    const double loss_value = loss->value.at(0, 0);
-    ag::Backward(loss);
-    const double grad_norm = obs::MetricsLogEnabled()
-                                 ? ag::GlobalGradNorm(optimizer->params())
-                                 : 0.0;
-    optimizer->Step();
-    const double lr = optimizer->learning_rate();
-    optimizer->DecayLearningRate(lr_decay_per_epoch);
-    const double seconds = epoch_timer.Seconds();
-    total += seconds;
-    if (epoch_seconds != nullptr) epoch_seconds->push_back(seconds);
-    obs::MetricsRecord("epoch")
-        .Str("stage", stage)
-        .Int("epoch", epoch)
-        .Num("loss", loss_value)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", seconds)
-        .Emit();
-  }
-  return epochs > 0 ? total / epochs : 0.0;
-}
-
-double TrainLoopBatched(
-    ag::Optimizer* optimizer, int epochs, double lr_decay_per_epoch,
-    int num_batches,
-    const std::function<ag::VarPtr(int epoch, int batch)>& build_batch_loss,
-    std::vector<double>* epoch_seconds, const char* stage) {
-  UV_CHECK_GT(num_batches, 0);
-  double total = 0.0;
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    double loss_sum = 0.0;
-    double grad_norm = 0.0;
-    for (int batch = 0; batch < num_batches; ++batch) {
-      optimizer->ZeroGradients();
-      ag::VarPtr loss = build_batch_loss(epoch, batch);
-      loss_sum += loss->value.at(0, 0);
-      ag::Backward(loss);
-      if (obs::MetricsLogEnabled()) {
-        grad_norm = ag::GlobalGradNorm(optimizer->params());
-      }
-      optimizer->Step();
-    }
-    const double lr = optimizer->learning_rate();
-    optimizer->DecayLearningRate(lr_decay_per_epoch);
-    const double seconds = epoch_timer.Seconds();
-    total += seconds;
-    if (epoch_seconds != nullptr) epoch_seconds->push_back(seconds);
-    obs::MetricsRecord("epoch")
-        .Str("stage", stage)
-        .Int("epoch", epoch)
-        .Int("batches", num_batches)
-        .Num("loss", loss_sum / num_batches)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", seconds)
-        .Emit();
-  }
-  return epochs > 0 ? total / epochs : 0.0;
-}
-
-double TrainMinibatched(ag::Optimizer* optimizer, const TrainOptions& options,
-                        const urg::UrbanRegionGraph& urg,
-                        const std::vector<int>& train_ids,
-                        const std::vector<int>& train_labels,
-                        const SubgraphForward& forward,
-                        std::vector<double>* epoch_seconds,
-                        const char* stage) {
-  UV_CHECK_GT(options.batch_size, 0);
-  UV_CHECK_EQ(train_ids.size(), train_labels.size());
-  const int num_train = static_cast<int>(train_ids.size());
-  const int bs = std::min(options.batch_size, num_train);
-  const int num_batches = (num_train + bs - 1) / bs;
-
-  // Class balance from the FULL training set: per-batch balancing would
-  // make the loss depend on batch composition.
-  const Tensor full_weights =
-      core::MakeBceWeights(train_labels, options.pos_weight);
-  const float pos_w = [&] {
-    for (size_t i = 0; i < train_labels.size(); ++i) {
-      if (train_labels[i] > 0) return full_weights.at(static_cast<int>(i), 0);
-    }
-    return 1.0f;
-  }();
-
-  urg::NeighborView view(urg);
-  std::vector<std::pair<int, int>> order(num_train);  // (id, label).
-  for (int i = 0; i < num_train; ++i) {
-    order[i] = {train_ids[i], train_labels[i]};
-  }
-  int shuffled_epoch = -1;
-
-  return TrainLoopBatched(
-      optimizer, options.epochs, options.lr_decay_per_epoch, num_batches,
-      [&](int epoch, int batch) {
-        if (epoch != shuffled_epoch) {
-          shuffled_epoch = epoch;
-          std::sort(order.begin(), order.end());
-          Rng rng(urg::MixSeed(options.seed ^ 0xba7c4u, epoch));
-          rng.Shuffle(&order);
-        }
-        const int begin = batch * bs;
-        const int end = std::min(num_train, begin + bs);
-        std::vector<int> seeds;
-        std::vector<int> labels;
-        seeds.reserve(end - begin);
-        labels.reserve(end - begin);
-        for (int i = begin; i < end; ++i) {
-          seeds.push_back(order[i].first);
-          labels.push_back(order[i].second);
-        }
-
-        urg::MinibatchConfig mb;
-        mb.batch_size = bs;
-        mb.fanout = options.fanout;
-        mb.seed = urg::MixSeed(options.seed, epoch);
-        const urg::SampledSubgraph sg = urg::SampleKHop(view, seeds, mb);
-        const nn::GraphContext ctx = urg::ContextFromSubgraph(sg);
-        const urg::SubgraphFeatures feats = GatherSubgraphFeatures(urg, sg);
-        ag::VarPtr logits = forward(ctx, feats.poi, feats.image);
-
-        auto seed_rows = std::make_shared<std::vector<int>>(sg.num_seeds);
-        std::iota(seed_rows->begin(), seed_rows->end(), 0);
-        const Tensor batch_labels = core::MakeLabelTensor(labels);
-        Tensor batch_weights(static_cast<int>(labels.size()), 1);
-        for (size_t i = 0; i < labels.size(); ++i) {
-          batch_weights.at(static_cast<int>(i), 0) =
-              labels[i] > 0 ? pos_w : 1.0f;
-        }
-        return ag::BceWithLogits(ag::GatherRows(logits, seed_rows),
-                                 batch_labels, &batch_weights);
-      },
-      epoch_seconds, stage);
-}
-
-std::vector<float> ScoreMinibatched(const urg::UrbanRegionGraph& urg,
-                                    const std::vector<int>& eval_ids,
-                                    int hops, const SubgraphForward& forward) {
-  constexpr int kChunk = 64;  // Bounds the fanout-unlimited closure size.
-  urg::NeighborView view(urg);
-  std::vector<float> out;
-  out.reserve(eval_ids.size());
-  for (size_t begin = 0; begin < eval_ids.size(); begin += kChunk) {
-    const size_t end = std::min(eval_ids.size(), begin + kChunk);
-    const std::vector<int> seeds(eval_ids.begin() + begin,
-                                 eval_ids.begin() + end);
-    urg::MinibatchConfig mb;
-    mb.batch_size = static_cast<int>(seeds.size());
-    mb.fanout = 0;  // Exact: keep every in-neighbor.
-    mb.hops = hops;
-    const urg::SampledSubgraph sg = urg::SampleKHop(view, seeds, mb);
-    const nn::GraphContext ctx = urg::ContextFromSubgraph(sg);
-    const urg::SubgraphFeatures feats = GatherSubgraphFeatures(urg, sg);
-    const ag::VarPtr logits = forward(ctx, feats.poi, feats.image);
-    for (int i = 0; i < sg.num_seeds; ++i) {
-      const float z = logits->value.at(i, 0);
-      out.push_back(1.0f / (1.0f + std::exp(-z)));
-    }
-  }
-  return out;
-}
 
 ag::VarPtr GatherConstRows(const Tensor& features,
                            const std::vector<int>& ids) {

@@ -1,15 +1,11 @@
 #ifndef UV_BASELINES_COMMON_H_
 #define UV_BASELINES_COMMON_H_
 
-#include <functional>
 #include <vector>
 
-#include "autograd/optimizer.h"
 #include "autograd/variable.h"
 #include "eval/detector.h"
-#include "nn/graph_context.h"
 #include "tensor/tensor.h"
-#include "urg/neighbor_sampler.h"
 
 namespace uv::baselines {
 
@@ -24,64 +20,11 @@ struct TrainOptions {
   double clip_norm = 5.0;
   uint64_t seed = 1;
   // Neighborhood-sampled minibatch training (paper-scale cities): > 0
-  // switches the graph baselines to per-batch k-hop subgraphs of
-  // O(batch_size * fanout^hops) nodes instead of a full-graph forward.
+  // switches the graph baselines from the whole-city batch to per-batch
+  // k-hop subgraphs of O(batch_size * fanout^hops) nodes (core::BatchPlan).
   int batch_size = 0;
   int fanout = 16;  // Sampled in-neighbors per node; 0 keeps them all.
 };
-
-// Runs a standard epoch loop: zero grads -> build_loss -> backward -> step.
-// Returns mean wall-clock seconds per epoch. When epoch_seconds is non-null
-// the per-epoch wall times are appended to it (in epoch order) so callers
-// can report percentiles. Each epoch is traced as an "epoch" span and — when
-// a UV_METRICS log is live — emitted as a JSONL record tagged with `stage`
-// (the detector name by convention).
-double TrainLoop(ag::Optimizer* optimizer, int epochs,
-                 double lr_decay_per_epoch,
-                 const std::function<ag::VarPtr()>& build_loss,
-                 std::vector<double>* epoch_seconds = nullptr,
-                 const char* stage = "train");
-
-// Minibatch variant of TrainLoop: each epoch runs `num_batches` optimizer
-// steps (zero grads -> build_batch_loss(epoch, batch) -> backward -> step),
-// decaying the learning rate once per epoch so the schedule matches the
-// full-graph loop. Epoch wall times cover all of the epoch's batches; the
-// per-epoch metrics record reports the mean batch loss.
-double TrainLoopBatched(
-    ag::Optimizer* optimizer, int epochs, double lr_decay_per_epoch,
-    int num_batches,
-    const std::function<ag::VarPtr(int epoch, int batch)>& build_batch_loss,
-    std::vector<double>* epoch_seconds = nullptr, const char* stage = "train");
-
-// A two-modality graph forward over an arbitrary (sub)graph context:
-// returns per-row logits. GCN/GAT/CMSF trunks all fit this shape, so the
-// minibatch loop below is shared across detectors.
-using SubgraphForward = std::function<ag::VarPtr(
-    const nn::GraphContext& ctx, const ag::VarPtr& poi,
-    const ag::VarPtr& img)>;
-
-// Neighborhood-sampled minibatch training (options.batch_size > 0): each
-// epoch shuffles `train_ids` deterministically (seeded by epoch), cuts them
-// into batches, samples each batch's k-hop subgraph, gathers its features
-// through the URG, and applies weighted BCE to the seed rows of
-// forward(...). The positive-class weight is computed once from the FULL
-// training set, so the effective loss matches full-graph training. Returns
-// mean seconds per epoch.
-double TrainMinibatched(ag::Optimizer* optimizer, const TrainOptions& options,
-                        const urg::UrbanRegionGraph& urg,
-                        const std::vector<int>& train_ids,
-                        const std::vector<int>& train_labels,
-                        const SubgraphForward& forward,
-                        std::vector<double>* epoch_seconds,
-                        const char* stage);
-
-// Exact subgraph scoring for minibatch-trained models: eval_ids are scored
-// in chunks whose k-hop closures keep EVERY in-neighbor (fanout = 0), so
-// seed logits equal a full-graph forward pass bit-for-bit while memory
-// stays O(chunk * deg^hops).
-std::vector<float> ScoreMinibatched(const urg::UrbanRegionGraph& urg,
-                                    const std::vector<int>& eval_ids,
-                                    int hops, const SubgraphForward& forward);
 
 // Copies the given rows of a feature matrix into a constant variable.
 ag::VarPtr GatherConstRows(const Tensor& features,

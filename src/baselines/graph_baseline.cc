@@ -1,0 +1,150 @@
+#include "baselines/graph_baseline.h"
+
+#include "autograd/ops.h"
+#include "tensor/forward_ops.h"
+#include "tensor/tensor_ops.h"
+#include "util/check.h"
+#include "util/timer.h"
+
+namespace uv::baselines {
+
+namespace {
+constexpr int kHidden = 64;
+constexpr int kImageReduce = 128;
+constexpr int kGatHeads = 2;
+}  // namespace
+
+template <>
+const char* GraphBaseline<nn::GcnLayer>::Name() {
+  return "GCN";
+}
+
+template <>
+const char* GraphBaseline<nn::GatLayer>::Name() {
+  return "GAT";
+}
+
+template <>
+std::unique_ptr<nn::GcnLayer> GraphBaseline<nn::GcnLayer>::MakeLayer(
+    int in_dim, int out_dim, Rng* rng) {
+  return std::make_unique<nn::GcnLayer>(in_dim, out_dim, rng);
+}
+
+template <>
+std::unique_ptr<nn::GatLayer> GraphBaseline<nn::GatLayer>::MakeLayer(
+    int in_dim, int out_dim, Rng* rng) {
+  return std::make_unique<nn::GatLayer>(in_dim, out_dim, kGatHeads, rng);
+}
+
+template <typename Layer>
+std::string GraphBaseline<Layer>::name() const {
+  return Name();
+}
+
+template <typename Layer>
+ag::VarPtr GraphBaseline<Layer>::Forward(
+    const core::BatchInputs& inputs) const {
+  const nn::GraphContext& ctx = inputs.ctx;
+  ag::VarPtr p = ag::Relu(poi_g1_->Forward(inputs.poi, ctx));
+  p = ag::Relu(poi_g2_->Forward(p, ctx));
+  ag::VarPtr i = img_reduce_->Forward(inputs.image, kern::Activation::kRelu);
+  i = ag::Relu(img_g1_->Forward(i, ctx));
+  i = ag::Relu(img_g2_->Forward(i, ctx));
+  ag::VarPtr fused =
+      fuse_->Forward(ag::ConcatCols(p, i), kern::Activation::kRelu);
+  return head_->Forward(fused);
+}
+
+template <typename Layer>
+std::vector<ag::VarPtr> GraphBaseline<Layer>::Params() const {
+  std::vector<ag::VarPtr> params;
+  auto add = [&params](std::vector<ag::VarPtr> p) {
+    params.insert(params.end(), p.begin(), p.end());
+  };
+  add(img_reduce_->Params());
+  add(poi_g1_->Params());
+  add(poi_g2_->Params());
+  add(img_g1_->Params());
+  add(img_g2_->Params());
+  add(fuse_->Params());
+  add(head_->Params());
+  return params;
+}
+
+template <typename Layer>
+void GraphBaseline<Layer>::Train(const urg::UrbanRegionGraph& urg,
+                                 const std::vector<int>& train_ids,
+                                 const std::vector<int>& train_labels) {
+  // Construction order fixes the RNG draws, and with them every output.
+  Rng rng(options_.seed);
+  img_reduce_ = std::make_unique<nn::Linear>(urg.ImageDim(), kImageReduce,
+                                             &rng);
+  poi_g1_ = MakeLayer(urg.PoiDim(), kHidden, &rng);
+  poi_g2_ = MakeLayer(kHidden, kHidden, &rng);
+  img_g1_ = MakeLayer(kImageReduce, kHidden, &rng);
+  img_g2_ = MakeLayer(kHidden, kHidden, &rng);
+  fuse_ = std::make_unique<nn::Linear>(2 * kHidden, kHidden, &rng);
+  head_ = std::make_unique<nn::Linear>(kHidden, 1, &rng);
+
+  ag::AdamOptimizer::Options aopt;
+  aopt.learning_rate = options_.learning_rate;
+  aopt.clip_norm = options_.clip_norm;
+  ag::AdamOptimizer opt(Params(), aopt);
+
+  plan_ = std::make_unique<core::BatchPlan>(options_.batch_size,
+                                            options_.fanout, /*hops=*/2);
+  plan_->SetTrainSet(train_ids, train_labels, options_.pos_weight);
+  epoch_seconds_ = core::TrainLoopBatched(
+      &opt, options_.epochs, options_.lr_decay_per_epoch,
+      plan_->num_train_batches(),
+      [&](int epoch, int b) {
+        const core::Batch& batch =
+            plan_->TrainBatch(urg, options_.seed, epoch, b);
+        return ag::BceWithLogits(
+            ag::GatherRows(Forward(*batch.inputs), batch.rows), batch.labels,
+            &batch.weights);
+      },
+      &epoch_history_, Name());
+}
+
+template <typename Layer>
+std::vector<float> GraphBaseline<Layer>::Score(
+    const urg::UrbanRegionGraph& urg, const std::vector<int>& eval_ids) {
+  WallTimer timer;
+  std::vector<float> out =
+      plan_->Score(urg, eval_ids, [this](const core::Batch& batch) {
+        return Forward(*batch.inputs);
+      });
+  inference_seconds_ = timer.Seconds();
+  return out;
+}
+
+template <typename Layer>
+int64_t GraphBaseline<Layer>::NumParameters() const {
+  return img_reduce_ ? CountParams(Params()) : 0;
+}
+
+template <typename Layer>
+std::unique_ptr<infer::Engine> GraphBaseline<Layer>::MakeEngine(
+    const urg::UrbanRegionGraph& urg) const {
+  UV_CHECK(img_reduce_ != nullptr);  // Train first.
+  const nn::GraphContext ctx = nn::GraphContext::FromCsr(urg.adjacency);
+  Tensor p = poi_g1_->ForwardRaw(urg.poi_features, ctx);
+  ReluInPlace(&p);
+  p = poi_g2_->ForwardRaw(p, ctx);
+  ReluInPlace(&p);
+  Tensor i = img_reduce_->ForwardRaw(urg.image_features,
+                                     kern::Activation::kRelu);
+  i = img_g1_->ForwardRaw(i, ctx);
+  ReluInPlace(&i);
+  i = img_g2_->ForwardRaw(i, ctx);
+  ReluInPlace(&i);
+  return infer::MakeDenseTailEngine(
+      ConcatCols(p, i), fuse_->w()->value, fuse_->b()->value,
+      kern::Activation::kRelu, head_->w()->value, head_->b()->value);
+}
+
+template class GraphBaseline<nn::GcnLayer>;
+template class GraphBaseline<nn::GatLayer>;
+
+}  // namespace uv::baselines

@@ -1,7 +1,7 @@
 #include "baselines/mlp_baseline.h"
 
 #include "autograd/ops.h"
-#include "core/cmsf_model.h"
+#include "core/batch_plan.h"
 #include "util/timer.h"
 
 namespace uv::baselines {
@@ -43,11 +43,13 @@ void MlpBaseline::Train(const urg::UrbanRegionGraph& urg,
   aopt.learning_rate = options_.learning_rate;
   aopt.clip_norm = options_.clip_norm;
   ag::AdamOptimizer opt(params, aopt);
-  epoch_seconds_ =
-      TrainLoop(&opt, options_.epochs, options_.lr_decay_per_epoch, [&]() {
+  epoch_seconds_ = core::TrainLoopBatched(
+      &opt, options_.epochs, options_.lr_decay_per_epoch, /*num_batches=*/1,
+      [&](int, int) {
         return ag::BceWithLogits(ForwardRows(urg, train_ids), labels,
                                  &weights);
-      }, &epoch_history_, "MLP");
+      },
+      &epoch_history_, "MLP");
 }
 
 std::vector<float> MlpBaseline::Score(const urg::UrbanRegionGraph& urg,

@@ -1,13 +1,13 @@
 #include "baselines/registry.h"
 
-#include "baselines/gat_baseline.h"
-#include "baselines/gcn_baseline.h"
+#include "baselines/graph_baseline.h"
 #include "baselines/imgagn_baseline.h"
 #include "baselines/mlp_baseline.h"
 #include "baselines/mmre_baseline.h"
 #include "baselines/muvfcn_baseline.h"
 #include "baselines/uvlens_baseline.h"
 #include "core/cmsf_detector.h"
+#include "urg/neighbor_sampler.h"
 #include "util/check.h"
 
 namespace uv::baselines {

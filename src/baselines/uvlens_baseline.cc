@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/cmsf_model.h"
+#include "core/batch_plan.h"
 #include "features/image_encoder.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -75,8 +75,9 @@ void UvLensBaseline::Train(const urg::UrbanRegionGraph& urg,
   ag::AdamOptimizer opt(Params(), aopt);
 
   const int n_train = static_cast<int>(train_ids.size());
-  epoch_seconds_ = TrainLoop(
-      &opt, options_.epochs, options_.lr_decay_per_epoch, [&]() {
+  epoch_seconds_ = core::TrainLoopBatched(
+      &opt, options_.epochs, options_.lr_decay_per_epoch, /*num_batches=*/1,
+      [&](int, int) {
         // Mini-batch sampled per epoch keeps single-core cost bounded.
         const int batch = std::min(kBatch, n_train);
         std::vector<int> pick_ids(batch);

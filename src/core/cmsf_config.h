@@ -46,11 +46,11 @@ struct CmsfConfig {
   uint64_t seed = 2023;
 
   // Neighborhood-sampled minibatch training (paper-scale cities): > 0
-  // trains both stages on per-batch 2-hop subgraphs instead of full-graph
-  // forwards. Under minibatches the GSCM cluster representations are
-  // aggregated from the batch's regions only (a documented approximation);
-  // the frozen stage-one assignment is still computed exactly over every
-  // region with fanout-unlimited chunks.
+  // trains both stages on per-batch 2-hop subgraphs instead of the
+  // whole-city batch (core::BatchPlan). Under minibatches the GSCM cluster
+  // representations are aggregated from the batch's regions only (a
+  // documented approximation); the frozen stage-one assignment is still
+  // computed exactly over every region with fanout-unlimited chunks.
   int batch_size = 0;
   int fanout = 16;  // Sampled in-neighbors per node; 0 keeps them all.
 };

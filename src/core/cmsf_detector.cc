@@ -4,7 +4,6 @@
 
 #include "core/config_codec.h"
 #include "io/checkpoint.h"
-#include "nn/graph_context.h"
 #include "obs/quality.h"
 #include "util/timer.h"
 
@@ -14,35 +13,23 @@ void CmsfDetector::Train(const urg::UrbanRegionGraph& urg,
                          const std::vector<int>& train_ids,
                          const std::vector<int>& train_labels) {
   Rng rng(config_.seed);
-  minibatch_ = config_.batch_size > 0;
   fingerprint_ = io::UrgFingerprint::FromUrg(urg);
-  // A new training run invalidates any cached quality baseline; the ids
-  // and labels are retained so the baseline's calibration bins can pair
+  // A new training run invalidates any cached quality baseline; the plan
+  // keeps the train set so the baseline's calibration bins can pair
   // training scores with ground truth at save time.
   baseline_ = obs::QualityBaseline();
-  train_ids_ = train_ids;
-  train_labels_ = train_labels;
   model_ = std::make_unique<CmsfModel>(config_, urg.PoiDim(), urg.ImageDim(),
                                        &rng);
-  if (minibatch_) {
-    // Neighborhood-sampled path: never materializes full-graph inputs.
-    MasterTrainResult master =
-        TrainMasterMinibatch(model_.get(), urg, train_ids, train_labels);
-    frozen_ = std::move(master.frozen);
-    train_epoch_seconds_ = master.seconds_per_epoch;
-    epoch_seconds_ = std::move(master.epoch_seconds);
-    TrainSlaveMinibatch(model_.get(), urg, frozen_, train_ids, train_labels);
-    return;
-  }
-  inputs_ = CmsfInputs::FromUrg(urg);
-  MasterTrainResult master =
-      TrainMaster(model_.get(), *inputs_, train_ids, train_labels);
+  plan_ = std::make_unique<BatchPlan>(config_.batch_size, config_.fanout,
+                                      config_.maga_layers);
+  plan_->SetTrainSet(train_ids, train_labels, config_.pos_weight);
+  MasterTrainResult master = TrainMaster(model_.get(), urg, plan_.get());
   frozen_ = std::move(master.frozen);
   // Table III reports the master stage as the training time: it dominates,
   // and the slave stage "only needs very few iterations" (paper VI-G).
   train_epoch_seconds_ = master.seconds_per_epoch;
   epoch_seconds_ = std::move(master.epoch_seconds);
-  TrainSlave(model_.get(), *inputs_, frozen_, train_ids, train_labels);
+  TrainSlave(model_.get(), urg, plan_.get(), frozen_);
 }
 
 std::vector<float> CmsfDetector::Score(const urg::UrbanRegionGraph& urg,
@@ -50,53 +37,54 @@ std::vector<float> CmsfDetector::Score(const urg::UrbanRegionGraph& urg,
   WallTimer timer;
   const CmsfModel::FrozenAssignment* frozen =
       config_.use_hierarchy ? &frozen_ : nullptr;
-  std::vector<float> scores;
-  if (minibatch_) {
-    scores = PredictCmsfMinibatch(*model_, urg, frozen, eval_ids);
-  } else {
-    (void)urg;  // Inputs were captured at Train time.
-    scores = PredictCmsf(*model_, *inputs_, frozen, eval_ids);
-  }
+  std::vector<float> scores =
+      PredictCmsf(*model_, urg, plan_.get(), frozen, eval_ids);
   inference_seconds_ = timer.Seconds();
   return scores;
 }
 
 void CmsfDetector::EnsureBaseline(const urg::UrbanRegionGraph& urg) {
-  if (!baseline_.empty() || !model_) return;
+  if (!baseline_.empty() || !model_ || urg.sharded) return;
   // The baseline observes exactly what serving engines observe: the
-  // grad-free trunk over the full graph (engine workspaces gather rows of
-  // this matrix) and the full-graph predicted scores, which are
+  // grad-free trunk over the whole city (engine workspaces gather rows of
+  // this matrix) and the whole-city predicted scores, which are
   // bit-identical to the engine's by the inference-engine contract. The
-  // full-graph path is used even for minibatch-trained detectors — the
+  // whole-city batch is used even for minibatch-trained detectors — the
   // baseline is a property of the model over the whole training city, not
   // of how training happened to be batched.
-  const nn::GraphContext ctx = nn::GraphContext::FromCsr(urg.adjacency);
+  BatchPlan whole_city_plan(/*batch_size=*/0, /*fanout=*/0,
+                            config_.maga_layers);
+  BatchPlan* plan = plan_->whole_city() ? plan_.get() : &whole_city_plan;
+  const BatchInputs& city = *plan->WholeCity(urg);
   const Tensor trunk =
-      model_->TrunkRaw(urg.poi_features, urg.image_features, ctx);
+      model_->TrunkRaw(city.poi->value, city.image->value, city.ctx);
   const CmsfModel::FrozenAssignment* frozen =
       config_.use_hierarchy ? &frozen_ : nullptr;
   std::vector<int> all_ids(static_cast<size_t>(urg.num_regions()));
   std::iota(all_ids.begin(), all_ids.end(), 0);
-  std::vector<float> scores;
-  if (!minibatch_ && inputs_) {
-    scores = PredictCmsf(*model_, *inputs_, frozen, all_ids);
-  } else {
-    const CmsfInputs inputs = CmsfInputs::FromUrg(urg);
-    scores = PredictCmsf(*model_, inputs, frozen, all_ids);
-  }
-  std::vector<float> labeled_scores(train_ids_.size());
-  for (size_t i = 0; i < train_ids_.size(); ++i) {
-    labeled_scores[i] = scores[static_cast<size_t>(train_ids_[i])];
+  const std::vector<float> scores =
+      PredictCmsf(*model_, urg, plan, frozen, all_ids);
+  // Empty after LoadModel: the training ids and labels belong to whatever
+  // run produced the checkpoint.
+  const std::vector<int>& train_ids = plan_->train_ids();
+  std::vector<float> labeled_scores(train_ids.size());
+  for (size_t i = 0; i < train_ids.size(); ++i) {
+    labeled_scores[i] = scores[static_cast<size_t>(train_ids[i])];
   }
   baseline_ = obs::BuildQualityBaseline(
       trunk.data(), trunk.rows(), trunk.cols(), scores.data(),
       static_cast<int64_t>(scores.size()), labeled_scores.data(),
-      train_labels_.data(), static_cast<int64_t>(train_ids_.size()));
+      plan_->train_labels().data(), static_cast<int64_t>(train_ids.size()));
 }
 
 Status CmsfDetector::SaveModel(const urg::UrbanRegionGraph& urg,
                                const std::string& path) {
   if (!model_) return Status::FailedPrecondition("detector is not trained");
+  if (urg.sharded) {
+    return Status::FailedPrecondition(
+        "cannot checkpoint against a sharded URG: the quality baseline and "
+        "every engine read the dense URG");
+  }
   EnsureBaseline(urg);
   io::Checkpoint ck;
   ck.model_name = name_;
@@ -135,10 +123,10 @@ Status CmsfDetector::LoadModel(const urg::UrbanRegionGraph& urg,
   std::vector<Tensor>& tensors = ck.tensors;
 
   Rng rng(config_.seed);
-  minibatch_ = config_.batch_size > 0;
-  if (!minibatch_) inputs_ = CmsfInputs::FromUrg(urg);
   model_ = std::make_unique<CmsfModel>(config_, urg.PoiDim(), urg.ImageDim(),
                                        &rng);
+  plan_ = std::make_unique<BatchPlan>(config_.batch_size, config_.fanout,
+                                      config_.maga_layers);
   auto params = model_->AllParams();
   if (tensors.size() != params.size() + 3) {
     return Status::InvalidArgument("checkpoint layout mismatch");
@@ -161,11 +149,8 @@ Status CmsfDetector::LoadModel(const urg::UrbanRegionGraph& urg,
     frozen_.pseudo_labels[i] = static_cast<int>(pseudo.at(0, i));
   }
   // Adopt the checkpoint's baseline verbatim (never recompute: the counts
-  // must stay byte-identical across save -> load -> save). The training
-  // ids/labels belong to whatever run produced the file, not this process.
+  // must stay byte-identical across save -> load -> save).
   baseline_ = std::move(ck.baseline);
-  train_ids_.clear();
-  train_labels_.clear();
   return Status::Ok();
 }
 

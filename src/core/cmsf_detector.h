@@ -2,9 +2,9 @@
 #define UV_CORE_CMSF_DETECTOR_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 
+#include "core/batch_plan.h"
 #include "core/cmsf_model.h"
 #include "eval/detector.h"
 #include "io/checkpoint.h"
@@ -13,7 +13,10 @@
 namespace uv::core {
 
 // eval::Detector adapter for CMSF and its Fig. 5(a) ablation variants.
-// Constructed per fold; Train runs both stages (Algorithms 1 and 2).
+// Constructed per fold; Train runs both stages (Algorithms 1 and 2)
+// through one BatchPlan: the whole city as one batch when
+// CmsfConfig::batch_size <= 0 (kept for Score and the quality baseline),
+// neighborhood-sampled minibatches otherwise.
 class CmsfDetector : public eval::Detector {
  public:
   CmsfDetector(const CmsfConfig& config, std::string name = "CMSF")
@@ -44,6 +47,8 @@ class CmsfDetector : public eval::Detector {
   // quality baseline (built on first save from the grad-free trunk over
   // the full graph — the same representation serving engines observe — and
   // cached thereafter, so save -> load -> save stays byte-identical).
+  // FailedPrecondition on a sharded URG: the baseline and every engine
+  // read the dense URG.
   Status SaveModel(const urg::UrbanRegionGraph& urg, const std::string& path);
   // Restores a saved checkpoint: validates version / model name / URG
   // fingerprint, adopts the checkpoint's config and quality baseline, and
@@ -52,7 +57,7 @@ class CmsfDetector : public eval::Detector {
 
   // The training-time baseline for drift monitors. Built lazily by
   // SaveModel (or explicitly here); empty() until the detector has been
-  // trained or loaded from a v2 checkpoint.
+  // trained or loaded from a v2 checkpoint, and always on a sharded URG.
   const obs::QualityBaseline& baseline(const urg::UrbanRegionGraph& urg) {
     EnsureBaseline(urg);
     return baseline_;
@@ -63,17 +68,12 @@ class CmsfDetector : public eval::Detector {
 
   CmsfConfig config_;
   std::string name_;
-  bool minibatch_ = false;
   std::unique_ptr<CmsfModel> model_;
-  std::optional<CmsfInputs> inputs_;
+  std::unique_ptr<BatchPlan> plan_;
+  // Training leaves it empty for gate-less variants, which never read it.
   CmsfModel::FrozenAssignment frozen_;
   io::UrgFingerprint fingerprint_;
   obs::QualityBaseline baseline_;
-  // Retained from Train so the baseline's calibration bins can pair
-  // training scores with ground truth; empty after LoadModel (the loaded
-  // baseline already carries them).
-  std::vector<int> train_ids_;
-  std::vector<int> train_labels_;
   double train_epoch_seconds_ = 0.0;
   double inference_seconds_ = 0.0;
   // Master-stage epochs only, matching train_epoch_seconds_ (Table III

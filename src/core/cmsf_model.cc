@@ -1,107 +1,41 @@
 #include "core/cmsf_model.h"
 
-#include <cmath>
-
-#include <numeric>
-
-#include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
+#include "obs/trace.h"
 #include "tensor/forward_ops.h"
 #include "tensor/tensor_ops.h"
-#include "obs/metrics_log.h"
-#include "obs/trace.h"
-#include "urg/neighbor_sampler.h"
 #include "util/check.h"
-#include "util/logging.h"
-#include "util/timer.h"
 
 namespace uv::core {
 namespace {
 
-// Model inputs for one sampled subgraph: features gathered through the URG
-// (feature store at paper scale), context wrapping the subgraph's arrays.
-CmsfInputs SubgraphInputs(const urg::UrbanRegionGraph& urg,
-                          const urg::SampledSubgraph& sg) {
-  CmsfInputs inputs;
-  Tensor poi;
-  urg.GatherPoiRows(sg.nodes, &poi);
-  inputs.poi = ag::MakeConst(std::move(poi));
-  Tensor image;
-  urg.GatherImageRows(sg.nodes, &image);
-  inputs.image = ag::MakeConst(std::move(image));
-  inputs.ctx = urg::ContextFromSubgraph(sg);
-  return inputs;
-}
-
-// The frozen assignment restricted to a subgraph's nodes (row i of the
-// result = frozen rows of nodes[i]), as ForwardFrozen expects.
-CmsfModel::FrozenAssignment SliceFrozen(
-    const CmsfModel::FrozenAssignment& frozen, const std::vector<int>& nodes) {
-  CmsfModel::FrozenAssignment out;
+// The frozen assignment a batch's forward pins: the whole-city batch's
+// rows are the regions in id order, so it pins `frozen` itself; a sampled
+// batch pins the rows of its nodes (row i of *slice = frozen row of
+// nodes[i]).
+const CmsfModel::FrozenAssignment* PinFrozen(
+    const Batch& batch, const CmsfModel::FrozenAssignment& frozen,
+    CmsfModel::FrozenAssignment* slice) {
+  if (batch.whole_city) return &frozen;
+  const std::vector<int>& nodes = batch.inputs->nodes;
   const int k = frozen.soft.cols();
-  out.soft = Tensor::Uninit(static_cast<int>(nodes.size()), k);
-  out.hard.resize(nodes.size());
+  slice->soft = Tensor::Uninit(static_cast<int>(nodes.size()), k);
+  slice->hard.resize(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    std::memcpy(out.soft.row(static_cast<int>(i)), frozen.soft.row(nodes[i]),
+    std::memcpy(slice->soft.row(static_cast<int>(i)),
+                frozen.soft.row(nodes[i]),
                 sizeof(float) * static_cast<size_t>(k));
-    out.hard[i] = frozen.hard[nodes[i]];
+    slice->hard[i] = frozen.hard[nodes[i]];
   }
-  out.pseudo_labels = frozen.pseudo_labels;
-  return out;
-}
-
-// Deterministic epoch order of the training set: reshuffled from the
-// canonical (ascending-id) order each epoch so the permutation depends only
-// on (seed, epoch), never on previous epochs.
-void EpochOrder(const std::vector<int>& train_ids,
-                const std::vector<int>& train_labels, uint64_t seed,
-                int epoch, std::vector<std::pair<int, int>>* order) {
-  order->resize(train_ids.size());
-  for (size_t i = 0; i < train_ids.size(); ++i) {
-    (*order)[i] = {train_ids[i], train_labels[i]};
-  }
-  std::sort(order->begin(), order->end());
-  Rng rng(urg::MixSeed(seed ^ 0xba7c4u, epoch));
-  rng.Shuffle(order);
-}
-
-// Positive-class BCE weight resolved from the FULL training set (per-batch
-// balancing would make the loss depend on batch composition).
-float GlobalPosWeight(const std::vector<int>& train_labels,
-                      double pos_weight) {
-  const Tensor w = MakeBceWeights(train_labels, pos_weight);
-  for (size_t i = 0; i < train_labels.size(); ++i) {
-    if (train_labels[i] > 0) return w.at(static_cast<int>(i), 0);
-  }
-  return 1.0f;
-}
-
-Tensor BatchWeights(const std::vector<int>& labels, float pos_w) {
-  Tensor out(static_cast<int>(labels.size()), 1);
-  for (size_t i = 0; i < labels.size(); ++i) {
-    out.at(static_cast<int>(i), 0) = labels[i] > 0 ? pos_w : 1.0f;
-  }
-  return out;
-}
-
-std::shared_ptr<const std::vector<int>> SeedRows(int num_seeds) {
-  auto rows = std::make_shared<std::vector<int>>(num_seeds);
-  for (int i = 0; i < num_seeds; ++i) (*rows)[i] = i;
-  return rows;
+  slice->pseudo_labels = frozen.pseudo_labels;
+  return slice;
 }
 
 }  // namespace
-
-CmsfInputs CmsfInputs::FromUrg(const urg::UrbanRegionGraph& urg) {
-  CmsfInputs inputs;
-  inputs.poi = ag::MakeConst(urg.poi_features);
-  inputs.image = ag::MakeConst(urg.image_features);
-  inputs.ctx = nn::GraphContext::FromCsr(urg.adjacency);
-  return inputs;
-}
 
 CmsfModel::CmsfModel(const CmsfConfig& config, int poi_dim, int image_dim,
                      Rng* rng)
@@ -159,7 +93,7 @@ CmsfModel::CmsfModel(const CmsfConfig& config, int poi_dim, int image_dim,
   }
 }
 
-ag::VarPtr CmsfModel::Trunk(const CmsfInputs& inputs) const {
+ag::VarPtr CmsfModel::Trunk(const BatchInputs& inputs) const {
   obs::SpanGuard span("trunk", obs::SpanLevel::kFine);
   ag::VarPtr p = inputs.poi;
   ag::VarPtr i =
@@ -206,7 +140,7 @@ Tensor CmsfModel::TrunkRaw(const Tensor& poi, const Tensor& image,
 }
 
 CmsfModel::ForwardResult CmsfModel::Forward(
-    const CmsfInputs& inputs, const FrozenAssignment* frozen) const {
+    const BatchInputs& inputs, const FrozenAssignment* frozen) const {
   obs::SpanGuard span("forward", obs::SpanLevel::kCoarse);
   ForwardResult result;
   ag::VarPtr fused = Trunk(inputs);
@@ -265,454 +199,148 @@ std::vector<ag::VarPtr> CmsfModel::AllParams() const {
   return params;
 }
 
-Tensor MakeLabelTensor(const std::vector<int>& labels) {
-  Tensor out(static_cast<int>(labels.size()), 1);
-  for (size_t i = 0; i < labels.size(); ++i) {
-    out.at(static_cast<int>(i), 0) = labels[i] > 0 ? 1.0f : 0.0f;
-  }
-  return out;
-}
-
-Tensor MakeBceWeights(const std::vector<int>& labels, double pos_weight) {
-  int num_pos = 0;
-  for (int l : labels) num_pos += (l > 0);
-  const int num_neg = static_cast<int>(labels.size()) - num_pos;
-  double w = pos_weight;
-  if (w <= 0.0) {
-    w = num_pos > 0 ? static_cast<double>(num_neg) /
-                          std::max(1, num_pos)
-                    : 1.0;
-  }
-  Tensor out(static_cast<int>(labels.size()), 1);
-  for (size_t i = 0; i < labels.size(); ++i) {
-    out.at(static_cast<int>(i), 0) =
-        labels[i] > 0 ? static_cast<float>(w) : 1.0f;
-  }
-  return out;
-}
-
-MasterTrainResult TrainMaster(CmsfModel* model, const CmsfInputs& inputs,
-                              const std::vector<int>& train_ids,
-                              const std::vector<int>& train_labels) {
-  UV_CHECK_EQ(train_ids.size(), train_labels.size());
+MasterTrainResult TrainMaster(CmsfModel* model,
+                              const urg::UrbanRegionGraph& urg,
+                              BatchPlan* plan) {
   const CmsfConfig& cfg = model->config();
-  auto ids = std::make_shared<const std::vector<int>>(train_ids);
-  const Tensor labels = MakeLabelTensor(train_labels);
-  const Tensor weights = MakeBceWeights(train_labels, cfg.pos_weight);
-
   ag::AdamOptimizer::Options aopt;
   aopt.learning_rate = cfg.learning_rate;
   aopt.clip_norm = cfg.clip_norm;
   ag::AdamOptimizer opt(model->MasterParams(), aopt);
 
   MasterTrainResult result;
-  result.epoch_seconds.reserve(cfg.master_epochs);
   obs::SpanGuard stage_span("train_master", obs::SpanLevel::kCoarse, "epochs",
                             cfg.master_epochs);
-  double last_loss = 0.0;
-  for (int epoch = 0; epoch < cfg.master_epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    opt.ZeroGradients();
-    auto fwd = model->Forward(inputs, nullptr);
-    ag::VarPtr logits = ag::GatherRows(fwd.master_logits, ids);
-    ag::VarPtr loss = ag::BceWithLogits(logits, labels, &weights);
-    last_loss = loss->value.at(0, 0);
-    ag::Backward(loss);
-    // Grad norm is an extra full pass over every parameter; only pay for
-    // it when the metrics log is live (it never feeds back into training).
-    const double grad_norm = obs::MetricsLogEnabled()
-                                 ? ag::GlobalGradNorm(opt.params())
-                                 : 0.0;
-    opt.Step();
-    const double lr = opt.learning_rate();
-    opt.DecayLearningRate(cfg.lr_decay_per_epoch);
-    result.epoch_seconds.push_back(epoch_timer.Seconds());
-    obs::MetricsRecord("epoch")
-        .Str("stage", "master")
-        .Int("epoch", epoch)
-        .Num("loss", last_loss)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", result.epoch_seconds.back())
-        .Emit();
-  }
-  result.seconds_per_epoch =
-      cfg.master_epochs > 0
-          ? std::accumulate(result.epoch_seconds.begin(),
-                            result.epoch_seconds.end(), 0.0) /
-                cfg.master_epochs
-          : 0.0;
-  result.final_loss = last_loss;
-
-  if (cfg.use_hierarchy) {
-    // Freeze the learned membership and derive pseudo labels (eq. 16) from
-    // the labels of *training* regions only (test labels stay unseen).
-    auto fwd = model->Forward(inputs, nullptr);
-    result.frozen.soft = fwd.assignment->value;
-    result.frozen.hard = fwd.hard_assignment;
-    std::vector<int> full_labels(fwd.master_logits->rows(), -1);
-    for (size_t i = 0; i < train_ids.size(); ++i) {
-      full_labels[train_ids[i]] = train_labels[i];
-    }
-    result.frozen.pseudo_labels = nn::ComputeClusterPseudoLabels(
-        result.frozen.hard, full_labels, cfg.num_clusters);
-  }
-  return result;
-}
-
-MasterTrainResult TrainMasterMinibatch(CmsfModel* model,
-                                       const urg::UrbanRegionGraph& urg,
-                                       const std::vector<int>& train_ids,
-                                       const std::vector<int>& train_labels) {
-  UV_CHECK_EQ(train_ids.size(), train_labels.size());
-  const CmsfConfig& cfg = model->config();
-  UV_CHECK_GT(cfg.batch_size, 0);
-  const urg::NeighborView view(urg);
-  const int num_train = static_cast<int>(train_ids.size());
-  const int bs = std::min(cfg.batch_size, num_train);
-  const int num_batches = (num_train + bs - 1) / bs;
-  const float pos_w = GlobalPosWeight(train_labels, cfg.pos_weight);
-
-  ag::AdamOptimizer::Options aopt;
-  aopt.learning_rate = cfg.learning_rate;
-  aopt.clip_norm = cfg.clip_norm;
-  ag::AdamOptimizer opt(model->MasterParams(), aopt);
-
-  MasterTrainResult result;
-  result.epoch_seconds.reserve(cfg.master_epochs);
-  obs::SpanGuard stage_span("train_master", obs::SpanLevel::kCoarse, "epochs",
-                            cfg.master_epochs);
-  double last_loss = 0.0;
-  std::vector<std::pair<int, int>> order;
-  std::vector<int> seeds, seed_labels;
-  for (int epoch = 0; epoch < cfg.master_epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    EpochOrder(train_ids, train_labels, cfg.seed, epoch, &order);
-    urg::MinibatchConfig mcfg;
-    mcfg.batch_size = bs;
-    mcfg.fanout = cfg.fanout;
-    mcfg.hops = cfg.maga_layers;
-    mcfg.seed = urg::MixSeed(cfg.seed, epoch);
-    double epoch_loss = 0.0;
-    double grad_norm = 0.0;
-    for (int b = 0; b < num_batches; ++b) {
-      opt.ZeroGradients();
-      const int begin = b * bs;
-      const int end = std::min(num_train, begin + bs);
-      seeds.clear();
-      seed_labels.clear();
-      for (int i = begin; i < end; ++i) {
-        seeds.push_back(order[i].first);
-        seed_labels.push_back(order[i].second);
-      }
-      const urg::SampledSubgraph sg = urg::SampleKHop(view, seeds, mcfg);
-      const CmsfInputs inputs = SubgraphInputs(urg, sg);
-      auto fwd = model->Forward(inputs, nullptr);
-      ag::VarPtr logits =
-          ag::GatherRows(fwd.master_logits, SeedRows(sg.num_seeds));
-      const Tensor labels = MakeLabelTensor(seed_labels);
-      const Tensor weights = BatchWeights(seed_labels, pos_w);
-      ag::VarPtr loss = ag::BceWithLogits(logits, labels, &weights);
-      last_loss = loss->value.at(0, 0);
-      epoch_loss += last_loss;
-      ag::Backward(loss);
-      if (obs::MetricsLogEnabled()) {
-        grad_norm = ag::GlobalGradNorm(opt.params());
-      }
-      opt.Step();
-    }
-    const double lr = opt.learning_rate();
-    opt.DecayLearningRate(cfg.lr_decay_per_epoch);
-    result.epoch_seconds.push_back(epoch_timer.Seconds());
-    obs::MetricsRecord("epoch")
-        .Str("stage", "master")
-        .Int("epoch", epoch)
-        .Int("batches", num_batches)
-        .Num("loss", epoch_loss / num_batches)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", result.epoch_seconds.back())
-        .Emit();
-  }
-  result.seconds_per_epoch =
-      cfg.master_epochs > 0
-          ? std::accumulate(result.epoch_seconds.begin(),
-                            result.epoch_seconds.end(), 0.0) /
-                cfg.master_epochs
-          : 0.0;
-  result.final_loss = last_loss;
+  result.seconds_per_epoch = TrainLoopBatched(
+      &opt, cfg.master_epochs, cfg.lr_decay_per_epoch,
+      plan->num_train_batches(),
+      [&](int epoch, int b) {
+        const Batch& batch = plan->TrainBatch(urg, cfg.seed, epoch, b);
+        auto fwd = model->Forward(*batch.inputs, nullptr);
+        ag::VarPtr loss =
+            ag::BceWithLogits(ag::GatherRows(fwd.master_logits, batch.rows),
+                              batch.labels, &batch.weights);
+        result.final_loss = loss->value.at(0, 0);
+        return loss;
+      },
+      &result.epoch_seconds, "master");
 
   // Freeze the learned membership only when something downstream consumes
-  // it (the slave stage / gated inference); the exact sweep below touches
-  // every region and is pure overhead for gate-less variants.
+  // it (the slave stage / gated inference): the sweep touches every region,
+  // which paper-scale gate-less runs cannot afford. Assignment rows only
+  // depend on a region's own trunk output, so every exact scoring batch
+  // reproduces the whole-city rows bit for bit.
   if (cfg.use_hierarchy && cfg.use_gate) {
-    // Freeze the learned membership exactly: assignment rows only depend on
-    // a region's own trunk output, so fanout-unlimited chunks reproduce the
-    // full-graph rows bit for bit at O(chunk * deg^hops) memory.
     obs::SpanGuard freeze_span("freeze_assignment", obs::SpanLevel::kCoarse);
     const int n = urg.num_regions();
-    result.frozen.soft = Tensor::Uninit(n, cfg.num_clusters);
-    result.frozen.hard.assign(n, 0);
-    urg::MinibatchConfig ecfg;
-    ecfg.fanout = 0;
-    ecfg.hops = cfg.maga_layers;
-    constexpr int kChunk = 64;
-    for (int begin = 0; begin < n; begin += kChunk) {
-      const int end = std::min(n, begin + kChunk);
-      std::vector<int> chunk(end - begin);
-      std::iota(chunk.begin(), chunk.end(), begin);
-      const urg::SampledSubgraph sg = urg::SampleKHop(view, chunk, ecfg);
-      const CmsfInputs inputs = SubgraphInputs(urg, sg);
-      auto fwd = model->Forward(inputs, nullptr);
-      for (int i = 0; i < sg.num_seeds; ++i) {
-        std::memcpy(result.frozen.soft.row(begin + i),
-                    fwd.assignment->value.row(i),
-                    sizeof(float) * static_cast<size_t>(cfg.num_clusters));
-        result.frozen.hard[begin + i] = fwd.hard_assignment[i];
+    const int k = cfg.num_clusters;
+    CmsfModel::FrozenAssignment& frozen = result.frozen;
+    frozen.soft = Tensor::Uninit(n, k);
+    frozen.hard.assign(n, 0);
+    std::vector<int> all_ids(static_cast<size_t>(n));
+    std::iota(all_ids.begin(), all_ids.end(), 0);
+    plan->ForEachScoreBatch(urg, all_ids, [&](const Batch& batch,
+                                              size_t begin) {
+      auto fwd = model->Forward(*batch.inputs, nullptr);
+      const std::vector<int>& rows = *batch.rows;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const int id = static_cast<int>(begin + i);
+        std::memcpy(frozen.soft.row(id), fwd.assignment->value.row(rows[i]),
+                    sizeof(float) * static_cast<size_t>(k));
+        frozen.hard[id] = fwd.hard_assignment[rows[i]];
       }
-    }
+    });
+    // Pseudo labels from the labels of *training* regions only (test
+    // labels stay unseen).
     std::vector<int> full_labels(n, -1);
-    for (size_t i = 0; i < train_ids.size(); ++i) {
-      full_labels[train_ids[i]] = train_labels[i];
+    for (size_t i = 0; i < plan->train_ids().size(); ++i) {
+      full_labels[plan->train_ids()[i]] = plan->train_labels()[i];
     }
-    result.frozen.pseudo_labels = nn::ComputeClusterPseudoLabels(
-        result.frozen.hard, full_labels, cfg.num_clusters);
+    frozen.pseudo_labels =
+        nn::ComputeClusterPseudoLabels(frozen.hard, full_labels, k);
   }
   return result;
 }
 
-SlaveTrainResult TrainSlave(CmsfModel* model, const CmsfInputs& inputs,
-                            const CmsfModel::FrozenAssignment& frozen,
-                            const std::vector<int>& train_ids,
-                            const std::vector<int>& train_labels) {
+void SlavePuClusters(const Batch& batch,
+                     const CmsfModel::FrozenAssignment& frozen,
+                     std::vector<int>* positive,
+                     std::vector<int>* unlabeled) {
+  const int k = static_cast<int>(frozen.pseudo_labels.size());
+  std::vector<char> ranked(k, batch.whole_city ? 1 : 0);
+  if (!batch.whole_city) {
+    for (const int node : batch.inputs->nodes) ranked[frozen.hard[node]] = 1;
+  }
+  positive->clear();
+  unlabeled->clear();
+  for (int c = 0; c < k; ++c) {
+    if (!ranked[c]) continue;
+    (frozen.pseudo_labels[c] == 1 ? positive : unlabeled)->push_back(c);
+  }
+}
+
+SlaveTrainResult TrainSlave(CmsfModel* model,
+                            const urg::UrbanRegionGraph& urg,
+                            BatchPlan* plan,
+                            const CmsfModel::FrozenAssignment& frozen) {
   SlaveTrainResult result;
   const CmsfConfig& cfg = model->config();
   if (!cfg.use_hierarchy || !cfg.use_gate) return result;
   UV_CHECK_EQ(frozen.pseudo_labels.size(),
               static_cast<size_t>(cfg.num_clusters));
 
-  auto ids = std::make_shared<const std::vector<int>>(train_ids);
-  const Tensor labels = MakeLabelTensor(train_labels);
-  const Tensor weights = MakeBceWeights(train_labels, cfg.pos_weight);
+  ag::AdamOptimizer::Options aopt;
+  aopt.learning_rate = cfg.learning_rate * 0.1;  // Gentle fine-tuning stage.
+  aopt.clip_norm = cfg.clip_norm;
+  ag::AdamOptimizer opt(model->AllParams(), aopt);
 
-  // Clusters with known UVs (C1) vs the rest (C0) for the PU rank loss.
+  obs::SpanGuard stage_span("train_slave", obs::SpanLevel::kCoarse, "epochs",
+                            cfg.slave_epochs);
+  const uint64_t seed = cfg.seed ^ 0x51a7eull;
   std::vector<int> positive, unlabeled;
-  for (int k = 0; k < cfg.num_clusters; ++k) {
-    (frozen.pseudo_labels[k] == 1 ? positive : unlabeled).push_back(k);
-  }
-
-  ag::AdamOptimizer::Options aopt;
-  aopt.learning_rate = cfg.learning_rate * 0.1;  // Gentle fine-tuning stage.
-  aopt.clip_norm = cfg.clip_norm;
-  ag::AdamOptimizer opt(model->AllParams(), aopt);
-
-  result.epoch_seconds.reserve(cfg.slave_epochs);
-  obs::SpanGuard stage_span("train_slave", obs::SpanLevel::kCoarse, "epochs",
-                            cfg.slave_epochs);
-  double last_loss = 0.0;
-  for (int epoch = 0; epoch < cfg.slave_epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    opt.ZeroGradients();
-    auto fwd = model->Forward(inputs, &frozen);
-    ag::VarPtr inclusion;
-    ag::VarPtr slave_logits = model->SlaveLogits(fwd, &inclusion);
-    ag::VarPtr loss_c = ag::BceWithLogits(ag::GatherRows(slave_logits, ids),
-                                          labels, &weights);
-    ag::VarPtr loss_p = ag::PuRankLoss(inclusion, positive, unlabeled);
-    ag::VarPtr loss =
-        ag::Add(loss_c, ag::ScalarMul(loss_p, static_cast<float>(cfg.lambda)));
-    last_loss = loss->value.at(0, 0);
-    ag::Backward(loss);
-    const double grad_norm = obs::MetricsLogEnabled()
-                                 ? ag::GlobalGradNorm(opt.params())
-                                 : 0.0;
-    opt.Step();
-    const double lr = opt.learning_rate();
-    opt.DecayLearningRate(cfg.lr_decay_per_epoch);
-    result.epoch_seconds.push_back(epoch_timer.Seconds());
-    obs::MetricsRecord("epoch")
-        .Str("stage", "slave")
-        .Int("epoch", epoch)
-        .Num("loss", last_loss)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", result.epoch_seconds.back())
-        .Emit();
-  }
-  result.seconds_per_epoch =
-      cfg.slave_epochs > 0
-          ? std::accumulate(result.epoch_seconds.begin(),
-                            result.epoch_seconds.end(), 0.0) /
-                cfg.slave_epochs
-          : 0.0;
-  result.final_loss = last_loss;
-  return result;
-}
-
-SlaveTrainResult TrainSlaveMinibatch(CmsfModel* model,
-                                     const urg::UrbanRegionGraph& urg,
-                                     const CmsfModel::FrozenAssignment& frozen,
-                                     const std::vector<int>& train_ids,
-                                     const std::vector<int>& train_labels) {
-  SlaveTrainResult result;
-  const CmsfConfig& cfg = model->config();
-  if (!cfg.use_hierarchy || !cfg.use_gate) return result;
-  UV_CHECK_EQ(frozen.pseudo_labels.size(),
-              static_cast<size_t>(cfg.num_clusters));
-  UV_CHECK_GT(cfg.batch_size, 0);
-
-  const urg::NeighborView view(urg);
-  const int num_train = static_cast<int>(train_ids.size());
-  const int bs = std::min(cfg.batch_size, num_train);
-  const int num_batches = (num_train + bs - 1) / bs;
-  const float pos_w = GlobalPosWeight(train_labels, cfg.pos_weight);
-
-  ag::AdamOptimizer::Options aopt;
-  aopt.learning_rate = cfg.learning_rate * 0.1;  // Gentle fine-tuning stage.
-  aopt.clip_norm = cfg.clip_norm;
-  ag::AdamOptimizer opt(model->AllParams(), aopt);
-
-  result.epoch_seconds.reserve(cfg.slave_epochs);
-  obs::SpanGuard stage_span("train_slave", obs::SpanLevel::kCoarse, "epochs",
-                            cfg.slave_epochs);
-  double last_loss = 0.0;
-  std::vector<std::pair<int, int>> order;
-  std::vector<int> seeds, seed_labels;
-  for (int epoch = 0; epoch < cfg.slave_epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    EpochOrder(train_ids, train_labels, cfg.seed ^ 0x51a7eull, epoch, &order);
-    urg::MinibatchConfig mcfg;
-    mcfg.batch_size = bs;
-    mcfg.fanout = cfg.fanout;
-    mcfg.hops = cfg.maga_layers;
-    mcfg.seed = urg::MixSeed(cfg.seed ^ 0x51a7eull, epoch);
-    double epoch_loss = 0.0;
-    double grad_norm = 0.0;
-    for (int b = 0; b < num_batches; ++b) {
-      opt.ZeroGradients();
-      const int begin = b * bs;
-      const int end = std::min(num_train, begin + bs);
-      seeds.clear();
-      seed_labels.clear();
-      for (int i = begin; i < end; ++i) {
-        seeds.push_back(order[i].first);
-        seed_labels.push_back(order[i].second);
-      }
-      const urg::SampledSubgraph sg = urg::SampleKHop(view, seeds, mcfg);
-      const CmsfInputs inputs = SubgraphInputs(urg, sg);
-      const CmsfModel::FrozenAssignment fslice = SliceFrozen(frozen, sg.nodes);
-      auto fwd = model->Forward(inputs, &fslice);
-      ag::VarPtr inclusion;
-      ag::VarPtr slave_logits = model->SlaveLogits(fwd, &inclusion);
-      const Tensor labels = MakeLabelTensor(seed_labels);
-      const Tensor weights = BatchWeights(seed_labels, pos_w);
-      ag::VarPtr loss = ag::BceWithLogits(
-          ag::GatherRows(slave_logits, SeedRows(sg.num_seeds)), labels,
-          &weights);
-      // PU rank loss over the clusters this batch actually populates; the
-      // rest have all-zero (empty) cluster representations, so ranking
-      // their inclusion scores would only inject noise.
-      std::vector<char> present(cfg.num_clusters, 0);
-      for (int h : fslice.hard) present[h] = 1;
-      std::vector<int> positive, unlabeled;
-      for (int k = 0; k < cfg.num_clusters; ++k) {
-        if (!present[k]) continue;
-        (frozen.pseudo_labels[k] == 1 ? positive : unlabeled).push_back(k);
-      }
-      if (!positive.empty() && !unlabeled.empty()) {
-        ag::VarPtr loss_p = ag::PuRankLoss(inclusion, positive, unlabeled);
-        loss = ag::Add(
-            loss, ag::ScalarMul(loss_p, static_cast<float>(cfg.lambda)));
-      }
-      last_loss = loss->value.at(0, 0);
-      epoch_loss += last_loss;
-      ag::Backward(loss);
-      if (obs::MetricsLogEnabled()) {
-        grad_norm = ag::GlobalGradNorm(opt.params());
-      }
-      opt.Step();
-    }
-    const double lr = opt.learning_rate();
-    opt.DecayLearningRate(cfg.lr_decay_per_epoch);
-    result.epoch_seconds.push_back(epoch_timer.Seconds());
-    obs::MetricsRecord("epoch")
-        .Str("stage", "slave")
-        .Int("epoch", epoch)
-        .Int("batches", num_batches)
-        .Num("loss", epoch_loss / num_batches)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", result.epoch_seconds.back())
-        .Emit();
-  }
-  result.seconds_per_epoch =
-      cfg.slave_epochs > 0
-          ? std::accumulate(result.epoch_seconds.begin(),
-                            result.epoch_seconds.end(), 0.0) /
-                cfg.slave_epochs
-          : 0.0;
-  result.final_loss = last_loss;
+  result.seconds_per_epoch = TrainLoopBatched(
+      &opt, cfg.slave_epochs, cfg.lr_decay_per_epoch,
+      plan->num_train_batches(),
+      [&](int epoch, int b) {
+        const Batch& batch = plan->TrainBatch(urg, seed, epoch, b);
+        CmsfModel::FrozenAssignment slice;
+        auto fwd =
+            model->Forward(*batch.inputs, PinFrozen(batch, frozen, &slice));
+        ag::VarPtr inclusion;
+        ag::VarPtr slave_logits = model->SlaveLogits(fwd, &inclusion);
+        ag::VarPtr loss =
+            ag::BceWithLogits(ag::GatherRows(slave_logits, batch.rows),
+                              batch.labels, &batch.weights);
+        // A sampled batch without rankable pairs leaves the PU term out;
+        // the whole-city batch always carries it (zero when K has no pair).
+        SlavePuClusters(batch, frozen, &positive, &unlabeled);
+        if (batch.whole_city || (!positive.empty() && !unlabeled.empty())) {
+          ag::VarPtr loss_p = ag::PuRankLoss(inclusion, positive, unlabeled);
+          loss = ag::Add(
+              loss, ag::ScalarMul(loss_p, static_cast<float>(cfg.lambda)));
+        }
+        result.final_loss = loss->value.at(0, 0);
+        return loss;
+      },
+      &result.epoch_seconds, "slave");
   return result;
 }
 
 std::vector<float> PredictCmsf(const CmsfModel& model,
-                               const CmsfInputs& inputs,
+                               const urg::UrbanRegionGraph& urg,
+                               BatchPlan* plan,
                                const CmsfModel::FrozenAssignment* frozen,
                                const std::vector<int>& eval_ids) {
   obs::SpanGuard span("inference", obs::SpanLevel::kCoarse);
   const CmsfConfig& cfg = model.config();
   const bool use_slave =
       cfg.use_hierarchy && cfg.use_gate && frozen != nullptr;
-  auto fwd = model.Forward(inputs, use_slave ? frozen : nullptr);
-  ag::VarPtr logits =
-      use_slave ? model.SlaveLogits(fwd, nullptr) : fwd.master_logits;
-  std::vector<float> out(eval_ids.size());
-  for (size_t i = 0; i < eval_ids.size(); ++i) {
-    const float z = logits->value.at(eval_ids[i], 0);
-    out[i] = 1.0f / (1.0f + std::exp(-z));
-  }
-  return out;
-}
-
-std::vector<float> PredictCmsfMinibatch(
-    const CmsfModel& model, const urg::UrbanRegionGraph& urg,
-    const CmsfModel::FrozenAssignment* frozen,
-    const std::vector<int>& eval_ids) {
-  obs::SpanGuard span("inference", obs::SpanLevel::kCoarse);
-  const CmsfConfig& cfg = model.config();
-  const bool use_slave =
-      cfg.use_hierarchy && cfg.use_gate && frozen != nullptr;
-  const urg::NeighborView view(urg);
-  urg::MinibatchConfig mcfg;
-  mcfg.fanout = 0;  // Exact trunk outputs for the chunk's seed rows.
-  mcfg.hops = cfg.maga_layers;
-  constexpr size_t kChunk = 64;
-  std::vector<float> out(eval_ids.size());
-  for (size_t begin = 0; begin < eval_ids.size(); begin += kChunk) {
-    const size_t end = std::min(eval_ids.size(), begin + kChunk);
-    const std::vector<int> chunk(eval_ids.begin() + begin,
-                                 eval_ids.begin() + end);
-    const urg::SampledSubgraph sg = urg::SampleKHop(view, chunk, mcfg);
-    const CmsfInputs inputs = SubgraphInputs(urg, sg);
-    CmsfModel::FrozenAssignment fslice;
-    if (use_slave) fslice = SliceFrozen(*frozen, sg.nodes);
-    auto fwd = model.Forward(inputs, use_slave ? &fslice : nullptr);
-    ag::VarPtr logits =
-        use_slave ? model.SlaveLogits(fwd, nullptr) : fwd.master_logits;
-    for (size_t i = begin; i < end; ++i) {
-      const float z = logits->value.at(static_cast<int>(i - begin), 0);
-      out[i] = 1.0f / (1.0f + std::exp(-z));
-    }
-  }
-  return out;
+  return plan->Score(urg, eval_ids, [&](const Batch& batch) {
+    CmsfModel::FrozenAssignment slice;
+    auto fwd = model.Forward(
+        *batch.inputs, use_slave ? PinFrozen(batch, *frozen, &slice) : nullptr);
+    return use_slave ? model.SlaveLogits(fwd, nullptr) : fwd.master_logits;
+  });
 }
 
 }  // namespace uv::core

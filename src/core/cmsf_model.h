@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/batch_plan.h"
 #include "core/cmsf_config.h"
 #include "nn/gat.h"
 #include "nn/graph_context.h"
@@ -13,16 +14,6 @@
 #include "urg/urban_region_graph.h"
 
 namespace uv::core {
-
-// Constant model inputs derived once per URG: the two feature modalities
-// and the shared edge-index structures.
-struct CmsfInputs {
-  ag::VarPtr poi;    // (N x d_poi) constant.
-  ag::VarPtr image;  // (N x d_img) constant.
-  nn::GraphContext ctx;
-
-  static CmsfInputs FromUrg(const urg::UrbanRegionGraph& urg);
-};
 
 // The Contextual Master-Slave Framework (paper Section V): a hierarchical
 // GNN master model (MAGA + GSCM + MLP classifier) trained in stage one, and
@@ -39,15 +30,15 @@ class CmsfModel {
     ag::VarPtr cluster_repr;  // H' (null when hierarchy disabled).
   };
 
-  // Full forward pass of the master path. When `frozen` is non-null the
-  // GSCM membership is pinned to the given stage-one assignment (slave
-  // stage semantics).
+  // Forward pass of the master path over one batch's (sub)graph. When
+  // `frozen` is non-null the GSCM membership is pinned to the given
+  // stage-one assignment rows, one per batch node (slave stage semantics).
   struct FrozenAssignment {
     Tensor soft;             // B at the end of master training.
     std::vector<int> hard;   // B~ (argmax) at the end of master training.
     std::vector<int> pseudo_labels;  // Cluster pseudo labels y^h (eq. 16).
   };
-  ForwardResult Forward(const CmsfInputs& inputs,
+  ForwardResult Forward(const BatchInputs& inputs,
                         const FrozenAssignment* frozen) const;
 
   // Slave-path logits (eq. 22) given a master forward result; requires the
@@ -77,7 +68,7 @@ class CmsfModel {
  private:
   // Representation trunk shared by all variants: returns x^ (the fused
   // multi-modal representation entering GSCM).
-  ag::VarPtr Trunk(const CmsfInputs& inputs) const;
+  ag::VarPtr Trunk(const BatchInputs& inputs) const;
 
   CmsfConfig config_;
   int gscm_in_dim_ = 0;      // Width of x^.
@@ -93,9 +84,17 @@ class CmsfModel {
   std::unique_ptr<nn::MsGate> gate_;
 };
 
+// Every stage runs over a BatchPlan (core/batch_plan.h) whose train set
+// is the labeled training regions: the whole city as one batch, or
+// neighborhood-sampled minibatches. The plan's whole-city batch is built
+// once and reused by every stage.
+
 // Stage-one training (Algorithm 1): optimizes the master model with BCE on
-// the labeled training regions and returns the frozen assignment + pseudo
-// labels used by stage two. Also reports mean seconds per epoch.
+// the plan's loss rows. When the gate will consume it, the learned
+// membership is then frozen over every region through the plan's exact
+// scoring batches, with pseudo labels (eq. 16) from the training labels
+// only; gate-less variants skip that sweep and return an empty
+// assignment. Also reports mean seconds per epoch.
 struct MasterTrainResult {
   CmsfModel::FrozenAssignment frozen;
   double seconds_per_epoch = 0.0;
@@ -104,63 +103,41 @@ struct MasterTrainResult {
   // mean of these. Kept per epoch so callers can report p50/p95.
   std::vector<double> epoch_seconds;
 };
-MasterTrainResult TrainMaster(CmsfModel* model, const CmsfInputs& inputs,
-                              const std::vector<int>& train_ids,
-                              const std::vector<int>& train_labels);
-
-// Minibatch stage-one training (CmsfConfig::batch_size > 0): every step
-// samples the 2-hop neighborhood of a train-id batch, gathers its features
-// through the URG (feature store at paper scale), and optimizes the master
-// loss on the seed rows. The returned frozen assignment is computed EXACTLY
-// over all regions with fanout-unlimited chunks, so stage two sees the same
-// kind of membership snapshot as full-graph training.
-MasterTrainResult TrainMasterMinibatch(CmsfModel* model,
-                                       const urg::UrbanRegionGraph& urg,
-                                       const std::vector<int>& train_ids,
-                                       const std::vector<int>& train_labels);
+MasterTrainResult TrainMaster(CmsfModel* model,
+                              const urg::UrbanRegionGraph& urg,
+                              BatchPlan* plan);
 
 // Stage-two training (Algorithm 2): optimizes theta_2 with the joint loss
-// L'_c + lambda * L_p. No-op when the gate is disabled.
+// L'_c + lambda * L_p, the GSCM membership of every batch node pinned to
+// its frozen row. No-op when the gate is disabled.
 struct SlaveTrainResult {
   double seconds_per_epoch = 0.0;
   double final_loss = 0.0;
   std::vector<double> epoch_seconds;  // As in MasterTrainResult.
 };
-SlaveTrainResult TrainSlave(CmsfModel* model, const CmsfInputs& inputs,
-                            const CmsfModel::FrozenAssignment& frozen,
-                            const std::vector<int>& train_ids,
-                            const std::vector<int>& train_labels);
+SlaveTrainResult TrainSlave(CmsfModel* model,
+                            const urg::UrbanRegionGraph& urg,
+                            BatchPlan* plan,
+                            const CmsfModel::FrozenAssignment& frozen);
 
-// Minibatch stage-two training: each batch pins the GSCM membership to the
-// frozen assignment rows of its subgraph nodes. Cluster representations
-// (and the PU rank loss on their inclusion scores) aggregate over the
-// batch's regions only — the minibatch approximation of eq. 10/18.
-SlaveTrainResult TrainSlaveMinibatch(CmsfModel* model,
-                                     const urg::UrbanRegionGraph& urg,
-                                     const CmsfModel::FrozenAssignment& frozen,
-                                     const std::vector<int>& train_ids,
-                                     const std::vector<int>& train_labels);
+// The clusters the slave PU rank loss (eq. 17) ranks on `batch`, split by
+// pseudo label into C1 (`positive`) and C0 (`unlabeled`). The whole-city
+// batch ranks all K clusters, as the paper does. A sampled batch ranks
+// only the clusters its nodes populate: cluster representations aggregate
+// over the batch's regions, so the rest are all-zero and ranking their
+// inclusion scores would only inject noise.
+void SlavePuClusters(const Batch& batch,
+                     const CmsfModel::FrozenAssignment& frozen,
+                     std::vector<int>* positive, std::vector<int>* unlabeled);
 
-// Per-sample BCE weights implementing CmsfConfig::pos_weight (shared by the
-// baselines so class balancing is uniform across methods).
-Tensor MakeBceWeights(const std::vector<int>& labels, double pos_weight);
-// Labels as an (n x 1) float tensor.
-Tensor MakeLabelTensor(const std::vector<int>& labels);
-
-// Inference (Section V-C): probabilities for eval_ids using the slave path
-// when enabled, the master path otherwise.
+// Inference (Section V-C): probabilities for eval_ids over the plan's
+// exact scoring batches, using the slave path when enabled, the master
+// path otherwise.
 std::vector<float> PredictCmsf(const CmsfModel& model,
-                               const CmsfInputs& inputs,
+                               const urg::UrbanRegionGraph& urg,
+                               BatchPlan* plan,
                                const CmsfModel::FrozenAssignment* frozen,
                                const std::vector<int>& eval_ids);
-
-// Minibatch inference: scores eval_ids in fanout-unlimited 2-hop chunks, so
-// trunk outputs (and master logits) are exact; the slave path uses the
-// chunk's frozen membership rows. O(chunk * deg^2) memory per chunk.
-std::vector<float> PredictCmsfMinibatch(
-    const CmsfModel& model, const urg::UrbanRegionGraph& urg,
-    const CmsfModel::FrozenAssignment* frozen,
-    const std::vector<int>& eval_ids);
 
 }  // namespace uv::core
 

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/cmsf_detector.h"
 #include "core/cmsf_model.h"
@@ -40,6 +43,13 @@ class CmsfTest : public ::testing::Test {
     return config;
   }
 
+  // A whole-city plan over the fold's training set.
+  static BatchPlan TrainPlan(const CmsfConfig& config) {
+    BatchPlan plan(config.batch_size, config.fanout, config.maga_layers);
+    plan.SetTrainSet(fold_->train_ids, *train_labels_, config.pos_weight);
+    return plan;
+  }
+
   static urg::UrbanRegionGraph* urg_;
   static eval::Fold* fold_;
   static std::vector<int>* train_labels_;
@@ -74,8 +84,8 @@ TEST_F(CmsfTest, ModelShapesAcrossVariants) {
       config.use_gate = use_hierarchy;
       CmsfModel model(config, urg_->poi_features.cols(),
                       urg_->image_features.cols(), &rng);
-      auto inputs = CmsfInputs::FromUrg(*urg_);
-      auto fwd = model.Forward(inputs, nullptr);
+      BatchPlan plan = TrainPlan(config);
+      auto fwd = model.Forward(*plan.WholeCity(*urg_), nullptr);
       EXPECT_EQ(fwd.master_logits->rows(), urg_->num_regions());
       EXPECT_EQ(fwd.master_logits->cols(), 1);
       EXPECT_FALSE(fwd.master_logits->value.HasNonFinite());
@@ -95,16 +105,14 @@ TEST_F(CmsfTest, MasterTrainingReducesLoss) {
   config.master_epochs = 3;
   CmsfModel model(config, urg_->poi_features.cols(),
                   urg_->image_features.cols(), &rng);
-  auto inputs = CmsfInputs::FromUrg(*urg_);
-  auto early =
-      TrainMaster(&model, inputs, fold_->train_ids, *train_labels_);
+  BatchPlan plan = TrainPlan(config);
+  auto early = TrainMaster(&model, *urg_, &plan);
 
   Rng rng2(6);
   CmsfConfig config2 = FastConfig();
   CmsfModel model2(config2, urg_->poi_features.cols(),
                    urg_->image_features.cols(), &rng2);
-  auto late =
-      TrainMaster(&model2, inputs, fold_->train_ids, *train_labels_);
+  auto late = TrainMaster(&model2, *urg_, &plan);
   EXPECT_LT(late.final_loss, early.final_loss);
 }
 
@@ -114,8 +122,8 @@ TEST_F(CmsfTest, FrozenAssignmentFromMasterTraining) {
   config.master_epochs = 5;
   CmsfModel model(config, urg_->poi_features.cols(),
                   urg_->image_features.cols(), &rng);
-  auto inputs = CmsfInputs::FromUrg(*urg_);
-  auto result = TrainMaster(&model, inputs, fold_->train_ids, *train_labels_);
+  BatchPlan plan = TrainPlan(config);
+  auto result = TrainMaster(&model, *urg_, &plan);
   EXPECT_EQ(result.frozen.soft.rows(), urg_->num_regions());
   EXPECT_EQ(result.frozen.soft.cols(), config.num_clusters);
   EXPECT_EQ(result.frozen.hard.size(),
@@ -134,10 +142,9 @@ TEST_F(CmsfTest, SlaveStageRunsAndKeepsLossFinite) {
   config.master_epochs = 10;
   CmsfModel model(config, urg_->poi_features.cols(),
                   urg_->image_features.cols(), &rng);
-  auto inputs = CmsfInputs::FromUrg(*urg_);
-  auto master = TrainMaster(&model, inputs, fold_->train_ids, *train_labels_);
-  auto slave = TrainSlave(&model, inputs, master.frozen, fold_->train_ids,
-                          *train_labels_);
+  BatchPlan plan = TrainPlan(config);
+  auto master = TrainMaster(&model, *urg_, &plan);
+  auto slave = TrainSlave(&model, *urg_, &plan, master.frozen);
   EXPECT_GT(slave.seconds_per_epoch, 0.0);
   EXPECT_TRUE(std::isfinite(slave.final_loss));
 }
@@ -234,6 +241,38 @@ TEST_F(CmsfTest, SaveLoadRoundTripPreservesPredictions) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i], expected[i], 1e-6f) << i;
   }
+}
+
+// CMSF-G never consumes a frozen assignment, so training skips the freeze
+// sweep and the checkpoint carries its three frozen tensors empty; the
+// round trip must still score identically and re-save byte for byte.
+TEST_F(CmsfTest, GatelessRoundTripWithEmptyFrozenTensors) {
+  CmsfConfig config = FastConfig();
+  config.master_epochs = 10;
+  config.use_gate = false;
+  CmsfDetector trained(config, "CMSF-G");
+  trained.Train(*urg_, fold_->train_ids, *train_labels_);
+  EXPECT_EQ(trained.frozen().soft.size(), 0);
+  EXPECT_TRUE(trained.frozen().hard.empty());
+  EXPECT_TRUE(trained.frozen().pseudo_labels.empty());
+  const auto expected = trained.Score(*urg_, fold_->test_ids);
+
+  const std::string path = ::testing::TempDir() + "/cmsf_g_checkpoint.uvck";
+  ASSERT_TRUE(trained.SaveModel(*urg_, path).ok());
+  CmsfDetector loaded(FastConfig(), "CMSF-G");
+  ASSERT_TRUE(loaded.LoadModel(*urg_, path).ok());
+  EXPECT_EQ(loaded.frozen().soft.size(), 0);
+  EXPECT_TRUE(loaded.frozen().hard.empty());
+  EXPECT_TRUE(loaded.frozen().pseudo_labels.empty());
+  EXPECT_EQ(loaded.Score(*urg_, fold_->test_ids), expected);
+
+  const std::string again = ::testing::TempDir() + "/cmsf_g_resaved.uvck";
+  ASSERT_TRUE(loaded.SaveModel(*urg_, again).ok());
+  auto read = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(read(path), read(again));
 }
 
 TEST_F(CmsfTest, SaveBeforeTrainFails) {

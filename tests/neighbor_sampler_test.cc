@@ -3,20 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "baselines/registry.h"
+#include "core/batch_plan.h"
 #include "core/cmsf_detector.h"
 #include "core/cmsf_model.h"
 #include "eval/runner.h"
+#include "nn/graph_context.h"
 #include "obs/metrics.h"
 #include "synth/city.h"
 #include "test_helpers.h"
 #include "util/buffer_pool.h"
 #include "util/rng.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace uv::urg {
@@ -333,17 +339,100 @@ TEST(ParityTest, MasterPredictionsExactWithoutHierarchy) {
   cfg.use_gate = false;
   Rng rng(3);
   const core::CmsfModel model(cfg, urg.PoiDim(), urg.ImageDim(), &rng);
-  const core::CmsfInputs inputs = core::CmsfInputs::FromUrg(urg);
 
   std::vector<int> eval_ids;
   for (int i = 0; i < urg.num_regions(); i += 7) eval_ids.push_back(i);
-  const auto full = core::PredictCmsf(model, inputs, nullptr, eval_ids);
+  core::BatchPlan whole_city(/*batch_size=*/0, /*fanout=*/0, cfg.maga_layers);
+  core::BatchPlan sampled(/*batch_size=*/64, /*fanout=*/4, cfg.maga_layers);
+  const auto full =
+      core::PredictCmsf(model, urg, &whole_city, nullptr, eval_ids);
   const auto chunked =
-      core::PredictCmsfMinibatch(model, urg, nullptr, eval_ids);
+      core::PredictCmsf(model, urg, &sampled, nullptr, eval_ids);
   ASSERT_EQ(full.size(), chunked.size());
   for (size_t i = 0; i < full.size(); ++i) {
-    EXPECT_NEAR(full[i], chunked[i], 1e-6) << "eval id " << eval_ids[i];
+    EXPECT_EQ(full[i], chunked[i]) << "eval id " << eval_ids[i];
   }
+}
+
+// The one-batch premise: the whole-city batch (SampleKHop over every region
+// in id order at fanout 0) IS the dense URG — the same edge arrays and GCN
+// norms as GraphContext::FromCsr and the same feature bytes — and the plan
+// keeps it, together with one loss-row vector, across epochs and stages.
+TEST(BatchPlanTest, WholeCityBatchIsTheDenseUrgBitForBit) {
+  auto city = TinyCity();
+  const UrbanRegionGraph urg = Dense(city);
+  core::BatchPlan plan(/*batch_size=*/0, /*fanout=*/16, /*hops=*/2);
+  const core::BatchInputs& batch = *plan.WholeCity(urg);
+  const nn::GraphContext dense = nn::GraphContext::FromCsr(urg.adjacency);
+
+  std::vector<int> ids(static_cast<size_t>(urg.num_regions()));
+  std::iota(ids.begin(), ids.end(), 0);
+  EXPECT_EQ(batch.nodes, ids);
+  EXPECT_EQ(batch.ctx.num_nodes, dense.num_nodes);
+  EXPECT_EQ(*batch.ctx.offsets, *dense.offsets);
+  EXPECT_EQ(*batch.ctx.src_ids, *dense.src_ids);
+  EXPECT_EQ(*batch.ctx.dst_ids, *dense.dst_ids);
+  auto same_bytes = [](const Tensor& a, const Tensor& b) {
+    return a.SameShape(b) &&
+           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+  };
+  EXPECT_TRUE(same_bytes(batch.ctx.gcn_norm->value, dense.gcn_norm->value));
+  EXPECT_TRUE(same_bytes(batch.poi->value, urg.poi_features));
+  EXPECT_TRUE(same_bytes(batch.image->value, urg.image_features));
+  EXPECT_EQ(plan.WholeCity(urg).get(), &batch);
+
+  const std::vector<int> labeled = urg.LabeledIds();
+  std::vector<int> labels;
+  for (const int id : labeled) labels.push_back(urg.labels[id]);
+  plan.SetTrainSet(labeled, labels, /*pos_weight=*/0.0);
+  ASSERT_EQ(plan.num_train_batches(), 1);
+  const core::Batch& first = plan.TrainBatch(urg, /*seed=*/1, 0, 0);
+  EXPECT_TRUE(first.whole_city);
+  EXPECT_EQ(first.inputs.get(), &batch);
+  EXPECT_EQ(*first.rows, labeled);
+  const auto rows = first.rows;
+  EXPECT_EQ(plan.TrainBatch(urg, /*seed=*/2, 7, 0).rows, rows);
+}
+
+// The slave PU rank loss ranks all K clusters on the whole-city batch but
+// only the clusters a sampled batch's nodes populate.
+TEST(BatchPlanTest, SlavePuClustersAllOnWholeCityPopulatedOnSampled) {
+  auto city = TinyCity();
+  const UrbanRegionGraph urg = Dense(city);
+  const int n = urg.num_regions();
+  constexpr int kClusters = 30;
+  core::CmsfModel::FrozenAssignment frozen;
+  for (int id = 0; id < n; ++id) frozen.hard.push_back(id * kClusters / n);
+  for (int c = 0; c < kClusters; ++c) frozen.pseudo_labels.push_back(c % 2);
+  const std::vector<int> train_ids = {0, 1};
+  const std::vector<int> train_labels = {1, 0};
+
+  std::vector<int> positive, unlabeled;
+  core::BatchPlan whole_city(/*batch_size=*/0, /*fanout=*/2, /*hops=*/2);
+  whole_city.SetTrainSet(train_ids, train_labels, 0.0);
+  core::SlavePuClusters(whole_city.TrainBatch(urg, 1, 0, 0), frozen,
+                        &positive, &unlabeled);
+  std::vector<int> odd, even;
+  for (int c = 0; c < kClusters; ++c) (c % 2 ? odd : even).push_back(c);
+  EXPECT_EQ(positive, odd);
+  EXPECT_EQ(unlabeled, even);
+
+  core::BatchPlan sampled(/*batch_size=*/2, /*fanout=*/2, /*hops=*/2);
+  sampled.SetTrainSet(train_ids, train_labels, 0.0);
+  const core::Batch& batch = sampled.TrainBatch(urg, 1, 0, 0);
+  EXPECT_FALSE(batch.whole_city);
+  core::SlavePuClusters(batch, frozen, &positive, &unlabeled);
+  std::set<int> populated;
+  for (const int node : batch.inputs->nodes) {
+    populated.insert(frozen.hard[node]);
+  }
+  std::vector<int> want_positive, want_unlabeled;
+  for (const int c : populated) {
+    (c % 2 ? want_positive : want_unlabeled).push_back(c);
+  }
+  EXPECT_EQ(positive, want_positive);
+  EXPECT_EQ(unlabeled, want_unlabeled);
+  EXPECT_LT(populated.size(), static_cast<size_t>(kClusters));
 }
 
 TEST(ParityTest, FullAndMinibatchGcnMetricsMatch) {
@@ -399,6 +488,31 @@ TEST(CmsfMinibatchTest, TrainsAndScoresOnShardedUrg) {
     EXPECT_GE(p, 0.0f);
     EXPECT_LE(p, 1.0f);
   }
+}
+
+// Checkpoints embed a quality baseline over the dense URG, which a sharded
+// graph does not hold: SaveModel must refuse cleanly instead of aborting.
+TEST(CmsfMinibatchTest, SaveModelRefusesShardedUrg) {
+  auto city = TinyCity();
+  const UrbanRegionGraph urg = Sharded(city, 2);
+  core::CmsfConfig cfg;
+  cfg.master_epochs = 1;
+  cfg.slave_epochs = 1;
+  cfg.batch_size = 64;
+  cfg.fanout = 4;
+  cfg.num_clusters = 10;
+  core::CmsfDetector detector(cfg);
+  const std::vector<int> labeled = urg.LabeledIds();
+  std::vector<int> labels(labeled.size());
+  for (size_t i = 0; i < labeled.size(); ++i) labels[i] = urg.labels[labeled[i]];
+  detector.Train(urg, labeled, labels);
+
+  const std::string path = ::testing::TempDir() + "/sharded_refused.uvck";
+  std::remove(path.c_str());
+  const Status status = detector.SaveModel(urg, path);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(detector.baseline(urg).empty());
+  EXPECT_EQ(std::fopen(path.c_str(), "rb"), nullptr);
 }
 
 }  // namespace
