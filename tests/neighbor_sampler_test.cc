@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -512,7 +513,7 @@ TEST(CmsfMinibatchTest, SaveModelRefusesShardedUrg) {
   const Status status = detector.SaveModel(urg, path);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_TRUE(detector.baseline(urg).empty());
-  EXPECT_EQ(std::fopen(path.c_str(), "rb"), nullptr);
+  EXPECT_FALSE(std::ifstream(path).good());
 }
 
 }  // namespace
