@@ -5,15 +5,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "baselines/registry.h"
 #include "core/cmsf_config.h"
 #include "eval/runner.h"
 #include "obs/report.h"
 #include "synth/city.h"
 #include "urg/urban_region_graph.h"
+#include "util/rng.h"
 
 namespace uv::bench {
 
@@ -228,6 +233,43 @@ inline void PrintBenchHeader(const char* title, const BenchConfig& bench) {
       "runs=%d, folds=%d, seed=%llu)\n\n",
       bench.scale, bench.epochs, bench.runs, bench.folds,
       static_cast<unsigned long long>(bench.seed));
+}
+
+// Returns a closure running the fused edge-softmax + neighbor-sum pair,
+// forward and backward, over a 20k-segment CSR (4-11 edges per segment)
+// whose edge e reads source row e: bench_suite's segment_fwd_bwd_20k and
+// bench_scaling_threads' graph_segment_fwd_bwd time it. The index arrays
+// live in the closure, so the memoized inverse index is reused across
+// repeats.
+inline std::function<void()> SegmentFwdBwd(uint64_t seed) {
+  constexpr int kSegments = 20000;
+  auto offsets = std::make_shared<std::vector<int>>(1, 0);
+  auto dst = std::make_shared<std::vector<int>>();
+  Rng rng(seed);
+  for (int i = 0; i < kSegments; ++i) {
+    offsets->push_back(offsets->back() + 4 + rng.UniformInt(8));
+    dst->resize(offsets->back(), i);
+  }
+  const int num_edges = offsets->back();
+  auto src = std::make_shared<std::vector<int>>(num_edges);
+  std::iota(src->begin(), src->end(), 0);
+  auto random = [&rng](int rows, int cols) {
+    Tensor t(rows, cols);
+    t.RandomNormal(&rng, 1.0f);
+    return t;
+  };
+  return [off = std::shared_ptr<const std::vector<int>>(offsets),
+          src_ids = std::shared_ptr<const std::vector<int>>(src),
+          dst_ids = std::shared_ptr<const std::vector<int>>(dst),
+          s_dst0 = random(kSegments, 1), s_src0 = random(num_edges, 1),
+          feats0 = random(num_edges, 64)] {
+    auto s_dst = ag::MakeParam(s_dst0);
+    auto s_src = ag::MakeParam(s_src0);
+    auto feats = ag::MakeParam(feats0);
+    auto alpha = ag::EdgeSoftmax(s_dst, s_src, dst_ids, src_ids, off, 0.2f);
+    auto y = ag::NeighborWeightedSum(alpha, feats, src_ids, dst_ids, off);
+    ag::Backward(ag::SumAll(ag::Mul(y, y)));
+  };
 }
 
 }  // namespace uv::bench

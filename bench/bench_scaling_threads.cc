@@ -111,25 +111,10 @@ int main(int argc, char** argv) {
     });
   }
 
-  // --- CSR segment aggregation (attention softmax + weighted sum). ---
+  // --- CSR segment aggregation (fused edge softmax + neighbor sum). ---
   {
-    const int num_segments = 20000;
-    auto offsets = std::make_shared<std::vector<int>>();
-    offsets->push_back(0);
-    uv::Rng rng(6);
-    for (int i = 0; i < num_segments; ++i) {
-      offsets->push_back(offsets->back() + 4 + rng.UniformInt(8));
-    }
-    const Tensor scores0 = RandomTensor(offsets->back(), 1, 7);
-    const Tensor feats0 = RandomTensor(offsets->back(), 64, 8);
-    std::shared_ptr<const std::vector<int>> off = offsets;
-    Sweep(&report, "graph_segment_fwd_bwd", thread_counts, 3, [&] {
-      auto scores = uv::ag::MakeParam(scores0);
-      auto feats = uv::ag::MakeParam(feats0);
-      auto alpha = uv::ag::SegmentSoftmax(scores, off);
-      auto y = uv::ag::SegmentWeightedSum(alpha, feats, off);
-      uv::ag::Backward(uv::ag::SumAll(uv::ag::Mul(y, y)));
-    });
+    Sweep(&report, "graph_segment_fwd_bwd", thread_counts, 3,
+          uv::bench::SegmentFwdBwd(6));
   }
 
   // --- Fold-level parallel cross-validation. ---

@@ -105,14 +105,11 @@ void RunMicroSuite(uv::obs::Report* report) {
     auto a_dst = uv::ag::MakeConst(RandomTensor(32, 1, 7));
     report->RunTimed("attention_pass_grid64", [&] {
       auto h = uv::ag::MatMul(x, w);
-      auto scores = uv::ag::LeakyRelu(
-          uv::ag::Add(
-              uv::ag::GatherRows(uv::ag::MatMul(h, a_dst), ctx.dst_ids),
-              uv::ag::GatherRows(uv::ag::MatMul(h, a_src), ctx.src_ids)),
-          0.2f);
-      auto alpha = uv::ag::SegmentSoftmax(scores, ctx.offsets);
-      auto out = uv::ag::SegmentWeightedSum(
-          alpha, uv::ag::GatherRows(h, ctx.src_ids), ctx.offsets);
+      auto alpha = uv::ag::EdgeSoftmax(
+          uv::ag::MatMul(h, a_dst), uv::ag::MatMul(h, a_src), ctx.dst_ids,
+          ctx.src_ids, ctx.offsets, 0.2f);
+      auto out = uv::ag::NeighborWeightedSum(alpha, h, ctx.src_ids,
+                                             ctx.dst_ids, ctx.offsets);
       (void)out->value.data();
     });
   }
@@ -146,24 +143,8 @@ void RunMicroSuite(uv::obs::Report* report) {
     });
   }
   {
-    // CSR segment softmax + weighted sum, forward and backward.
-    const int num_segments = 20000;
-    auto offsets = std::make_shared<std::vector<int>>();
-    offsets->push_back(0);
-    uv::Rng rng(14);
-    for (int i = 0; i < num_segments; ++i) {
-      offsets->push_back(offsets->back() + 4 + rng.UniformInt(8));
-    }
-    const uv::Tensor scores0 = RandomTensor(offsets->back(), 1, 15);
-    const uv::Tensor feats0 = RandomTensor(offsets->back(), 64, 16);
-    std::shared_ptr<const std::vector<int>> off = offsets;
-    report->RunTimed("segment_fwd_bwd_20k", [&] {
-      auto scores = uv::ag::MakeParam(scores0);
-      auto feats = uv::ag::MakeParam(feats0);
-      auto alpha = uv::ag::SegmentSoftmax(scores, off);
-      auto y = uv::ag::SegmentWeightedSum(alpha, feats, off);
-      uv::ag::Backward(uv::ag::SumAll(uv::ag::Mul(y, y)));
-    });
+    // Fused edge softmax + neighbor sum over a 20k-segment CSR.
+    report->RunTimed("segment_fwd_bwd_20k", uv::bench::SegmentFwdBwd(14));
   }
   {
     // Full reverse-mode pass over a graph model (allocation-heavy path:
@@ -173,9 +154,8 @@ void RunMicroSuite(uv::obs::Report* report) {
     report->RunTimed("backward_graph_grid64", [&] {
       auto w = uv::ag::MakeParam(RandomTensor(64, 32, 18));
       auto h = uv::ag::Relu(uv::ag::MatMul(x, w));
-      auto gathered = uv::ag::GatherRows(h, ctx.src_ids);
-      auto agg =
-          uv::ag::SegmentWeightedSum(ctx.gcn_norm, gathered, ctx.offsets);
+      auto agg = uv::ag::NeighborWeightedSum(ctx.gcn_norm, h, ctx.src_ids,
+                                             ctx.dst_ids, ctx.offsets);
       auto loss = uv::ag::MeanAll(uv::ag::Mul(agg, agg));
       uv::ag::Backward(loss);
       (void)w->grad.data();

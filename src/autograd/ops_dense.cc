@@ -310,12 +310,13 @@ VarPtr SliceCols(const VarPtr& a, int col_begin, int col_end) {
 VarPtr RowSoftmax(const VarPtr& a, float temperature) {
   Tensor out = uv::RowSoftmax(a->value, temperature);
   VarPtr av = a;
-  // Capture the softmax output by value for the backward pass.
-  Tensor soft = out;
   return MakeOp(
       std::move(out), {a},
-      [av, soft = std::move(soft), temperature](Variable* self) {
+      [av, temperature](Variable* self) {
         if (!av->requires_grad) return;
+        // The node's own value is the softmax output; only parameters are
+        // ever reassigned after creation, so no copy needs keeping.
+        const Tensor& soft = self->value;
         Tensor ga = Tensor::Uninit(soft.rows(), soft.cols());
         for (int r = 0; r < soft.rows(); ++r) {
           const float* p = soft.row(r);
@@ -335,7 +336,7 @@ VarPtr RowSoftmax(const VarPtr& a, float temperature) {
 namespace {
 
 // Shared implementation for pointwise activations: fwd maps x -> y, dfn maps
-// (x, y) -> dy/dx.
+// (x, y) -> dy/dx. The backward reads y from the node's own value.
 template <typename Fwd, typename Dfn>
 VarPtr Pointwise(const VarPtr& a, Fwd fwd, Dfn dfn, const char* name) {
   Tensor out = Tensor::Uninit(a->rows(), a->cols());
@@ -343,14 +344,13 @@ VarPtr Pointwise(const VarPtr& a, Fwd fwd, Dfn dfn, const char* name) {
   float* o = out.data();
   for (int64_t i = 0; i < out.size(); ++i) o[i] = fwd(in[i]);
   VarPtr av = a;
-  Tensor saved = out;
   return MakeOp(
       std::move(out), {a},
-      [av, saved = std::move(saved), dfn](Variable* self) {
+      [av, dfn](Variable* self) {
         if (!av->requires_grad) return;
         Tensor ga = Tensor::Uninit(self->grad.rows(), self->grad.cols());
         const float* x = av->value.data();
-        const float* y = saved.data();
+        const float* y = self->value.data();
         const float* g = self->grad.data();
         float* gd = ga.data();
         for (int64_t i = 0; i < ga.size(); ++i) gd[i] = g[i] * dfn(x[i], y[i]);

@@ -15,9 +15,10 @@
 namespace uv::ag {
 namespace {
 
-// Rows per parallel chunk in the backward scatters. Chunk boundaries depend
-// only on these constants and the problem size, so outputs are identical
-// for every UV_THREADS value; all chunk bodies below write disjoint rows.
+// Rows (or edges) per parallel chunk in the backward scatters. Chunk
+// boundaries depend only on these constants and the problem size, so
+// outputs are identical for every UV_THREADS value; all chunk bodies below
+// write disjoint rows.
 // The forward halves live in tensor/forward_ops.cc (shared with the
 // grad-free inference engine) with the same contract.
 using uv::kSegmentGrain;
@@ -102,27 +103,40 @@ VarPtr GatherRows(const VarPtr& x,
       "gather_rows");
 }
 
-VarPtr SegmentSoftmax(const VarPtr& scores,
-                      const std::shared_ptr<const std::vector<int>>& offsets) {
+VarPtr EdgeSoftmax(const VarPtr& s_dst, const VarPtr& s_src,
+                   const std::shared_ptr<const std::vector<int>>& dst_ids,
+                   const std::shared_ptr<const std::vector<int>>& src_ids,
+                   const std::shared_ptr<const std::vector<int>>& offsets,
+                   float negative_slope) {
   const int num_segments = static_cast<int>(offsets->size()) - 1;
   Tensor out;
   obs::SpanGuard fwd_span("segment_softmax", obs::SpanLevel::kFine,
                           "segments", num_segments);
-  uv::SegmentSoftmaxInto(scores->value, *offsets, &out);
+  uv::EdgeSoftmaxInto(s_dst->value, s_src->value, *dst_ids, *src_ids,
+                      *offsets, negative_slope, &out);
 
-  VarPtr sv = scores;
-  Tensor soft = out;
+  VarPtr dv = s_dst, sv = s_src;
+  std::shared_ptr<const DestIndex> by_src =
+      sv->requires_grad ? CachedDestIndex(src_ids, s_src->rows()) : nullptr;
   return MakeOp(
-      std::move(out), {scores},
-      [sv, offsets, soft = std::move(soft)](Variable* self) {
-        if (!sv->requires_grad) return;
+      std::move(out), {s_dst, s_src},
+      [dv, sv, dst_ids, src_ids, offsets, by_src,
+       negative_slope](Variable* self) {
         const auto& off = *offsets;
+        const int* dst = dst_ids->data();
+        const int* src = src_ids->data();
         const int num_segments = static_cast<int>(off.size()) - 1;
-        // Same tiling argument as the forward: every element is written.
-        Tensor gs = Tensor::Uninit(soft.rows(), 1);
-        const float* p = soft.data();
+        // Per-edge score gradient: the softmax backward times the LeakyReLU
+        // branch, recomputed from the node scores instead of kept from the
+        // forward. Same tiling argument as the forward: every element is
+        // written. The destination half reduces inside the segment walk.
+        Tensor ge = Tensor::Uninit(self->rows(), 1);
+        const float* p = self->value.data();
         const float* g = self->grad.data();
-        float* gd = gs.data();
+        const float* sd = dv->value.data();
+        const float* ss = sv->value.data();
+        float* gd = ge.data();
+        float* gsd = dv->requires_grad ? dv->EnsureGrad().data() : nullptr;
         ParallelFor(0, num_segments, kSegmentGrain,
                     [&](int64_t s0, int64_t s1) {
                       for (int64_t i = s0; i < s1; ++i) {
@@ -130,59 +144,83 @@ VarPtr SegmentSoftmax(const VarPtr& scores,
                         float dot = 0.0f;
                         for (int e = lo; e < hi; ++e) dot += p[e] * g[e];
                         for (int e = lo; e < hi; ++e) {
-                          gd[e] = p[e] * (g[e] - dot);
+                          const float gs = p[e] * (g[e] - dot);
+                          const float pre = sd[dst[e]] + ss[src[e]];
+                          gd[e] = gs * (pre > 0.0f ? 1.0f : negative_slope);
+                          if (gsd != nullptr) gsd[dst[e]] += gd[e];
                         }
                       }
                     });
-        sv->AccumGrad(std::move(gs));
+        if (!sv->requires_grad) return;
+        obs::SpanGuard span("scatter_add", obs::SpanLevel::kFine, "rows",
+                            sv->rows());
+        float* gss = sv->EnsureGrad().data();
+        ParallelFor(0, sv->rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
+          for (int64_t r = r0; r < r1; ++r) {
+            for (int s = by_src->offsets[r]; s < by_src->offsets[r + 1]; ++s) {
+              gss[r] += gd[by_src->sources[s]];
+            }
+          }
+        });
       },
-      "segment_softmax");
+      "edge_softmax");
 }
 
-VarPtr SegmentWeightedSum(
-    const VarPtr& alpha, const VarPtr& feats,
+VarPtr NeighborWeightedSum(
+    const VarPtr& alpha, const VarPtr& x,
+    const std::shared_ptr<const std::vector<int>>& src_ids,
+    const std::shared_ptr<const std::vector<int>>& dst_ids,
     const std::shared_ptr<const std::vector<int>>& offsets) {
   const int num_segments = static_cast<int>(offsets->size()) - 1;
-  const int d = feats->cols();
+  UV_CHECK_EQ(dst_ids->size(), src_ids->size());
   Tensor out;
   obs::SpanGuard fwd_span("segment_weighted_sum", obs::SpanLevel::kFine,
                           "segments", num_segments);
-  uv::SegmentWeightedSumInto(alpha->value, feats->value, *offsets, &out);
+  uv::NeighborWeightedSumInto(alpha->value, x->value, *src_ids, *offsets,
+                              &out);
 
-  VarPtr av = alpha, fv = feats;
+  VarPtr av = alpha, xv = x;
+  std::shared_ptr<const DestIndex> by_src =
+      xv->requires_grad ? CachedDestIndex(src_ids, x->rows()) : nullptr;
   return MakeOp(
-      std::move(out), {alpha, feats},
-      [av, fv, offsets, d](Variable* self) {
-        const auto& off = *offsets;
-        const int num_segments = static_cast<int>(off.size()) - 1;
-        const bool need_a = av->requires_grad;
-        const bool need_f = fv->requires_grad;
-        Tensor* ga = need_a ? &av->EnsureGrad() : nullptr;
-        Tensor* gf = need_f ? &fv->EnsureGrad() : nullptr;
-        // Each edge e belongs to exactly one segment, so ga rows and gf
-        // rows touched by different segments are disjoint.
-        ParallelFor(0, num_segments, kSegmentGrain,
-                    [&](int64_t s0, int64_t s1) {
-                      for (int64_t i = s0; i < s1; ++i) {
-                        const float* gout =
-                            self->grad.row(static_cast<int>(i));
-                        for (int e = off[i]; e < off[i + 1]; ++e) {
-                          const float* f = fv->value.row(e);
-                          if (need_a) {
-                            float acc = 0.0f;
-                            for (int c = 0; c < d; ++c) acc += gout[c] * f[c];
-                            ga->at(e, 0) += acc;
-                          }
-                          if (need_f) {
-                            const float w = av->value.at(e, 0);
-                            float* gfe = gf->row(e);
-                            for (int c = 0; c < d; ++c) gfe[c] += w * gout[c];
-                          }
-                        }
-                      }
-                    });
+      std::move(out), {alpha, x},
+      [av, xv, src_ids, dst_ids, by_src](Variable* self) {
+        const int* dst = dst_ids->data();
+        const int* src = src_ids->data();
+        const int d = xv->cols();
+        // dalpha[e] = <g[dst(e)], x[src(e)]>, one independent dot per edge.
+        if (av->requires_grad) {
+          float* ga = av->EnsureGrad().data();
+          ParallelFor(0, av->rows(), kRowGrain, [&](int64_t e0, int64_t e1) {
+            for (int64_t e = e0; e < e1; ++e) {
+              const float* gout = self->grad.row(dst[e]);
+              const float* f = xv->value.row(src[e]);
+              float acc = 0.0f;
+              for (int c = 0; c < d; ++c) acc += gout[c] * f[c];
+              ga[e] += acc;
+            }
+          });
+        }
+        // dx[r] = sum over edges e with src(e) == r, ascending, of
+        // alpha[e] * g[dst(e)], partitioned by source row.
+        if (!xv->requires_grad) return;
+        obs::SpanGuard span("scatter_add", obs::SpanLevel::kFine, "rows",
+                            xv->rows());
+        Tensor& gx = xv->EnsureGrad();
+        const float* a = av->value.data();
+        ParallelFor(0, gx.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
+          for (int64_t r = r0; r < r1; ++r) {
+            float* row = gx.row(static_cast<int>(r));
+            for (int s = by_src->offsets[r]; s < by_src->offsets[r + 1]; ++s) {
+              const int e = by_src->sources[s];
+              const float w = a[e];
+              const float* gout = self->grad.row(dst[e]);
+              for (int c = 0; c < d; ++c) row[c] += w * gout[c];
+            }
+          }
+        });
       },
-      "segment_weighted_sum");
+      "neighbor_weighted_sum");
 }
 
 VarPtr SegmentSumByIds(const VarPtr& x,

@@ -1,23 +1,21 @@
 #include "nn/gcn.h"
 
 #include "tensor/forward_ops.h"
-#include "tensor/tensor_ops.h"
 
 namespace uv::nn {
 
 ag::VarPtr GcnLayer::Forward(const ag::VarPtr& x,
                              const GraphContext& ctx) const {
   // Transform first (cheaper when out_dim <= in_dim), then aggregate.
-  ag::VarPtr h = lin_.Forward(x);
-  ag::VarPtr gathered = ag::GatherRows(h, ctx.src_ids);
-  return ag::SegmentWeightedSum(ctx.gcn_norm, gathered, ctx.offsets);
+  return ag::NeighborWeightedSum(ctx.gcn_norm, lin_.Forward(x), ctx.src_ids,
+                                 ctx.dst_ids, ctx.offsets);
 }
 
 Tensor GcnLayer::ForwardRaw(const Tensor& x, const GraphContext& ctx) const {
   const Tensor h = lin_.ForwardRaw(x);
-  const Tensor gathered = GatherRows(h, *ctx.src_ids);
   Tensor out;
-  SegmentWeightedSumInto(ctx.gcn_norm->value, gathered, *ctx.offsets, &out);
+  NeighborWeightedSumInto(ctx.gcn_norm->value, h, *ctx.src_ids, *ctx.offsets,
+                          &out);
   return out;
 }
 

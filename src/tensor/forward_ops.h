@@ -35,17 +35,29 @@ void ReluInPlace(Tensor* t);
 void LeakyReluInPlace(float negative_slope, Tensor* t);
 void SigmoidInPlace(Tensor* t);
 
-// Per-segment softmax over a column of scores (E x 1). `offsets` is a CSR
-// row pointer of size num_segments + 1 tiling [0, E) exactly; empty
-// segments are skipped. Resizes `out` to E x 1.
-void SegmentSoftmaxInto(const Tensor& scores, const std::vector<int>& offsets,
-                        Tensor* out);
+// Fused message passing over a destination-grouped edge list. `offsets` is
+// a CSR row pointer of size num_segments + 1 tiling [0, E) exactly: edge e
+// with offsets[i] <= e < offsets[i+1] points into node i, and
+// dst_ids[e] == i. Both kernels read per-node rows in place, so no E x d
+// per-edge copy is ever built.
 
-// out[i] = sum over edges e of segment i of alpha[e] * feats.row(e).
-// Resizes `out` to num_segments x feats.cols() and zero-fills it first, so
-// the accumulation order matches the zero-initialized serial walk.
-void SegmentWeightedSumInto(const Tensor& alpha, const Tensor& feats,
-                            const std::vector<int>& offsets, Tensor* out);
+// Attention coefficients: for the edges of each segment, the softmax of
+// LeakyReLU(s_dst[dst_ids[e]] + s_src[src_ids[e]], negative_slope).
+// s_dst and s_src are per-node score columns (rows x 1). Empty segments
+// are skipped. Resizes `out` to E x 1.
+void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
+                     const std::vector<int>& dst_ids,
+                     const std::vector<int>& src_ids,
+                     const std::vector<int>& offsets, float negative_slope,
+                     Tensor* out);
+
+// out[i] = sum over edges e of segment i, ascending, of
+// alpha[e] * x.row(src_ids[e]). Resizes `out` to num_segments x x.cols()
+// and zero-fills it first, so the accumulation order matches the
+// zero-initialized serial walk.
+void NeighborWeightedSumInto(const Tensor& alpha, const Tensor& x,
+                             const std::vector<int>& src_ids,
+                             const std::vector<int>& offsets, Tensor* out);
 
 // Inverse of a scatter map: for each destination row, the ascending list
 // of source rows that write to it. Lets scatter-sums run partitioned by

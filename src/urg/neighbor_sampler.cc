@@ -139,8 +139,10 @@ SampledSubgraph SampleKHop(const NeighborView& view,
     std::sort(selected.begin(), selected.end());
 
     for (const int src_global : selected) {
+      // try_emplace: most sources are already mapped, and emplace would
+      // heap-allocate (then free) a map node for every one of them.
       auto [it, inserted] =
-          local_of.emplace(src_global, static_cast<int>(sg.nodes.size()));
+          local_of.try_emplace(src_global, static_cast<int>(sg.nodes.size()));
       if (inserted) sg.nodes.push_back(src_global);
       src_ids->push_back(it->second);
       dst_ids->push_back(dst);

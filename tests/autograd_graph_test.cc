@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -23,12 +26,25 @@ std::shared_ptr<const std::vector<int>> Ids(std::vector<int> v) {
 
 VarPtr SquaredReadout(const VarPtr& x) { return SumAll(Mul(x, x)); }
 
-// A small 3-node graph grouped by destination:
-//   node0 <- {1, 2}; node1 <- {0}; node2 <- {} (empty segment).
-struct TinyGraph {
-  std::shared_ptr<const std::vector<int>> offsets = Ids({0, 2, 3, 3});
-  std::shared_ptr<const std::vector<int>> src = Ids({1, 2, 0});
+// A destination-grouped edge list: edge e with offsets[i] <= e <
+// offsets[i+1] points into node i == dst[e] and reads source row src[e].
+struct EdgeList {
+  int nodes;
+  std::shared_ptr<const std::vector<int>> offsets, src, dst;
 };
+
+// node0 <- {1, 2}; node1 <- {0}; node2 <- {} (empty segment).
+EdgeList TinyGraph() {
+  return {3, Ids({0, 2, 3, 3}), Ids({1, 2, 0}), Ids({0, 0, 1})};
+}
+
+// Repeated sources (node 2 feeds five edges, two of them into node 0) and
+// an empty segment (node 2).
+EdgeList RepeatGraph() {
+  return {6, Ids({0, 3, 5, 5, 8, 10, 12}),
+          Ids({2, 4, 2, 2, 0, 5, 2, 1, 3, 3, 2, 5}),
+          Ids({0, 0, 0, 1, 1, 3, 3, 3, 4, 4, 5, 5})};
+}
 
 TEST(GatherRowsTest, Forward) {
   auto x = MakeConst(Tensor(3, 2, {1, 2, 3, 4, 5, 6}));
@@ -57,35 +73,45 @@ TEST(GatherRowsTest, GradCheck) {
 }
 
 TEST(SegmentSoftmaxTest, SegmentsSumToOne) {
-  TinyGraph g;
-  auto scores = MakeConst(Tensor(3, 1, {1.0f, -2.0f, 0.5f}));
-  auto alpha = SegmentSoftmax(scores, g.offsets);
+  const EdgeList g = TinyGraph();
+  // Edge scores leakyrelu(0 + s_src[src]): 1.0, -0.4, 0.5.
+  auto s_dst = MakeConst(Tensor(3, 1));
+  auto s_src = MakeConst(Tensor(3, 1, {0.5f, 1.0f, -2.0f}));
+  auto alpha = EdgeSoftmax(s_dst, s_src, g.dst, g.src, g.offsets, 0.2f);
+  ASSERT_EQ(alpha->rows(), 3);
   EXPECT_NEAR(alpha->value.at(0, 0) + alpha->value.at(1, 0), 1.0f, 1e-6f);
+  EXPECT_GT(alpha->value.at(0, 0), alpha->value.at(1, 0));
   EXPECT_NEAR(alpha->value.at(2, 0), 1.0f, 1e-6f);  // Singleton segment.
 }
 
 TEST(SegmentSoftmaxTest, LargeScoresStable) {
-  TinyGraph g;
-  auto scores = MakeConst(Tensor(3, 1, {500.0f, -500.0f, 900.0f}));
-  auto alpha = SegmentSoftmax(scores, g.offsets);
+  const EdgeList g = TinyGraph();
+  // Edge scores 500, leakyrelu(-500) = -100, 900.
+  auto s_dst = MakeConst(Tensor(3, 1));
+  auto s_src = MakeConst(Tensor(3, 1, {900.0f, 500.0f, -500.0f}));
+  auto alpha = EdgeSoftmax(s_dst, s_src, g.dst, g.src, g.offsets, 0.2f);
   EXPECT_FALSE(alpha->value.HasNonFinite());
   EXPECT_NEAR(alpha->value.at(0, 0), 1.0f, 1e-5f);
 }
 
 TEST(SegmentSoftmaxTest, GradCheck) {
-  TinyGraph g;
-  auto scores = MakeParam(RandomTensor(3, 1, 6));
-  auto result = CheckGradients({scores}, [&]() {
-    return SquaredReadout(SegmentSoftmax(scores, g.offsets));
-  });
-  EXPECT_TRUE(result.ok) << result.detail;
+  for (const EdgeList& g : {TinyGraph(), RepeatGraph()}) {
+    auto s_dst = MakeParam(RandomTensor(g.nodes, 1, 6 + g.nodes));
+    auto s_src = MakeParam(RandomTensor(g.nodes, 1, 16 + g.nodes));
+    auto result = CheckGradients({s_dst, s_src}, [&]() {
+      return SquaredReadout(
+          EdgeSoftmax(s_dst, s_src, g.dst, g.src, g.offsets, 0.2f));
+    }, 1e-3, 3e-2);
+    EXPECT_TRUE(result.ok) << g.nodes << " nodes: " << result.detail;
+  }
 }
 
 TEST(SegmentWeightedSumTest, Forward) {
-  TinyGraph g;
+  const EdgeList g = TinyGraph();
   auto alpha = MakeConst(Tensor(3, 1, {0.25f, 0.75f, 1.0f}));
-  auto feats = MakeConst(Tensor(3, 2, {4, 0, 0, 8, 2, 2}));
-  auto out = SegmentWeightedSum(alpha, feats, g.offsets);
+  // Source rows of edges 0, 1, 2 are nodes 1, 2, 0.
+  auto x = MakeConst(Tensor(3, 2, {2, 2, 4, 0, 0, 8}));
+  auto out = NeighborWeightedSum(alpha, x, g.src, g.dst, g.offsets);
   EXPECT_EQ(out->rows(), 3);
   EXPECT_FLOAT_EQ(out->value.at(0, 0), 1.0f);   // 0.25*4.
   EXPECT_FLOAT_EQ(out->value.at(0, 1), 6.0f);   // 0.75*8.
@@ -94,13 +120,130 @@ TEST(SegmentWeightedSumTest, Forward) {
 }
 
 TEST(SegmentWeightedSumTest, GradCheckBothInputs) {
-  TinyGraph g;
-  auto alpha = MakeParam(RandomTensor(3, 1, 7));
-  auto feats = MakeParam(RandomTensor(3, 2, 8));
-  auto result = CheckGradients({alpha, feats}, [&]() {
-    return SquaredReadout(SegmentWeightedSum(alpha, feats, g.offsets));
-  });
-  EXPECT_TRUE(result.ok) << result.detail;
+  for (const EdgeList& g : {TinyGraph(), RepeatGraph()}) {
+    const int num_edges = static_cast<int>(g.src->size());
+    auto alpha = MakeParam(RandomTensor(num_edges, 1, 7 + g.nodes));
+    auto x = MakeParam(RandomTensor(g.nodes, 2, 8 + g.nodes));
+    auto result = CheckGradients({alpha, x}, [&]() {
+      return SquaredReadout(
+          NeighborWeightedSum(alpha, x, g.src, g.dst, g.offsets));
+    });
+    EXPECT_TRUE(result.ok) << g.nodes << " nodes: " << result.detail;
+  }
+}
+
+// The portable build must match the reference bit for bit. A build that
+// targets FMA hardware (UV_NATIVE) lets the compiler fuse a*b + c in the
+// library kernels and in this reference independently, so there only
+// rounding-level differences are allowed.
+void ExpectMatchesReference(const Tensor& a, const std::vector<float>& b) {
+  ASSERT_EQ(a.size(), static_cast<int64_t>(b.size()));
+#ifdef __FMA__
+  for (size_t i = 0; i < b.size(); ++i) {
+    EXPECT_NEAR(a.data()[i], b[i], 1e-5f * (1.0f + std::fabs(b[i])));
+  }
+#else
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), b.size() * sizeof(float)), 0);
+#endif
+}
+
+// The fused pair must reproduce, bit for bit, the unfused chain it
+// replaces: gather both score halves -> add -> LeakyReLU -> segment
+// softmax -> gather source rows -> weighted sum, and that chain's backward
+// with every gradient accumulated from zero in ascending edge order.
+TEST(FusedEdgeOpsTest, MatchesUnfusedScalarChainBitForBit) {
+  const EdgeList g = RepeatGraph();
+  const int n = g.nodes, d = 5;
+  const float slope = 0.2f;
+  const auto& off = *g.offsets;
+  const auto& src = *g.src;
+  const auto& dst = *g.dst;
+  const int num_edges = static_cast<int>(src.size());
+  auto s_dst = MakeParam(RandomTensor(n, 1, 21));
+  auto s_src = MakeParam(RandomTensor(n, 1, 22));
+  auto x = MakeParam(RandomTensor(n, d, 23));
+  const Tensor upstream = RandomTensor(n, d, 24);
+
+  auto alpha = EdgeSoftmax(s_dst, s_src, g.dst, g.src, g.offsets, slope);
+  auto out = NeighborWeightedSum(alpha, x, g.src, g.dst, g.offsets);
+  // d(loss)/d(out) is exactly `upstream`.
+  Backward(SumAll(Mul(out, MakeConst(upstream))));
+
+  // Unfused forward.
+  const float* sd = s_dst->value.data();
+  const float* ss = s_src->value.data();
+  std::vector<float> pre(num_edges), score(num_edges), ref_alpha(num_edges);
+  int positive = 0;
+  for (int e = 0; e < num_edges; ++e) {
+    pre[e] = sd[dst[e]] + ss[src[e]];
+    score[e] = pre[e] > 0.0f ? pre[e] : slope * pre[e];
+    positive += pre[e] > 0.0f;
+  }
+  ASSERT_GT(positive, 0);
+  ASSERT_LT(positive, num_edges);  // Scores on both sides of 0.
+  for (int i = 0; i < n; ++i) {
+    float mx = -1e30f;
+    for (int e = off[i]; e < off[i + 1]; ++e) mx = std::max(mx, score[e]);
+    double total = 0.0;
+    for (int e = off[i]; e < off[i + 1]; ++e) {
+      ref_alpha[e] = std::exp(score[e] - mx);
+      total += ref_alpha[e];
+    }
+    const float inv = total > 0.0 ? static_cast<float>(1.0 / total) : 0.0f;
+    for (int e = off[i]; e < off[i + 1]; ++e) ref_alpha[e] *= inv;
+  }
+  std::vector<float> messages(num_edges * d);
+  for (int e = 0; e < num_edges; ++e) {
+    for (int c = 0; c < d; ++c) messages[e * d + c] = x->value.at(src[e], c);
+  }
+  std::vector<float> ref_out(n * d, 0.0f);
+  for (int i = 0; i < n; ++i) {
+    for (int e = off[i]; e < off[i + 1]; ++e) {
+      for (int c = 0; c < d; ++c) {
+        ref_out[i * d + c] += ref_alpha[e] * messages[e * d + c];
+      }
+    }
+  }
+
+  // Unfused backward, in the chain's reverse order.
+  std::vector<float> g_alpha(num_edges, 0.0f);
+  std::vector<float> g_messages(num_edges * d, 0.0f);
+  for (int i = 0; i < n; ++i) {
+    const float* gout = upstream.row(i);
+    for (int e = off[i]; e < off[i + 1]; ++e) {
+      float acc = 0.0f;
+      for (int c = 0; c < d; ++c) acc += gout[c] * messages[e * d + c];
+      g_alpha[e] += acc;
+      for (int c = 0; c < d; ++c) {
+        g_messages[e * d + c] += ref_alpha[e] * gout[c];
+      }
+    }
+  }
+  std::vector<float> g_x(n * d, 0.0f), g_sd(n, 0.0f), g_ss(n, 0.0f);
+  for (int e = 0; e < num_edges; ++e) {  // Gather backward: ascending e.
+    for (int c = 0; c < d; ++c) g_x[src[e] * d + c] += g_messages[e * d + c];
+  }
+  std::vector<float> g_pre(num_edges);
+  for (int i = 0; i < n; ++i) {
+    float dot = 0.0f;
+    for (int e = off[i]; e < off[i + 1]; ++e) dot += ref_alpha[e] * g_alpha[e];
+    for (int e = off[i]; e < off[i + 1]; ++e) {
+      const float g_score = ref_alpha[e] * (g_alpha[e] - dot);
+      g_pre[e] = g_score * (pre[e] > 0.0f ? 1.0f : slope);
+    }
+  }
+  for (int e = 0; e < num_edges; ++e) {
+    g_sd[dst[e]] += g_pre[e];
+    g_ss[src[e]] += g_pre[e];
+  }
+
+  ExpectMatchesReference(alpha->value, ref_alpha);
+  ExpectMatchesReference(out->value, ref_out);
+  ExpectMatchesReference(alpha->grad, g_alpha);
+  ExpectMatchesReference(x->grad, g_x);
+  ExpectMatchesReference(s_dst->grad, g_sd);
+  ExpectMatchesReference(s_src->grad, g_ss);
+  for (int c = 0; c < d; ++c) EXPECT_EQ(out->value.at(2, c), 0.0f);
 }
 
 TEST(SegmentSumByIdsTest, ForwardDropsNegativeIds) {
@@ -120,8 +263,8 @@ TEST(SegmentSumByIdsTest, GradCheck) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
-// Attention-style composition over a random graph: the full per-edge score
-// -> segment softmax -> weighted aggregation path used by GAT/MAGA.
+// Attention-style composition over a random graph: the fused per-edge score
+// softmax -> weighted aggregation path used by GAT/MAGA.
 class AttentionPathTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(AttentionPathTest, GradCheckOnRandomGraph) {
@@ -150,10 +293,9 @@ TEST_P(AttentionPathTest, GradCheckOnRandomGraph) {
 
   auto build = [&]() {
     auto h = MatMul(x, w);
-    auto s = Add(GatherRows(MatMul(h, a_dst), dst_ids),
-                 GatherRows(MatMul(h, a_src), src_ids));
-    auto alpha = SegmentSoftmax(LeakyRelu(s, 0.2f), off);
-    auto out = SegmentWeightedSum(alpha, GatherRows(h, src_ids), off);
+    auto alpha = EdgeSoftmax(MatMul(h, a_dst), MatMul(h, a_src), dst_ids,
+                             src_ids, off, 0.2f);
+    auto out = NeighborWeightedSum(alpha, h, src_ids, dst_ids, off);
     return SquaredReadout(out);
   };
   auto result = CheckGradients({w, a_src, a_dst}, build, 1e-3, 3e-2);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "autograd/grad_check.h"
+#include "graph/grid.h"
 #include "nn/gat.h"
 #include "nn/gcn.h"
 #include "nn/graph_context.h"
@@ -11,6 +12,7 @@
 #include "nn/maga.h"
 #include "nn/ms_gate.h"
 #include "tensor/tensor_ops.h"
+#include "util/buffer_pool.h"
 
 namespace uv::nn {
 namespace {
@@ -137,6 +139,32 @@ TEST(AttentionHeadTest, OutputShapeAndGradCheck) {
     return ag::SumAll(ag::Mul(out, out));
   }, 1e-3, 3e-2);
   EXPECT_TRUE(result.ok) << result.detail;
+}
+
+// The fused attention path keeps no E x d per-edge tensor: a steady-state
+// Forward + Backward of one head over a 64 x 64 grid raises the pool's
+// high-water mark by less than one message matrix (E x head_dim floats).
+TEST(AttentionHeadTest, PoolPeakBelowOneMessageMatrix) {
+  const graph::GridSpec grid{64, 64, 128.0};
+  const GraphContext ctx =
+      GraphContext::FromCsr(graph::CsrGraph::FromEdges(
+          static_cast<int>(grid.num_regions()),
+          graph::BuildSpatialProximityEdges(grid), /*symmetrize=*/false,
+          /*add_self_loops=*/true));
+  constexpr int kInDim = 16;
+  constexpr int kHeadDim = 32;
+  Rng rng(12);
+  AttentionHead head(kInDim, kInDim, kHeadDim, true, &rng);
+  auto x = ag::MakeConst(RandomTensor(ctx.num_nodes, kInDim, 13));
+  auto step = [&] { ag::Backward(ag::SumAll(head.Forward(x, x, ctx))); };
+  step();  // Warms kernel workspaces, parameter grads and the inverse index.
+  const uint64_t live = BufferPool::Stats().pool_bytes;
+  BufferPool::ResetPeak();
+  step();
+  const uint64_t growth = BufferPool::Stats().pool_bytes_peak - live;
+  const uint64_t message_bytes =
+      static_cast<uint64_t>(ctx.src_ids->size()) * kHeadDim * sizeof(float);
+  EXPECT_LT(growth, message_bytes);
 }
 
 TEST(GatLayerTest, MultiHeadConcatWidth) {

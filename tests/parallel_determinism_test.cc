@@ -118,32 +118,78 @@ struct GraphResult {
   Tensor y, galpha, gfeats;
 };
 
-TEST(ParallelDeterminismTest, SegmentOpsForwardBackward) {
-  // A CSR-style segment layout with uneven segment sizes, including empty.
-  const int num_segments = 300;
-  auto offsets = std::make_shared<std::vector<int>>();
-  offsets->push_back(0);
-  Rng rng(41);
-  for (int i = 0; i < num_segments; ++i) {
-    offsets->push_back(offsets->back() + rng.UniformInt(7));
+struct EdgeResult {
+  Tensor y, gs_dst, gs_src, gx;
+};
+
+// A CSR-style segment layout with uneven segment sizes (empty ones
+// included) whose edges draw random, repeated source rows: enough segments
+// and rows that every fused-op loop splits into several parallel chunks.
+struct EdgeListFixture {
+  static constexpr int kNodes = 700;
+  std::shared_ptr<const std::vector<int>> offsets, src, dst;
+  Tensor s_dst0, s_src0, x0;
+
+  EdgeListFixture() {
+    auto off = std::make_shared<std::vector<int>>(1, 0);
+    auto s = std::make_shared<std::vector<int>>();
+    auto d = std::make_shared<std::vector<int>>();
+    Rng rng(41);
+    for (int i = 0; i < kNodes; ++i) {
+      const int degree = rng.UniformInt(7);
+      for (int k = 0; k < degree; ++k) {
+        s->push_back(rng.UniformInt(kNodes));
+        d->push_back(i);
+      }
+      off->push_back(static_cast<int>(s->size()));
+    }
+    offsets = off;
+    src = s;
+    dst = d;
+    s_dst0 = RandomTensor(kNodes, 1, 42);
+    s_src0 = RandomTensor(kNodes, 1, 44);
+    x0 = RandomTensor(kNodes, 24, 43);
   }
-  const int num_edges = offsets->back();
-  const Tensor scores0 = RandomTensor(num_edges, 1, 42);
-  const Tensor feats0 = RandomTensor(num_edges, 24, 43);
-  std::shared_ptr<const std::vector<int>> off = offsets;
-  std::function<GraphResult()> run = [&] {
-    auto scores = ag::MakeParam(scores0);
-    auto feats = ag::MakeParam(feats0);
-    auto alpha = ag::SegmentSoftmax(scores, off);
-    auto y = ag::SegmentWeightedSum(alpha, feats, off);
+
+  // Fused edge softmax + neighbor sum, forward and backward.
+  EdgeResult Run() const {
+    auto s_dst = ag::MakeParam(s_dst0);
+    auto s_src = ag::MakeParam(s_src0);
+    auto x = ag::MakeParam(x0);
+    auto alpha = ag::EdgeSoftmax(s_dst, s_src, dst, src, offsets, 0.2f);
+    auto y = ag::NeighborWeightedSum(alpha, x, src, dst, offsets);
     ag::Backward(ag::SumAll(ag::Mul(y, y)));
-    return GraphResult{y->value, scores->grad, feats->grad};
-  };
-  const GraphResult serial = WithThreads(1, run);
-  const GraphResult parallel = WithThreads(4, run);
-  ExpectBitIdentical(serial.y, parallel.y);
-  ExpectBitIdentical(serial.galpha, parallel.galpha);
-  ExpectBitIdentical(serial.gfeats, parallel.gfeats);
+    return EdgeResult{y->value, s_dst->grad, s_src->grad, x->grad};
+  }
+};
+
+void ExpectSameEdgeResult(const EdgeResult& a, const EdgeResult& b) {
+  ExpectBitIdentical(a.y, b.y);
+  ExpectBitIdentical(a.gs_dst, b.gs_dst);
+  ExpectBitIdentical(a.gs_src, b.gs_src);
+  ExpectBitIdentical(a.gx, b.gx);
+}
+
+TEST(ParallelDeterminismTest, SegmentOpsForwardBackward) {
+  const EdgeListFixture fixture;
+  std::function<EdgeResult()> run = [&] { return fixture.Run(); };
+  ExpectSameEdgeResult(WithThreads(1, run), WithThreads(4, run));
+}
+
+// The fused edge ops fully overwrite or zero every slab they read, so
+// recycled (dirty) slabs and fresh system allocations give the same bits.
+TEST(ParallelDeterminismTest, FusedEdgeOpsPoolOnOffBitIdentical) {
+  const EdgeListFixture fixture;
+  std::function<EdgeResult()> run = [&] { return fixture.Run(); };
+  const bool was_enabled = BufferPool::Enabled();
+  BufferPool::SetEnabled(true);
+  const EdgeResult warm = WithThreads(4, run);  // Dirties pool slabs.
+  const EdgeResult pooled = WithThreads(4, run);
+  BufferPool::SetEnabled(false);
+  const EdgeResult unpooled = WithThreads(1, run);
+  BufferPool::SetEnabled(was_enabled);
+  ExpectSameEdgeResult(warm, pooled);
+  ExpectSameEdgeResult(pooled, unpooled);
 }
 
 TEST(ParallelDeterminismTest, ScatterOpsForwardBackward) {
