@@ -266,7 +266,7 @@ inline std::function<void()> SegmentFwdBwd(uint64_t seed) {
     auto s_dst = ag::MakeParam(s_dst0);
     auto s_src = ag::MakeParam(s_src0);
     auto feats = ag::MakeParam(feats0);
-    auto alpha = ag::EdgeSoftmax(s_dst, s_src, dst_ids, src_ids, off, 0.2f);
+    auto alpha = ag::EdgeSoftmax(s_dst, s_src, src_ids, off, 0.2f);
     auto y = ag::NeighborWeightedSum(alpha, feats, src_ids, dst_ids, off);
     ag::Backward(ag::SumAll(ag::Mul(y, y)));
   };

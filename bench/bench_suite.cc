@@ -105,9 +105,9 @@ void RunMicroSuite(uv::obs::Report* report) {
     auto a_dst = uv::ag::MakeConst(RandomTensor(32, 1, 7));
     report->RunTimed("attention_pass_grid64", [&] {
       auto h = uv::ag::MatMul(x, w);
-      auto alpha = uv::ag::EdgeSoftmax(
-          uv::ag::MatMul(h, a_dst), uv::ag::MatMul(h, a_src), ctx.dst_ids,
-          ctx.src_ids, ctx.offsets, 0.2f);
+      auto alpha = uv::ag::EdgeSoftmax(uv::ag::MatMul(h, a_dst),
+                                       uv::ag::MatMul(h, a_src), ctx.src_ids,
+                                       ctx.offsets, 0.2f);
       auto out = uv::ag::NeighborWeightedSum(alpha, h, ctx.src_ids,
                                              ctx.dst_ids, ctx.offsets);
       (void)out->value.data();

@@ -80,25 +80,24 @@ VarPtr GatherRows(const VarPtr& x,
 
 // The two fused message-passing ops below read per-node rows through the
 // edge index arrays and never build an E x d per-edge tensor: the only
-// per-edge state is an (E x 1) coefficient column and its gradient. They
-// require dst_ids[e] to be the segment of e, as GraphContext and the
-// k-hop sampler lay it out.
+// per-edge state is an (E x 1) coefficient column and its gradient. Edge e
+// with offsets[i] <= e < offsets[i+1] belongs to destination segment i.
 
-// Attention coefficients (E x 1): per destination segment, the softmax of
-// LeakyReLU(s_dst[dst_ids[e]] + s_src[src_ids[e]], negative_slope), where
-// s_dst and s_src are per-node score columns. Backward recomputes the
+// Attention coefficients (E x 1): per destination segment i, the softmax
+// of LeakyReLU(s_dst[i] + s_src[src_ids[e]], negative_slope), where s_dst
+// (N x 1) and s_src are per-node score columns. Backward recomputes the
 // LeakyReLU branch, reduces into s_dst by segment walk and into s_src
 // through the memoized inverse of src_ids.
 VarPtr EdgeSoftmax(const VarPtr& s_dst, const VarPtr& s_src,
-                   const std::shared_ptr<const std::vector<int>>& dst_ids,
                    const std::shared_ptr<const std::vector<int>>& src_ids,
                    const std::shared_ptr<const std::vector<int>>& offsets,
                    float negative_slope);
 
 // out[i] = sum over edges e of segment i of alpha(e) * x[src_ids[e]];
 // alpha is (E x 1), x is (rows x d), result is (N x d) with
-// N = offsets->size()-1. Backward: dalpha(e) = <g[dst(e)], x[src(e)]> and
-// dx[r] = sum over edges with src(e) == r of alpha(e) * g[dst(e)].
+// N = offsets->size()-1. Backward: dalpha(e) = <g[i], x[src(e)]> and
+// dx[r] = sum over edges with src(e) == r of alpha(e) * g[dst(e)], which
+// needs dst_ids[e] == i, as GraphContext and the k-hop sampler lay it out.
 VarPtr NeighborWeightedSum(
     const VarPtr& alpha, const VarPtr& x,
     const std::shared_ptr<const std::vector<int>>& src_ids,

@@ -104,7 +104,6 @@ VarPtr GatherRows(const VarPtr& x,
 }
 
 VarPtr EdgeSoftmax(const VarPtr& s_dst, const VarPtr& s_src,
-                   const std::shared_ptr<const std::vector<int>>& dst_ids,
                    const std::shared_ptr<const std::vector<int>>& src_ids,
                    const std::shared_ptr<const std::vector<int>>& offsets,
                    float negative_slope) {
@@ -112,18 +111,16 @@ VarPtr EdgeSoftmax(const VarPtr& s_dst, const VarPtr& s_src,
   Tensor out;
   obs::SpanGuard fwd_span("segment_softmax", obs::SpanLevel::kFine,
                           "segments", num_segments);
-  uv::EdgeSoftmaxInto(s_dst->value, s_src->value, *dst_ids, *src_ids,
-                      *offsets, negative_slope, &out);
+  uv::EdgeSoftmaxInto(s_dst->value, s_src->value, *src_ids, *offsets,
+                      negative_slope, &out);
 
   VarPtr dv = s_dst, sv = s_src;
   std::shared_ptr<const DestIndex> by_src =
       sv->requires_grad ? CachedDestIndex(src_ids, s_src->rows()) : nullptr;
   return MakeOp(
       std::move(out), {s_dst, s_src},
-      [dv, sv, dst_ids, src_ids, offsets, by_src,
-       negative_slope](Variable* self) {
+      [dv, sv, src_ids, offsets, by_src, negative_slope](Variable* self) {
         const auto& off = *offsets;
-        const int* dst = dst_ids->data();
         const int* src = src_ids->data();
         const int num_segments = static_cast<int>(off.size()) - 1;
         // Per-edge score gradient: the softmax backward times the LeakyReLU
@@ -145,9 +142,9 @@ VarPtr EdgeSoftmax(const VarPtr& s_dst, const VarPtr& s_src,
                         for (int e = lo; e < hi; ++e) dot += p[e] * g[e];
                         for (int e = lo; e < hi; ++e) {
                           const float gs = p[e] * (g[e] - dot);
-                          const float pre = sd[dst[e]] + ss[src[e]];
+                          const float pre = sd[i] + ss[src[e]];
                           gd[e] = gs * (pre > 0.0f ? 1.0f : negative_slope);
-                          if (gsd != nullptr) gsd[dst[e]] += gd[e];
+                          if (gsd != nullptr) gsd[i] += gd[e];
                         }
                       }
                     });
@@ -184,22 +181,29 @@ VarPtr NeighborWeightedSum(
       xv->requires_grad ? CachedDestIndex(src_ids, x->rows()) : nullptr;
   return MakeOp(
       std::move(out), {alpha, x},
-      [av, xv, src_ids, dst_ids, by_src](Variable* self) {
+      [av, xv, src_ids, dst_ids, offsets, by_src](Variable* self) {
+        const auto& off = *offsets;
         const int* dst = dst_ids->data();
         const int* src = src_ids->data();
+        const int num_segments = self->rows();
         const int d = xv->cols();
-        // dalpha[e] = <g[dst(e)], x[src(e)]>, one independent dot per edge.
+        // dalpha[e] = <g[i], x[src(e)]> for the edges e of segment i, one
+        // independent dot per edge.
         if (av->requires_grad) {
           float* ga = av->EnsureGrad().data();
-          ParallelFor(0, av->rows(), kRowGrain, [&](int64_t e0, int64_t e1) {
-            for (int64_t e = e0; e < e1; ++e) {
-              const float* gout = self->grad.row(dst[e]);
-              const float* f = xv->value.row(src[e]);
-              float acc = 0.0f;
-              for (int c = 0; c < d; ++c) acc += gout[c] * f[c];
-              ga[e] += acc;
-            }
-          });
+          ParallelFor(0, num_segments, kSegmentGrain,
+                      [&](int64_t s0, int64_t s1) {
+                        for (int64_t i = s0; i < s1; ++i) {
+                          const float* gout =
+                              self->grad.row(static_cast<int>(i));
+                          for (int e = off[i]; e < off[i + 1]; ++e) {
+                            const float* f = xv->value.row(src[e]);
+                            float acc = 0.0f;
+                            for (int c = 0; c < d; ++c) acc += gout[c] * f[c];
+                            ga[e] += acc;
+                          }
+                        }
+                      });
         }
         // dx[r] = sum over edges e with src(e) == r, ascending, of
         // alpha[e] * g[dst(e)], partitioned by source row.
@@ -213,6 +217,8 @@ VarPtr NeighborWeightedSum(
             float* row = gx.row(static_cast<int>(r));
             for (int s = by_src->offsets[r]; s < by_src->offsets[r + 1]; ++s) {
               const int e = by_src->sources[s];
+              UV_CHECK_GE(dst[e], 0);
+              UV_CHECK_LT(dst[e], num_segments);
               const float w = a[e];
               const float* gout = self->grad.row(dst[e]);
               for (int c = 0; c < d; ++c) row[c] += w * gout[c];

@@ -46,8 +46,8 @@ ag::VarPtr AttentionHead::Forward(const ag::VarPtr& x_dst,
 
   // Softmax of leakyrelu(s_dst[dst(e)] + s_src[src(e)]) per destination,
   // then the coefficient-weighted sum of source rows, read in place.
-  ag::VarPtr alpha = ag::EdgeSoftmax(s_dst, s_src, ctx.dst_ids, ctx.src_ids,
-                                     ctx.offsets, kAttentionSlope);
+  ag::VarPtr alpha =
+      ag::EdgeSoftmax(s_dst, s_src, ctx.src_ids, ctx.offsets, kAttentionSlope);
   return ag::NeighborWeightedSum(alpha, h_src, ctx.src_ids, ctx.dst_ids,
                                  ctx.offsets);
 }
@@ -65,8 +65,8 @@ Tensor AttentionHead::ForwardRaw(const Tensor& x_dst, const Tensor& x_src,
   const Tensor s_src = MatMul(h_src, a_src_->value);  // (N x 1)
 
   Tensor alpha;
-  EdgeSoftmaxInto(s_dst, s_src, *ctx.dst_ids, *ctx.src_ids, *ctx.offsets,
-                  kAttentionSlope, &alpha);
+  EdgeSoftmaxInto(s_dst, s_src, *ctx.src_ids, *ctx.offsets, kAttentionSlope,
+                  &alpha);
   Tensor out;
   NeighborWeightedSumInto(alpha, h_src, *ctx.src_ids, *ctx.offsets, &out);
   return out;

@@ -25,7 +25,6 @@ void SigmoidInPlace(Tensor* t) {
 }
 
 void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
-                     const std::vector<int>& dst_ids,
                      const std::vector<int>& src_ids,
                      const std::vector<int>& offsets, float negative_slope,
                      Tensor* out) {
@@ -33,16 +32,16 @@ void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
   UV_CHECK_EQ(s_src.cols(), 1);
   const int num_segments = static_cast<int>(offsets.size()) - 1;
   const int num_edges = static_cast<int>(src_ids.size());
+  UV_CHECK_EQ(s_dst.rows(), num_segments);
   // Segments must tile [0, E) exactly: that guarantees every element of
   // the uninitialized output below is written by exactly one segment.
   UV_CHECK_EQ(offsets.front(), 0);
   UV_CHECK_EQ(offsets.back(), num_edges);
-  UV_CHECK_EQ(static_cast<int>(dst_ids.size()), num_edges);
   out->ResizeUninit(num_edges, 1);
   const float* sd = s_dst.data();
   const float* ss = s_src.data();
-  const int* dst = dst_ids.data();
   const int* src = src_ids.data();
+  const int src_rows = s_src.rows();
   float* o = out->data();
   const auto& off = offsets;
   ParallelFor(0, num_segments, kSegmentGrain, [&](int64_t s0, int64_t s1) {
@@ -51,7 +50,9 @@ void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
       if (lo == hi) continue;
       float mx = -1e30f;
       for (int e = lo; e < hi; ++e) {
-        o[e] = LeakyReluScalar(sd[dst[e]] + ss[src[e]], negative_slope);
+        UV_CHECK_GE(src[e], 0);
+        UV_CHECK_LT(src[e], src_rows);
+        o[e] = LeakyReluScalar(sd[i] + ss[src[e]], negative_slope);
         mx = std::max(mx, o[e]);
       }
       double total = 0.0;
@@ -77,11 +78,14 @@ void NeighborWeightedSumInto(const Tensor& alpha, const Tensor& x,
   out->Zero();
   const float* a = alpha.data();
   const int* src = src_ids.data();
+  const int src_rows = x.rows();
   const auto& off = offsets;
   ParallelFor(0, num_segments, kSegmentGrain, [&](int64_t s0, int64_t s1) {
     for (int64_t i = s0; i < s1; ++i) {
       float* dst = out->row(static_cast<int>(i));
       for (int e = off[i]; e < off[i + 1]; ++e) {
+        UV_CHECK_GE(src[e], 0);
+        UV_CHECK_LT(src[e], src_rows);
         const float w = a[e];
         const float* f = x.row(src[e]);
         for (int c = 0; c < d; ++c) dst[c] += w * f[c];
@@ -95,7 +99,9 @@ SegmentDestIndex BuildSegmentDestIndex(const std::vector<int>& dest_of_source,
   SegmentDestIndex index;
   index.offsets.assign(num_destinations + 1, 0);
   for (const int d : dest_of_source) {
-    if (d >= 0) ++index.offsets[d + 1];
+    if (d < 0) continue;
+    UV_CHECK_LT(d, num_destinations);
+    ++index.offsets[d + 1];
   }
   for (int d = 0; d < num_destinations; ++d) {
     index.offsets[d + 1] += index.offsets[d];

@@ -37,16 +37,16 @@ void SigmoidInPlace(Tensor* t);
 
 // Fused message passing over a destination-grouped edge list. `offsets` is
 // a CSR row pointer of size num_segments + 1 tiling [0, E) exactly: edge e
-// with offsets[i] <= e < offsets[i+1] points into node i, and
-// dst_ids[e] == i. Both kernels read per-node rows in place, so no E x d
-// per-edge copy is ever built.
+// with offsets[i] <= e < offsets[i+1] points into node i and reads source
+// row src_ids[e]. Both kernels read per-node rows in place, so no E x d
+// per-edge copy is ever built, and both abort on a source id outside the
+// source rows.
 
-// Attention coefficients: for the edges of each segment, the softmax of
-// LeakyReLU(s_dst[dst_ids[e]] + s_src[src_ids[e]], negative_slope).
-// s_dst and s_src are per-node score columns (rows x 1). Empty segments
-// are skipped. Resizes `out` to E x 1.
+// Attention coefficients: for the edges e of each segment i, the softmax
+// of LeakyReLU(s_dst[i] + s_src[src_ids[e]], negative_slope). s_dst
+// (num_segments x 1) and s_src (rows x 1) are per-node score columns.
+// Empty segments are skipped. Resizes `out` to E x 1.
 void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
-                     const std::vector<int>& dst_ids,
                      const std::vector<int>& src_ids,
                      const std::vector<int>& offsets, float negative_slope,
                      Tensor* out);
@@ -63,7 +63,7 @@ void NeighborWeightedSumInto(const Tensor& alpha, const Tensor& x,
 // of source rows that write to it. Lets scatter-sums run partitioned by
 // destination (race-free) while keeping the per-destination accumulation
 // order identical to the serial ascending-source walk. Negative ids are
-// dropped (unassigned rows).
+// dropped (unassigned rows); an id >= num_destinations aborts.
 struct SegmentDestIndex {
   std::vector<int> offsets;  // num_destinations + 1
   std::vector<int> sources;  // ascending within each destination

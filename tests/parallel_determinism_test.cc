@@ -156,7 +156,7 @@ struct EdgeListFixture {
     auto s_dst = ag::MakeParam(s_dst0);
     auto s_src = ag::MakeParam(s_src0);
     auto x = ag::MakeParam(x0);
-    auto alpha = ag::EdgeSoftmax(s_dst, s_src, dst, src, offsets, 0.2f);
+    auto alpha = ag::EdgeSoftmax(s_dst, s_src, src, offsets, 0.2f);
     auto y = ag::NeighborWeightedSum(alpha, x, src, dst, offsets);
     ag::Backward(ag::SumAll(ag::Mul(y, y)));
     return EdgeResult{y->value, s_dst->grad, s_src->grad, x->grad};
