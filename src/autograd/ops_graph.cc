@@ -19,13 +19,10 @@ namespace {
 // boundaries depend only on these constants and the problem size, so
 // outputs are identical for every UV_THREADS value; all chunk bodies below
 // write disjoint rows.
-// The forward halves live in tensor/forward_ops.cc (shared with the
-// grad-free inference engine) with the same contract.
+// The forward halves live in tensor/forward_ops.cc with the same contract.
 using uv::kSegmentGrain;
 constexpr int64_t kRowGrain = 256;
 
-// The scatter-inverse index now lives in tensor/forward_ops.h so the
-// grad-free engine builds bit-identical segment sums from the same walk.
 using DestIndex = uv::SegmentDestIndex;
 
 // Memo-cache of inverse scatter indices keyed on the identity of the
@@ -79,7 +76,7 @@ VarPtr GatherRows(const VarPtr& x,
   // rows; partition it by destination so workers never share a row. The
   // inverse index is memoized on the shared indices vector.
   std::shared_ptr<const DestIndex> dest =
-      xv->requires_grad ? CachedDestIndex(indices, x->rows()) : nullptr;
+      NeedsGrad(*xv) ? CachedDestIndex(indices, x->rows()) : nullptr;
   return MakeOp(
       std::move(out), {x},
       [xv, dest](Variable* self) {
@@ -116,7 +113,7 @@ VarPtr EdgeSoftmax(const VarPtr& s_dst, const VarPtr& s_src,
 
   VarPtr dv = s_dst, sv = s_src;
   std::shared_ptr<const DestIndex> by_src =
-      sv->requires_grad ? CachedDestIndex(src_ids, s_src->rows()) : nullptr;
+      NeedsGrad(*sv) ? CachedDestIndex(src_ids, s_src->rows()) : nullptr;
   return MakeOp(
       std::move(out), {s_dst, s_src},
       [dv, sv, src_ids, offsets, by_src, negative_slope](Variable* self) {
@@ -178,7 +175,7 @@ VarPtr NeighborWeightedSum(
 
   VarPtr av = alpha, xv = x;
   std::shared_ptr<const DestIndex> by_src =
-      xv->requires_grad ? CachedDestIndex(src_ids, x->rows()) : nullptr;
+      NeedsGrad(*xv) ? CachedDestIndex(src_ids, x->rows()) : nullptr;
   return MakeOp(
       std::move(out), {alpha, x},
       [av, xv, src_ids, dst_ids, offsets, by_src](Variable* self) {

@@ -47,11 +47,21 @@ VarPtr MakeConst(Tensor value) {
                                         /*requires_grad_in=*/false);
 }
 
+namespace {
+thread_local bool grad_enabled = true;
+}  // namespace
+
+NoGradScope::NoGradScope() : outer_(grad_enabled) { grad_enabled = false; }
+
+NoGradScope::~NoGradScope() { grad_enabled = outer_; }
+
+bool GradEnabled() { return grad_enabled; }
+
 VarPtr MakeOp(Tensor value, VarList inputs, BackwardFn backward_fn,
               const char* name) {
   bool needs_grad = false;
   for (const auto& in : inputs) {
-    if (in && in->requires_grad) {
+    if (in && NeedsGrad(*in)) {
       needs_grad = true;
       break;
     }

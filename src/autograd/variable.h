@@ -185,8 +185,36 @@ VarPtr MakeParam(Tensor value);
 // Creates a constant leaf (requires_grad = false).
 VarPtr MakeConst(Tensor value);
 
+// Turns graph recording off for its lifetime: every op built under it
+// computes its value with the same kernels as in grad mode but returns a
+// constant node, with no inputs and no backward closure, so a forward that
+// is never differentiated keeps no graph alive. Scopes nest; each restores
+// the mode it found. The mode is per thread: a scope does not follow work
+// into ParallelFor workers or other threads, and opening one never changes
+// what ops built on another thread record.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool outer_;
+};
+
+// False while a NoGradScope is open on the calling thread.
+bool GradEnabled();
+
+// Whether an op built now would pass gradient back into v. Ops test it
+// before precomputing state that only their backward reads.
+inline bool NeedsGrad(const Variable& v) {
+  return v.requires_grad && GradEnabled();
+}
+
 // Internal helper for op implementations: creates a non-leaf node whose
-// requires_grad is inherited from the inputs.
+// requires_grad is inherited from the inputs, or a constant node when no
+// input requires grad or a NoGradScope is open.
 VarPtr MakeOp(Tensor value, VarList inputs, BackwardFn backward_fn,
               const char* name);
 

@@ -1,8 +1,6 @@
 #include "baselines/graph_baseline.h"
 
 #include "autograd/ops.h"
-#include "tensor/forward_ops.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -42,17 +40,21 @@ std::string GraphBaseline<Layer>::name() const {
 }
 
 template <typename Layer>
-ag::VarPtr GraphBaseline<Layer>::Forward(
-    const core::BatchInputs& inputs) const {
+ag::VarPtr GraphBaseline<Layer>::Trunk(const core::BatchInputs& inputs) const {
   const nn::GraphContext& ctx = inputs.ctx;
   ag::VarPtr p = ag::Relu(poi_g1_->Forward(inputs.poi, ctx));
   p = ag::Relu(poi_g2_->Forward(p, ctx));
   ag::VarPtr i = img_reduce_->Forward(inputs.image, kern::Activation::kRelu);
   i = ag::Relu(img_g1_->Forward(i, ctx));
   i = ag::Relu(img_g2_->Forward(i, ctx));
-  ag::VarPtr fused =
-      fuse_->Forward(ag::ConcatCols(p, i), kern::Activation::kRelu);
-  return head_->Forward(fused);
+  return ag::ConcatCols(p, i);
+}
+
+template <typename Layer>
+ag::VarPtr GraphBaseline<Layer>::Forward(
+    const core::BatchInputs& inputs) const {
+  return head_->Forward(
+      fuse_->Forward(Trunk(inputs), kern::Activation::kRelu));
 }
 
 template <typename Layer>
@@ -127,20 +129,11 @@ int64_t GraphBaseline<Layer>::NumParameters() const {
 template <typename Layer>
 std::unique_ptr<infer::Engine> GraphBaseline<Layer>::MakeEngine(
     const urg::UrbanRegionGraph& urg) const {
+  const core::BatchInputs city = core::DenseCityInputs(urg);
   UV_CHECK(img_reduce_ != nullptr);  // Train first.
-  const nn::GraphContext ctx = nn::GraphContext::FromCsr(urg.adjacency);
-  Tensor p = poi_g1_->ForwardRaw(urg.poi_features, ctx);
-  ReluInPlace(&p);
-  p = poi_g2_->ForwardRaw(p, ctx);
-  ReluInPlace(&p);
-  Tensor i = img_reduce_->ForwardRaw(urg.image_features,
-                                     kern::Activation::kRelu);
-  i = img_g1_->ForwardRaw(i, ctx);
-  ReluInPlace(&i);
-  i = img_g2_->ForwardRaw(i, ctx);
-  ReluInPlace(&i);
+  ag::NoGradScope no_grad;
   return infer::MakeDenseTailEngine(
-      ConcatCols(p, i), fuse_->w()->value, fuse_->b()->value,
+      std::move(Trunk(city)->value), fuse_->w()->value, fuse_->b()->value,
       kern::Activation::kRelu, head_->w()->value, head_->b()->value);
 }
 

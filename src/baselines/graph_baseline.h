@@ -39,8 +39,9 @@ class GraphBaseline : public eval::Detector {
   double LastInferenceSeconds() const override { return inference_seconds_; }
 
   // Grad-free inference engine over this trained model (full-graph
-  // semantics): precomputes the fused trunk features once, then serves the
-  // dense fuse+head tail per request, bit-identical to full-graph Score.
+  // semantics): runs Trunk once over the dense URG under an
+  // ag::NoGradScope, then serves the dense fuse+head tail per request,
+  // bit-identical to full-graph Score. Aborts on a sharded URG.
   std::unique_ptr<infer::Engine> MakeEngine(
       const urg::UrbanRegionGraph& urg) const;
 
@@ -48,6 +49,9 @@ class GraphBaseline : public eval::Detector {
   static const char* Name();
   static std::unique_ptr<Layer> MakeLayer(int in_dim, int out_dim, Rng* rng);
 
+  // The two per-modality graph stacks, concatenated: the fuse layer's
+  // input.
+  ag::VarPtr Trunk(const core::BatchInputs& inputs) const;
   ag::VarPtr Forward(const core::BatchInputs& inputs) const;
   std::vector<ag::VarPtr> Params() const;
 

@@ -124,6 +124,7 @@ const Batch& BatchPlan::TrainBatch(const urg::UrbanRegionGraph& urg,
 void BatchPlan::ForEachScoreBatch(
     const urg::UrbanRegionGraph& urg, const std::vector<int>& ids,
     const std::function<void(const Batch&, size_t begin)>& fn) {
+  ag::NoGradScope no_grad;
   if (whole_city()) {
     Batch batch;
     batch.inputs = WholeCity(urg);
@@ -152,6 +153,17 @@ std::vector<float> BatchPlan::Score(
     }
   });
   return out;
+}
+
+BatchInputs DenseCityInputs(const urg::UrbanRegionGraph& urg) {
+  UV_CHECK(!urg.sharded);
+  BatchInputs inputs;
+  inputs.nodes.resize(static_cast<size_t>(urg.num_regions()));
+  std::iota(inputs.nodes.begin(), inputs.nodes.end(), 0);
+  inputs.ctx = nn::GraphContext::FromCsr(urg.adjacency);
+  inputs.poi = ag::MakeConst(urg.poi_features);
+  inputs.image = ag::MakeConst(urg.image_features);
+  return inputs;
 }
 
 Tensor MakeLabelTensor(const std::vector<int>& labels) {

@@ -85,7 +85,9 @@ class BatchPlan {
                           int epoch, int batch);
 
   // Exact scoring: calls fn(batch, begin) with batches whose rows are
-  // ids[begin, begin + batch.rows->size()), in order.
+  // ids[begin, begin + batch.rows->size()), in order, under an
+  // ag::NoGradScope: scoring never runs Backward, so the forwards fn
+  // builds keep no graph.
   void ForEachScoreBatch(
       const urg::UrbanRegionGraph& urg, const std::vector<int>& ids,
       const std::function<void(const Batch&, size_t begin)>& fn);
@@ -118,6 +120,12 @@ class BatchPlan {
   int order_epoch_ = -1;
   Batch current_;
 };
+
+// The dense URG's whole city as forward inputs, for the grad-free
+// whole-city passes that need no BatchPlan (the inference engines): its
+// adjacency's GraphContext::FromCsr and copies of the resident feature
+// matrices. Aborts on a sharded URG, which leaves all three empty.
+BatchInputs DenseCityInputs(const urg::UrbanRegionGraph& urg);
 
 // Per-sample BCE weights implementing pos_weight: positives weigh
 // pos_weight, or num_neg/num_pos when pos_weight <= 0 (shared by every

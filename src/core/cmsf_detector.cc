@@ -52,12 +52,11 @@ void CmsfDetector::EnsureBaseline(const urg::UrbanRegionGraph& urg) {
   // whole-city batch is used even for minibatch-trained detectors — the
   // baseline is a property of the model over the whole training city, not
   // of how training happened to be batched.
+  ag::NoGradScope no_grad;
   BatchPlan whole_city_plan(/*batch_size=*/0, /*fanout=*/0,
                             config_.maga_layers);
   BatchPlan* plan = plan_->whole_city() ? plan_.get() : &whole_city_plan;
-  const BatchInputs& city = *plan->WholeCity(urg);
-  const Tensor trunk =
-      model_->TrunkRaw(city.poi->value, city.image->value, city.ctx);
+  const ag::VarPtr trunk = model_->Trunk(*plan->WholeCity(urg));
   const CmsfModel::FrozenAssignment* frozen =
       config_.use_hierarchy ? &frozen_ : nullptr;
   std::vector<int> all_ids(static_cast<size_t>(urg.num_regions()));
@@ -72,7 +71,7 @@ void CmsfDetector::EnsureBaseline(const urg::UrbanRegionGraph& urg) {
     labeled_scores[i] = scores[static_cast<size_t>(train_ids[i])];
   }
   baseline_ = obs::BuildQualityBaseline(
-      trunk.data(), trunk.rows(), trunk.cols(), scores.data(),
+      trunk->value.data(), trunk->rows(), trunk->cols(), scores.data(),
       static_cast<int64_t>(scores.size()), labeled_scores.data(),
       plan_->train_labels().data(), static_cast<int64_t>(train_ids.size()));
 }

@@ -6,8 +6,6 @@
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "obs/trace.h"
-#include "tensor/forward_ops.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
 
 namespace uv::core {
@@ -116,27 +114,6 @@ ag::VarPtr CmsfModel::Trunk(const BatchInputs& inputs) const {
     }
   }
   return ag::ConcatCols(p, i);
-}
-
-Tensor CmsfModel::TrunkRaw(const Tensor& poi, const Tensor& image,
-                           const nn::GraphContext& ctx) const {
-  Tensor p = poi;
-  Tensor i = image_reduce_->ForwardRaw(image, kern::Activation::kRelu);
-  if (config_.use_maga) {
-    for (const auto& layer : maga_) {
-      auto out = layer.ForwardRaw(p, i, ctx);
-      p = std::move(out.p);
-      i = std::move(out.i);
-    }
-  } else {
-    for (size_t l = 0; l < gat_p_.size(); ++l) {
-      p = gat_p_[l].ForwardRaw(p, ctx);
-      uv::ReluInPlace(&p);
-      i = gat_i_[l].ForwardRaw(i, ctx);
-      uv::ReluInPlace(&i);
-    }
-  }
-  return uv::ConcatCols(p, i);
 }
 
 CmsfModel::ForwardResult CmsfModel::Forward(

@@ -7,7 +7,6 @@
 #include "core/batch_plan.h"
 #include "core/cmsf_config.h"
 #include "nn/gat.h"
-#include "nn/graph_context.h"
 #include "nn/gscm.h"
 #include "nn/linear.h"
 #include "nn/ms_gate.h"
@@ -59,17 +58,13 @@ class CmsfModel {
   int gscm_in_dim() const { return gscm_in_dim_; }
   int classifier_in() const { return classifier_in_; }
 
-  // Grad-free trunk forward on raw tensors, bit-identical to Trunk's value
-  // (the fused x^ entering GSCM). Used by the inference engine; builds no
-  // autograd graph and emits no spans.
-  Tensor TrunkRaw(const Tensor& poi, const Tensor& image,
-                  const nn::GraphContext& ctx) const;
-
- private:
   // Representation trunk shared by all variants: returns x^ (the fused
-  // multi-modal representation entering GSCM).
+  // multi-modal representation entering GSCM). Forward runs it first; the
+  // inference engine and the quality baseline run it alone, under an
+  // ag::NoGradScope, over the whole city.
   ag::VarPtr Trunk(const BatchInputs& inputs) const;
 
+ private:
   CmsfConfig config_;
   int gscm_in_dim_ = 0;      // Width of x^.
   int classifier_in_ = 0;    // Width of x~'.

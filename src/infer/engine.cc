@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "nn/graph_context.h"
 #include "nn/gscm.h"
 #include "nn/maga.h"
 #include "tensor/forward_ops.h"
@@ -39,8 +38,37 @@ void GatherRowsInto(const Tensor& src, const int* ids, int n, Tensor* dst) {
   }
 }
 
-// Prepared CMSF serving state. Construction runs the full grad-free forward
-// once; ScoreInto replays only the row-wise tail:
+// nn::AggregatePair's value on raw tensors, step for step through the same
+// kernels, so the request tail never calls a layer. The query may be null
+// for kSum/kConcat. Row r of the result depends only on row r of u and v.
+Tensor AggregatePairRaw(nn::AggKind agg, const Tensor& u, const Tensor& v,
+                        const Tensor* attention_query) {
+  switch (agg) {
+    case nn::AggKind::kSum:
+      return Add(u, v);
+    case nn::AggKind::kConcat:
+      return ConcatCols(u, v);
+    case nn::AggKind::kAttention: {
+      UV_CHECK(attention_query != nullptr);
+      Tensor e_u = MatMul(u, *attention_query);
+      LeakyReluInPlace(0.2f, &e_u);
+      Tensor e_v = MatMul(v, *attention_query);
+      LeakyReluInPlace(0.2f, &e_v);
+      const Tensor weights = RowSoftmax(ConcatCols(e_u, e_v), 1.0f);
+      Tensor a = u;
+      MulColBroadcastInPlace(SliceCols(weights, 0, 1), &a);
+      Tensor b = v;
+      MulColBroadcastInPlace(SliceCols(weights, 1, 2), &b);
+      return Add(a, b);
+    }
+  }
+  UV_CHECK(false);
+  return u;
+}
+
+// Prepared CMSF serving state. Construction runs the model's forward once
+// over the whole city under an ag::NoGradScope; ScoreInto replays only the
+// row-wise tail on raw tensors:
 //   master: global context share (eq. 12-13), AGG, classifier MLP;
 //   slave:  + context vector (eq. 19), filter (eq. 20), gated MLP (eq. 21).
 class CmsfEngine final : public Engine {
@@ -48,27 +76,27 @@ class CmsfEngine final : public Engine {
   CmsfEngine(const core::CmsfModel& model,
              const core::CmsfModel::FrozenAssignment* frozen,
              const urg::UrbanRegionGraph& urg) {
+    const core::BatchInputs city = core::DenseCityInputs(urg);
     const core::CmsfConfig& cfg = model.config();
     use_hierarchy_ = cfg.use_hierarchy;
     // Mirrors PredictCmsf: the slave path needs the hierarchy, the gate,
     // and a frozen stage-one assignment.
     use_slave_ = cfg.use_hierarchy && cfg.use_gate && frozen != nullptr;
 
-    const nn::GraphContext ctx = nn::GraphContext::FromCsr(urg.adjacency);
-    trunk_ = model.TrunkRaw(urg.poi_features, urg.image_features, ctx);
-    num_regions_ = trunk_.rows();
+    ag::NoGradScope no_grad;
+    const ag::VarPtr trunk = model.Trunk(city);
+    num_regions_ = trunk->rows();
 
     if (use_hierarchy_) {
       const nn::Gscm* gscm = model.gscm();
       UV_CHECK(gscm != nullptr);
-      nn::Gscm::RawOutput g =
-          use_slave_ ? gscm->ForwardFrozenRaw(trunk_, frozen->soft,
-                                              frozen->hard)
-                     : gscm->ForwardRaw(trunk_);
-      assign_ = std::move(g.assignment);
+      nn::Gscm::Output g =
+          use_slave_ ? gscm->ForwardFrozen(trunk, frozen->soft, frozen->hard)
+                     : gscm->Forward(trunk);
+      assign_ = std::move(g.assignment->value);
       // The reverse share x' = relu(B H' W_r) factors as B * (H' W_r); the
       // inner product is request-invariant, so cache it (K x in_dim).
-      inner_ = MatMul(g.cluster_repr, gscm->reverse_transform());
+      inner_ = MatMul(g.cluster_repr->value, gscm->reverse_transform());
       agg_ = gscm->agg();
       if (const Tensor* q = gscm->agg_query_value()) {
         agg_query_ = *q;
@@ -76,8 +104,9 @@ class CmsfEngine final : public Engine {
       }
       if (use_slave_) {
         const nn::MsGate& gate = model.gate();
-        const Tensor inclusion = gate.EstimateInclusionRaw(g.cluster_repr);
-        inclusion_row_ = Transpose(inclusion);  // 1 x K for MulRowVector.
+        const ag::VarPtr inclusion = gate.EstimateInclusion(g.cluster_repr);
+        // 1 x K for MulRowVector.
+        inclusion_row_ = Transpose(inclusion->value);
         w_q_ = gate.context_transform();
         w_f_ = gate.filter_weight();
         b_f_ = gate.filter_bias();
@@ -89,6 +118,7 @@ class CmsfEngine final : public Engine {
     b1_ = classifier.layer1().b()->value;
     w2_ = classifier.layer2().w()->value;
     b2_ = classifier.layer2().b()->value;
+    trunk_ = std::move(trunk->value);
   }
 
   int num_regions() const override { return num_regions_; }
@@ -108,8 +138,8 @@ class CmsfEngine final : public Engine {
       global_.ResizeUninit(n, inner_.cols());
       Gemm(false, false, 1.0f, b_, inner_, 0.0f, &global_);
       ReluInPlace(&global_);
-      region_ = nn::AggregatePairRaw(agg_, x_, global_,
-                                     has_agg_query_ ? &agg_query_ : nullptr);
+      region_ = AggregatePairRaw(agg_, x_, global_,
+                                 has_agg_query_ ? &agg_query_ : nullptr);
       region = &region_;
     }
 

@@ -2,16 +2,17 @@
 #define UV_INFER_ENGINE_H_
 
 // Grad-free batched inference engines. An Engine is built once from a
-// trained model ("Prepare"): it runs a single raw-tensor forward pass over
-// the full URG — no autograd Variables, no graph nodes — and caches every
-// globally-coupled intermediate (trunk representations, cluster state).
+// trained model ("Prepare"): it runs the model's own layer forwards once
+// over the dense URG under an ag::NoGradScope, where every op returns a
+// constant node and no graph is kept, and caches every globally-coupled
+// intermediate (trunk representations, cluster state) as plain tensors.
 // Each scoring request then evaluates only the per-row tail for the
-// requested region ids over reusable pooled workspaces, so steady-state
-// scoring performs ~0 heap allocations per request (gated by
-// bench_serve_alloc).
+// requested region ids on raw tensors over reusable pooled workspaces. The
+// tail never calls a layer, so steady-state scoring performs ~0 heap
+// allocations per request (gated by bench_serve_alloc).
 //
-// Scores are bit-identical to the autograd Score path of the full-graph
-// detector: both evaluate the same shared forward kernels
+// Scores are bit-identical to the detector's Score path: the build runs
+// the same layers, the tail evaluates the same shared forward kernels
 // (tensor/forward_ops.h), and every per-request operation is row-wise, so
 // results do not depend on how requests are batched.
 
@@ -65,6 +66,7 @@ class Engine {
 // frozen stage-one assignment to serve the slave path (the config must
 // also enable hierarchy + gate, mirroring PredictCmsf); pass null to serve
 // the master path. The model and URG are only read during construction.
+// Aborts on a sharded URG, which has no dense adjacency or features.
 std::unique_ptr<Engine> MakeCmsfEngine(
     const core::CmsfModel& model,
     const core::CmsfModel::FrozenAssignment* frozen,

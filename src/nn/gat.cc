@@ -1,7 +1,5 @@
 #include "nn/gat.h"
 
-#include "tensor/forward_ops.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
 
 namespace uv::nn {
@@ -52,26 +50,6 @@ ag::VarPtr AttentionHead::Forward(const ag::VarPtr& x_dst,
                                  ctx.offsets);
 }
 
-Tensor AttentionHead::ForwardRaw(const Tensor& x_dst, const Tensor& x_src,
-                                 const GraphContext& ctx) const {
-  // Mirrors Forward step for step through the shared raw kernels; the
-  // h_src == h_dst reuse keys on object identity like the VarPtr path.
-  Tensor h_dst = MatMul(x_dst, w_dst_->value);
-  const bool reuse = shared_ && &x_dst == &x_src;
-  Tensor h_src_own;
-  if (!reuse) h_src_own = MatMul(x_src, w_src_->value);
-  const Tensor& h_src = reuse ? h_dst : h_src_own;
-  const Tensor s_dst = MatMul(h_dst, a_dst_->value);  // (N x 1)
-  const Tensor s_src = MatMul(h_src, a_src_->value);  // (N x 1)
-
-  Tensor alpha;
-  EdgeSoftmaxInto(s_dst, s_src, *ctx.src_ids, *ctx.offsets, kAttentionSlope,
-                  &alpha);
-  Tensor out;
-  NeighborWeightedSumInto(alpha, h_src, *ctx.src_ids, *ctx.offsets, &out);
-  return out;
-}
-
 std::vector<ag::VarPtr> AttentionHead::Params() const {
   std::vector<ag::VarPtr> params = {w_dst_};
   if (!shared_) params.push_back(w_src_);
@@ -97,17 +75,6 @@ ag::VarPtr GatLayer::Forward(const ag::VarPtr& x,
   for (const auto& head : heads_) {
     ag::VarPtr h = head.Forward(x, x, ctx);
     out = out ? ag::ConcatCols(out, h) : h;
-  }
-  return out;
-}
-
-Tensor GatLayer::ForwardRaw(const Tensor& x, const GraphContext& ctx) const {
-  Tensor out;
-  bool first = true;
-  for (const auto& head : heads_) {
-    Tensor h = head.ForwardRaw(x, x, ctx);
-    out = first ? std::move(h) : ConcatCols(out, h);
-    first = false;
   }
   return out;
 }

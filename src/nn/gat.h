@@ -25,12 +25,6 @@ class AttentionHead {
   ag::VarPtr Forward(const ag::VarPtr& x_dst, const ag::VarPtr& x_src,
                      const GraphContext& ctx) const;
 
-  // Grad-free forward, bit-identical to Forward's value. Pass the SAME
-  // object for x_dst and x_src (by address) to reuse the shared projection
-  // exactly as the autograd path does for same-variable inputs.
-  Tensor ForwardRaw(const Tensor& x_dst, const Tensor& x_src,
-                    const GraphContext& ctx) const;
-
   std::vector<ag::VarPtr> Params() const;
 
  private:
@@ -49,9 +43,6 @@ class GatLayer {
 
   // Returns (N x out_dim); out_dim must be divisible by num_heads.
   ag::VarPtr Forward(const ag::VarPtr& x, const GraphContext& ctx) const;
-
-  // Grad-free forward, bit-identical to Forward's value.
-  Tensor ForwardRaw(const Tensor& x, const GraphContext& ctx) const;
 
   std::vector<ag::VarPtr> Params() const;
 

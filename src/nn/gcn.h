@@ -18,9 +18,6 @@ class GcnLayer {
 
   ag::VarPtr Forward(const ag::VarPtr& x, const GraphContext& ctx) const;
 
-  // Grad-free forward, bit-identical to Forward's value.
-  Tensor ForwardRaw(const Tensor& x, const GraphContext& ctx) const;
-
   std::vector<ag::VarPtr> Params() const { return lin_.Params(); }
 
  private:

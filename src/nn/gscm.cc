@@ -1,6 +1,5 @@
 #include "nn/gscm.h"
 
-#include "tensor/forward_ops.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 
@@ -69,45 +68,6 @@ Gscm::Output Gscm::Finish(const ag::VarPtr& x, ag::VarPtr assignment,
 
   // Combine local and global representations (eq. 13).
   out.region_repr = AggregatePair(options_.agg, x, global, agg_query_);
-  return out;
-}
-
-Gscm::RawOutput Gscm::ForwardRaw(const Tensor& x) const {
-  UV_CHECK_EQ(x.cols(), options_.in_dim);
-  const Tensor logits = MatMul(x, w_b_->value);
-  Tensor soft = RowSoftmax(logits, options_.temperature);
-  std::vector<int> hard = RowArgmax(logits);
-  return FinishRaw(x, std::move(soft), std::move(hard));
-}
-
-Gscm::RawOutput Gscm::ForwardFrozenRaw(
-    const Tensor& x, const Tensor& frozen_soft,
-    const std::vector<int>& frozen_hard) const {
-  UV_CHECK_EQ(frozen_soft.rows(), x.rows());
-  UV_CHECK_EQ(frozen_soft.cols(), options_.num_clusters);
-  return FinishRaw(x, frozen_soft, frozen_hard);
-}
-
-Gscm::RawOutput Gscm::FinishRaw(const Tensor& x, Tensor assignment,
-                                std::vector<int> hard) const {
-  RawOutput out;
-  out.assignment = std::move(assignment);
-  out.hard_assignment = std::move(hard);
-
-  const SegmentDestIndex dest =
-      BuildSegmentDestIndex(out.hard_assignment, options_.num_clusters);
-  Tensor h;
-  SegmentSumInto(x, dest, &h);
-
-  out.cluster_repr = MatMul(edge_w_->value, MatMul(h, w_h_->value));
-  ReluInPlace(&out.cluster_repr);
-
-  Tensor global =
-      MatMul(out.assignment, MatMul(out.cluster_repr, w_r_->value));
-  ReluInPlace(&global);
-
-  out.region_repr = AggregatePairRaw(options_.agg, x, global,
-                                     agg_query_ ? &agg_query_->value : nullptr);
   return out;
 }
 

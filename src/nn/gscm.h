@@ -39,17 +39,6 @@ class Gscm {
   Output ForwardFrozen(const ag::VarPtr& x, const Tensor& frozen_soft,
                        const std::vector<int>& frozen_hard) const;
 
-  // Grad-free forwards, bit-identical to the Output values above.
-  struct RawOutput {
-    Tensor assignment;
-    std::vector<int> hard_assignment;
-    Tensor cluster_repr;
-    Tensor region_repr;
-  };
-  RawOutput ForwardRaw(const Tensor& x) const;
-  RawOutput ForwardFrozenRaw(const Tensor& x, const Tensor& frozen_soft,
-                             const std::vector<int>& frozen_hard) const;
-
   // Raw parameter views for the inference engine's cached tail.
   const Tensor& reverse_transform() const { return w_r_->value; }
   const Tensor* agg_query_value() const {
@@ -69,8 +58,6 @@ class Gscm {
   // Shared tail of both forwards, from (B, B~) to the output struct.
   Output Finish(const ag::VarPtr& x, ag::VarPtr assignment,
                 std::vector<int> hard) const;
-  RawOutput FinishRaw(const Tensor& x, Tensor assignment,
-                      std::vector<int> hard) const;
 
   Options options_;
   ag::VarPtr w_b_;     // (in_dim x K) assignment transform (eq. 9).

@@ -1,7 +1,5 @@
 #include "nn/linear.h"
 
-#include "tensor/tensor_ops.h"
-
 namespace uv::nn {
 
 Linear::Linear(int in_dim, int out_dim, Rng* rng) {
@@ -11,21 +9,9 @@ Linear::Linear(int in_dim, int out_dim, Rng* rng) {
   b_ = ag::MakeParam(Tensor(1, out_dim));
 }
 
-ag::VarPtr Linear::Forward(const ag::VarPtr& x) const {
-  return ag::DenseBiasAct(x, w_, b_, kern::Activation::kNone);
-}
-
 ag::VarPtr Linear::Forward(const ag::VarPtr& x, kern::Activation act,
                            float leaky_slope) const {
   return ag::DenseBiasAct(x, w_, b_, act, leaky_slope);
-}
-
-Tensor Linear::ForwardRaw(const Tensor& x, kern::Activation act,
-                          float leaky_slope) const {
-  Tensor out = Tensor::Uninit(x.rows(), w_->value.cols());
-  GemmBiasAct(false, false, 1.0f, x, w_->value, 0.0f, &out, &b_->value, act,
-              leaky_slope);
-  return out;
 }
 
 Mlp::Mlp(int in_dim, int hidden_dim, int out_dim, Rng* rng)
@@ -33,10 +19,6 @@ Mlp::Mlp(int in_dim, int hidden_dim, int out_dim, Rng* rng)
 
 ag::VarPtr Mlp::Forward(const ag::VarPtr& x) const {
   return l2_.Forward(l1_.Forward(x, kern::Activation::kRelu));
-}
-
-Tensor Mlp::ForwardRaw(const Tensor& x) const {
-  return l2_.ForwardRaw(l1_.ForwardRaw(x, kern::Activation::kRelu));
 }
 
 std::vector<ag::VarPtr> Mlp::Params() const {

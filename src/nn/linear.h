@@ -14,18 +14,10 @@ class Linear {
  public:
   Linear(int in_dim, int out_dim, Rng* rng);
 
-  ag::VarPtr Forward(const ag::VarPtr& x) const;
-
-  // Dense + activation in one fused kernel pass (ag::DenseBiasAct); call
-  // sites that used to wrap Forward in ag::Relu/ag::Sigmoid route here.
-  ag::VarPtr Forward(const ag::VarPtr& x, kern::Activation act,
+  // act(xW + b) in one fused kernel pass (ag::DenseBiasAct).
+  ag::VarPtr Forward(const ag::VarPtr& x,
+                     kern::Activation act = kern::Activation::kNone,
                      float leaky_slope = 0.0f) const;
-
-  // Grad-free forward on raw tensors, bit-identical to Forward's value
-  // (both run the same fused GemmBiasAct kernel).
-  Tensor ForwardRaw(const Tensor& x,
-                    kern::Activation act = kern::Activation::kNone,
-                    float leaky_slope = 0.0f) const;
 
   std::vector<ag::VarPtr> Params() const { return {w_, b_}; }
   const ag::VarPtr& w() const { return w_; }
@@ -43,7 +35,6 @@ class Mlp {
   Mlp(int in_dim, int hidden_dim, int out_dim, Rng* rng);
 
   ag::VarPtr Forward(const ag::VarPtr& x) const;
-  Tensor ForwardRaw(const Tensor& x) const;
 
   std::vector<ag::VarPtr> Params() const;
   const Linear& layer1() const { return l1_; }

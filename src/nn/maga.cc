@@ -1,7 +1,5 @@
 #include "nn/maga.h"
 
-#include "tensor/forward_ops.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
 
 namespace uv::nn {
@@ -22,31 +20,6 @@ ag::VarPtr AggregatePair(AggKind agg, const ag::VarPtr& u, const ag::VarPtr& v,
       ag::VarPtr w_u = ag::SliceCols(weights, 0, 1);
       ag::VarPtr w_v = ag::SliceCols(weights, 1, 2);
       return ag::Add(ag::MulColBroadcast(u, w_u), ag::MulColBroadcast(v, w_v));
-    }
-  }
-  UV_CHECK(false);
-  return u;
-}
-
-Tensor AggregatePairRaw(AggKind agg, const Tensor& u, const Tensor& v,
-                        const Tensor* attention_query) {
-  switch (agg) {
-    case AggKind::kSum:
-      return Add(u, v);
-    case AggKind::kConcat:
-      return ConcatCols(u, v);
-    case AggKind::kAttention: {
-      UV_CHECK(attention_query != nullptr);
-      Tensor e_u = MatMul(u, *attention_query);
-      LeakyReluInPlace(0.2f, &e_u);
-      Tensor e_v = MatMul(v, *attention_query);
-      LeakyReluInPlace(0.2f, &e_v);
-      const Tensor weights = RowSoftmax(ConcatCols(e_u, e_v), 1.0f);
-      Tensor a = u;
-      MulColBroadcastInPlace(SliceCols(weights, 0, 1), &a);
-      Tensor b = v;
-      MulColBroadcastInPlace(SliceCols(weights, 1, 2), &b);
-      return Add(a, b);
     }
   }
   UV_CHECK(false);
@@ -94,20 +67,6 @@ ag::VarPtr RunHeads(const std::vector<AttentionHead>& heads,
   return out;
 }
 
-// Grad-free RunHeads: same concat-left-to-right shape.
-Tensor RunHeadsRaw(const std::vector<AttentionHead>& heads,
-                   const Tensor& x_dst, const Tensor& x_src,
-                   const GraphContext& ctx) {
-  Tensor out;
-  bool first = true;
-  for (const auto& head : heads) {
-    Tensor h = head.ForwardRaw(x_dst, x_src, ctx);
-    out = first ? std::move(h) : ConcatCols(out, h);
-    first = false;
-  }
-  return out;
-}
-
 }  // namespace
 
 MagaLayer::Output MagaLayer::Forward(const ag::VarPtr& x_p,
@@ -123,26 +82,6 @@ MagaLayer::Output MagaLayer::Forward(const ag::VarPtr& x_p,
   Output out;
   out.p = AggregatePair(agg_, p_from_p, p_from_i, agg_query_p_);
   out.i = AggregatePair(agg_, i_from_i, i_from_p, agg_query_i_);
-  return out;
-}
-
-MagaLayer::RawOutput MagaLayer::ForwardRaw(const Tensor& x_p,
-                                           const Tensor& x_i,
-                                           const GraphContext& ctx) const {
-  Tensor p_from_p = RunHeadsRaw(intra_p_, x_p, x_p, ctx);
-  ReluInPlace(&p_from_p);
-  Tensor i_from_i = RunHeadsRaw(intra_i_, x_i, x_i, ctx);
-  ReluInPlace(&i_from_i);
-  Tensor p_from_i = RunHeadsRaw(inter_pi_, x_p, x_i, ctx);
-  ReluInPlace(&p_from_i);
-  Tensor i_from_p = RunHeadsRaw(inter_ip_, x_i, x_p, ctx);
-  ReluInPlace(&i_from_p);
-
-  RawOutput out;
-  out.p = AggregatePairRaw(agg_, p_from_p, p_from_i,
-                           agg_query_p_ ? &agg_query_p_->value : nullptr);
-  out.i = AggregatePairRaw(agg_, i_from_i, i_from_p,
-                           agg_query_i_ ? &agg_query_i_->value : nullptr);
   return out;
 }
 

@@ -19,13 +19,6 @@ enum class AggKind { kSum, kConcat, kAttention };
 ag::VarPtr AggregatePair(AggKind agg, const ag::VarPtr& u, const ag::VarPtr& v,
                          const ag::VarPtr& attention_query);
 
-// Grad-free AggregatePair, bit-identical to AggregatePair's value. The
-// query may be null for kSum/kConcat. Purely row-wise: row r of the result
-// depends only on row r of u and v, so the inference engine can evaluate
-// it on any row subset.
-Tensor AggregatePairRaw(AggKind agg, const Tensor& u, const Tensor& v,
-                        const Tensor* attention_query);
-
 // Mutual-Attentive Graph Aggregation layer (paper Section V-A1, eq. 1-8).
 // For each modality the layer aggregates neighbourhood features of the same
 // modality (intra) and of the other modality (inter), each with its own
@@ -45,14 +38,6 @@ class MagaLayer {
 
   Output Forward(const ag::VarPtr& x_p, const ag::VarPtr& x_i,
                  const GraphContext& ctx) const;
-
-  struct RawOutput {
-    Tensor p;
-    Tensor i;
-  };
-  // Grad-free forward, bit-identical to Forward's values.
-  RawOutput ForwardRaw(const Tensor& x_p, const Tensor& x_i,
-                       const GraphContext& ctx) const;
 
   // Output width per modality after AGG.
   int out_width() const;

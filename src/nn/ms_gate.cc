@@ -1,7 +1,5 @@
 #include "nn/ms_gate.h"
 
-#include "tensor/forward_ops.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
 
 namespace uv::nn {
@@ -54,39 +52,6 @@ ag::VarPtr MsGate::Forward(const ag::VarPtr& region_repr,
   return ag::GatedMlp(region_repr, filter, master.layer1().w(),
                       master.layer1().b(), master.layer2().w(),
                       master.layer2().b());
-}
-
-Tensor MsGate::EstimateInclusionRaw(const Tensor& cluster_repr) const {
-  UV_CHECK_EQ(cluster_repr.cols(), options_.cluster_repr_dim);
-  return pseudo_predictor_.ForwardRaw(cluster_repr,
-                                      kern::Activation::kSigmoid);
-}
-
-Tensor MsGate::ContextVectorRaw(const Tensor& assignment,
-                                const Tensor& inclusion) const {
-  UV_CHECK_EQ(assignment.cols(), options_.num_clusters);
-  UV_CHECK_EQ(inclusion.rows(), options_.num_clusters);
-  UV_CHECK_EQ(inclusion.cols(), 1);
-  Tensor weighted = assignment;
-  MulRowVectorInPlace(Transpose(inclusion), &weighted);
-  Tensor context = MatMul(weighted, w_q_->value);
-  SigmoidInPlace(&context);
-  return context;
-}
-
-Tensor MsGate::ForwardRaw(const Tensor& region_repr, const Tensor& assignment,
-                          const Tensor& inclusion, const Mlp& master) const {
-  UV_CHECK_EQ(region_repr.cols(), options_.classifier_in);
-  const Tensor context = ContextVectorRaw(assignment, inclusion);
-  Tensor filter = Tensor::Uninit(context.rows(), w_f_->value.cols());
-  GemmBiasAct(false, false, 1.0f, context, w_f_->value, 0.0f, &filter,
-              &b_f_->value, kern::Activation::kSigmoid);
-  Tensor out;
-  Tensor hidden;
-  GatedMlpForward(region_repr, filter, master.layer1().w()->value,
-                  master.layer1().b()->value, master.layer2().w()->value,
-                  master.layer2().b()->value, &out, &hidden);
-  return out;
 }
 
 std::vector<ag::VarPtr> MsGate::Params() const {

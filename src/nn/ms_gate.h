@@ -41,15 +41,6 @@ class MsGate {
   ag::VarPtr ContextVector(const ag::VarPtr& assignment,
                            const ag::VarPtr& inclusion) const;
 
-  // Grad-free forwards, bit-identical to the VarPtr values above. All three
-  // are row-wise in the region dimension (the inclusion column is global
-  // state), so the inference engine can evaluate them on any row subset.
-  Tensor EstimateInclusionRaw(const Tensor& cluster_repr) const;
-  Tensor ContextVectorRaw(const Tensor& assignment,
-                          const Tensor& inclusion) const;
-  Tensor ForwardRaw(const Tensor& region_repr, const Tensor& assignment,
-                    const Tensor& inclusion, const Mlp& master) const;
-
   // Raw parameter views for the inference engine's cached tail.
   const Tensor& context_transform() const { return w_q_->value; }
   const Tensor& filter_weight() const { return w_f_->value; }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
@@ -283,6 +287,93 @@ TEST(DenseOpsTest, ConstInputsReceiveNoGrad) {
   Backward(loss);
   EXPECT_TRUE(c->grad.empty());
   EXPECT_FALSE(p->grad.empty());
+}
+
+// MatMul, DenseBiasAct and EdgeSoftmax over parameters. Every call draws
+// the same values, so grad-mode and no-grad outputs can be compared.
+std::vector<VarPtr> OpsOverParams() {
+  auto x = MakeParam(RandomTensor(3, 4, 41));
+  auto w = MakeParam(RandomTensor(4, 2, 42));
+  auto b = MakeParam(RandomTensor(1, 2, 43));
+  auto s_dst = MakeParam(RandomTensor(3, 1, 44));
+  auto s_src = MakeParam(RandomTensor(3, 1, 45));
+  // Three destinations with 2, 1 and 2 in-edges.
+  auto offsets =
+      std::make_shared<const std::vector<int>>(std::vector<int>{0, 2, 3, 5});
+  auto src_ids = std::make_shared<const std::vector<int>>(
+      std::vector<int>{0, 1, 2, 0, 2});
+  return {MatMul(x, w), DenseBiasAct(x, w, b, kern::Activation::kRelu),
+          EdgeSoftmax(s_dst, s_src, src_ids, offsets, 0.2f)};
+}
+
+void ExpectConstant(const VarPtr& node) {
+  EXPECT_FALSE(node->requires_grad) << node->op_name;
+  EXPECT_TRUE(node->inputs.empty()) << node->op_name;
+  EXPECT_FALSE(node->backward_fn) << node->op_name;
+}
+
+void ExpectRecorded(const VarPtr& node) {
+  EXPECT_TRUE(node->requires_grad) << node->op_name;
+  EXPECT_FALSE(node->inputs.empty()) << node->op_name;
+  EXPECT_TRUE(node->backward_fn) << node->op_name;
+}
+
+TEST(NoGradScopeTest, OpsReturnConstantsWithGradModeValues) {
+  const std::vector<VarPtr> recorded = OpsOverParams();
+  std::vector<VarPtr> constants;
+  {
+    NoGradScope no_grad;
+    EXPECT_FALSE(GradEnabled());
+    constants = OpsOverParams();
+  }
+  EXPECT_TRUE(GradEnabled());
+  ASSERT_EQ(constants.size(), recorded.size());
+  for (size_t i = 0; i < recorded.size(); ++i) {
+    ExpectRecorded(recorded[i]);
+    ExpectConstant(constants[i]);
+    const Tensor& a = recorded[i]->value;
+    const Tensor& b = constants[i]->value;
+    ASSERT_TRUE(a.SameShape(b)) << recorded[i]->op_name;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(float) * a.size()), 0)
+        << recorded[i]->op_name;
+  }
+}
+
+TEST(NoGradScopeTest, NestedScopesRestoreOuterMode) {
+  {
+    NoGradScope outer;
+    {
+      NoGradScope inner;
+      EXPECT_FALSE(GradEnabled());
+    }
+    EXPECT_FALSE(GradEnabled());
+    for (const VarPtr& node : OpsOverParams()) ExpectConstant(node);
+  }
+  EXPECT_TRUE(GradEnabled());
+  for (const VarPtr& node : OpsOverParams()) ExpectRecorded(node);
+}
+
+// Folds train and score concurrently on pool threads, so a scope open on
+// one thread must leave another thread's ops differentiable.
+TEST(NoGradScopeTest, ScopeOnOneThreadLeavesOthersDifferentiable) {
+  NoGradScope no_grad;
+  bool other_enabled = false;
+  std::vector<VarPtr> other_ops;
+  Tensor other_grad;
+  std::thread other([&] {
+    other_enabled = GradEnabled();
+    other_ops = OpsOverParams();
+    auto w = MakeParam(RandomTensor(4, 2, 46));
+    Backward(SquaredReadout(MatMul(MakeConst(RandomTensor(3, 4, 47)), w)));
+    other_grad = w->grad;
+  });
+  other.join();
+  EXPECT_TRUE(other_enabled);
+  for (const VarPtr& node : other_ops) ExpectRecorded(node);
+  ASSERT_FALSE(other_grad.empty());
+  EXPECT_GT(other_grad.Norm(), 0.0);
+  EXPECT_FALSE(GradEnabled());
+  for (const VarPtr& node : OpsOverParams()) ExpectConstant(node);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <string>
 
+#include "autograd/ops.h"
 #include "core/cmsf_detector.h"
 #include "core/cmsf_model.h"
 #include "eval/metrics.h"
@@ -147,6 +148,33 @@ TEST_F(CmsfTest, SlaveStageRunsAndKeepsLossFinite) {
   auto slave = TrainSlave(&model, *urg_, &plan, master.frozen);
   EXPECT_GT(slave.seconds_per_epoch, 0.0);
   EXPECT_TRUE(std::isfinite(slave.final_loss));
+}
+
+// PredictCmsf scores under an ag::NoGradScope; once it returns, the next
+// training step must still reach every parameter it trains.
+TEST_F(CmsfTest, TrainingStepAfterPredictHasGradients) {
+  Rng rng(10);
+  CmsfConfig config = FastConfig();
+  config.master_epochs = 2;
+  CmsfModel model(config, urg_->poi_features.cols(),
+                  urg_->image_features.cols(), &rng);
+  BatchPlan plan = TrainPlan(config);
+  const MasterTrainResult master = TrainMaster(&model, *urg_, &plan);
+  const std::vector<float> scores =
+      PredictCmsf(model, *urg_, &plan, &master.frozen, fold_->test_ids);
+  ASSERT_EQ(scores.size(), fold_->test_ids.size());
+  EXPECT_TRUE(ag::GradEnabled());
+
+  const std::vector<ag::VarPtr> params = model.MasterParams();
+  ag::ZeroGrads(params);
+  const Batch& batch = plan.TrainBatch(*urg_, config.seed, 0, 0);
+  const auto fwd = model.Forward(*batch.inputs, nullptr);
+  ag::Backward(ag::BceWithLogits(ag::GatherRows(fwd.master_logits, batch.rows),
+                                 batch.labels, &batch.weights));
+  for (size_t i = 0; i < params.size(); ++i) {
+    ASSERT_FALSE(params[i]->grad.empty()) << "parameter " << i;
+    EXPECT_GT(params[i]->grad.Norm(), 0.0) << "parameter " << i;
+  }
 }
 
 TEST_F(CmsfTest, PredictReturnsProbabilities) {

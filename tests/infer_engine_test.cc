@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,8 +27,10 @@ class InferEngineTest : public ::testing::Test {
     for (int id : fold_->train_ids) train_labels_->push_back(urg_->labels[id]);
   }
 
+  // `tweak`, when set, edits the CMSF config before training.
   static std::unique_ptr<eval::Detector> TrainDetector(
-      const std::string& name) {
+      const std::string& name,
+      const std::function<void(core::CmsfConfig*)>& tweak = nullptr) {
     baselines::TrainOptions options;
     options.epochs = 8;
     core::CmsfConfig config;
@@ -38,13 +41,16 @@ class InferEngineTest : public ::testing::Test {
     config.context_dim = 4;
     config.master_epochs = 8;
     config.slave_epochs = 3;
+    if (tweak) tweak(&config);
     auto detector = baselines::MakeDetector(name, options, config);
     detector->Train(*urg_, fold_->train_ids, *train_labels_);
     return detector;
   }
 
-  static void ExpectEngineMatchesDetector(const std::string& name) {
-    auto detector = TrainDetector(name);
+  static void ExpectEngineMatchesDetector(
+      const std::string& name,
+      const std::function<void(core::CmsfConfig*)>& tweak = nullptr) {
+    auto detector = TrainDetector(name, tweak);
     const std::vector<float> expected =
         detector->Score(*urg_, fold_->test_ids);
     auto engine = baselines::MakeEngine(*detector, *urg_);
@@ -78,7 +84,9 @@ class InferEngineTest : public ::testing::Test {
     size_t j = 0;
     for (size_t i = 0; i < fold_->test_ids.size(); ++i) {
       EXPECT_EQ(ragged_out[j++], expected[i]);
-      if (i % 3 == 0) EXPECT_EQ(ragged_out[j++], expected[i]);
+      if (i % 3 == 0) {
+        EXPECT_EQ(ragged_out[j++], expected[i]);
+      }
     }
     ASSERT_EQ(j, ragged.size());
   }
@@ -94,6 +102,20 @@ std::vector<int>* InferEngineTest::train_labels_ = nullptr;
 
 TEST_F(InferEngineTest, CmsfFullExactMatch) {
   ExpectEngineMatchesDetector("CMSF");
+}
+
+// The request tail re-implements GSCM's AGG (eq. 13) on raw tensors; the
+// cases above run the default kSum, these the other two kinds.
+TEST_F(InferEngineTest, CmsfGscmConcatExactMatch) {
+  ExpectEngineMatchesDetector("CMSF", [](core::CmsfConfig* config) {
+    config->gscm_agg = nn::AggKind::kConcat;
+  });
+}
+
+TEST_F(InferEngineTest, CmsfGscmAttentionExactMatch) {
+  ExpectEngineMatchesDetector("CMSF", [](core::CmsfConfig* config) {
+    config->gscm_agg = nn::AggKind::kAttention;
+  });
 }
 
 TEST_F(InferEngineTest, CmsfNoMagaExactMatch) {

@@ -516,5 +516,29 @@ TEST(CmsfMinibatchTest, SaveModelRefusesShardedUrg) {
   EXPECT_FALSE(std::ifstream(path).good());
 }
 
+// Every engine reads the dense adjacency and feature matrices, which a
+// sharded URG leaves empty: building one must abort up front, naming the
+// cause, instead of deep inside a GEMM.
+TEST(CmsfMinibatchTest, EnginesRefuseShardedUrg) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto city = TinyCity();
+  const UrbanRegionGraph urg = Sharded(city, 2);
+  baselines::TrainOptions options;
+  options.epochs = 1;
+  options.batch_size = 64;
+  options.fanout = 4;
+  core::CmsfConfig cfg;
+  cfg.slave_epochs = 1;
+  cfg.num_clusters = 10;
+  const std::vector<int> labeled = urg.LabeledIds();
+  std::vector<int> labels(labeled.size());
+  for (size_t i = 0; i < labeled.size(); ++i) labels[i] = urg.labels[labeled[i]];
+  for (const char* name : {"CMSF", "GCN"}) {
+    auto detector = baselines::MakeDetector(name, options, cfg);
+    detector->Train(urg, labeled, labels);
+    EXPECT_DEATH(baselines::MakeEngine(*detector, urg), "sharded") << name;
+  }
+}
+
 }  // namespace
 }  // namespace uv::urg
