@@ -28,6 +28,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -178,11 +179,15 @@ bool RunDriftReport(const uv::urg::UrbanRegionGraph& urg, int epochs) {
   // Leg 2: the same city with every POI feature deterministically shifted
   // and rescaled — upstream drift that propagates through the encoder into
   // the region representations the monitor sketches.
+  std::vector<int> all_ids(static_cast<size_t>(urg.num_regions()));
+  std::iota(all_ids.begin(), all_ids.end(), 0);
+  uv::Tensor poi, image;
+  urg.GatherPoiRows(all_ids, &poi);
+  urg.GatherImageRows(all_ids, &image);
+  for (int64_t i = 0; i < poi.size(); ++i) poi[i] = poi[i] * 1.6f + 0.8f;
   uv::urg::UrbanRegionGraph shifted = urg;
-  float* poi = shifted.poi_features.data();
-  const int64_t poi_n = static_cast<int64_t>(shifted.poi_features.rows()) *
-                        shifted.poi_features.cols();
-  for (int64_t i = 0; i < poi_n; ++i) poi[i] = poi[i] * 1.6f + 0.8f;
+  shifted.features = std::make_shared<uv::urg::ResidentFeatureStore>(
+      std::move(poi), std::move(image));
 
   uv::obs::DriftReport shifted_drift;
   uv::obs::CalibrationReport shifted_calib;

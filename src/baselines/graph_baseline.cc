@@ -129,8 +129,8 @@ int64_t GraphBaseline<Layer>::NumParameters() const {
 template <typename Layer>
 std::unique_ptr<infer::Engine> GraphBaseline<Layer>::MakeEngine(
     const urg::UrbanRegionGraph& urg) const {
-  const core::BatchInputs city = core::DenseCityInputs(urg);
   UV_CHECK(img_reduce_ != nullptr);  // Train first.
+  const core::BatchInputs city = core::WholeCityInputs(urg);
   ag::NoGradScope no_grad;
   return infer::MakeDenseTailEngine(
       std::move(Trunk(city)->value), fuse_->w()->value, fuse_->b()->value,

@@ -17,8 +17,8 @@ namespace uv::baselines {
 // multi-modal fusion, logistic head. `Layer` is nn::GcnLayer (GCN) or a
 // two-head nn::GatLayer (GAT: attention-based aggregation). Trains and
 // scores through a core::BatchPlan: the whole city as one batch by
-// default, neighborhood-sampled minibatches when TrainOptions::batch_size
-// > 0 (required for sharded URGs, which have no global adjacency).
+// default, neighborhood-sampled minibatches when
+// TrainOptions::batch_size > 0.
 template <typename Layer>
 class GraphBaseline : public eval::Detector {
  public:
@@ -39,9 +39,9 @@ class GraphBaseline : public eval::Detector {
   double LastInferenceSeconds() const override { return inference_seconds_; }
 
   // Grad-free inference engine over this trained model (full-graph
-  // semantics): runs Trunk once over the dense URG under an
+  // semantics): runs Trunk once over the whole city under an
   // ag::NoGradScope, then serves the dense fuse+head tail per request,
-  // bit-identical to full-graph Score. Aborts on a sharded URG.
+  // bit-identical to full-graph Score.
   std::unique_ptr<infer::Engine> MakeEngine(
       const urg::UrbanRegionGraph& urg) const;
 

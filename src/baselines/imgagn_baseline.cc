@@ -18,15 +18,13 @@ constexpr int kHidden = 64;
 constexpr int kNoiseDim = 32;
 constexpr int kLinksPerFake = 5;  // Fake nodes link to their top-5 weights.
 
-// Extracts the (src, dst) edge list of a CSR graph, self loops included.
-std::vector<graph::Edge> EdgeList(const graph::CsrGraph& g) {
+// The (src, dst) edge list of a graph context, self loops included.
+std::vector<graph::Edge> EdgeList(const nn::GraphContext& ctx) {
+  const std::vector<int>& src = *ctx.src_ids;
+  const std::vector<int>& dst = *ctx.dst_ids;
   std::vector<graph::Edge> edges;
-  edges.reserve(g.num_edges());
-  const auto& off = *g.offsets();
-  const auto& src = *g.neighbors();
-  for (int i = 0; i < g.num_nodes(); ++i) {
-    for (int e = off[i]; e < off[i + 1]; ++e) edges.emplace_back(src[e], i);
-  }
+  edges.reserve(src.size());
+  for (size_t e = 0; e < src.size(); ++e) edges.emplace_back(src[e], dst[e]);
   return edges;
 }
 
@@ -37,7 +35,9 @@ void ImGagnBaseline::Train(const urg::UrbanRegionGraph& urg,
                            const std::vector<int>& train_labels) {
   Rng rng(options_.seed);
   const int n = urg.num_regions();
-  features_ = ConcatCols(urg.poi_features, urg.image_features);
+  // Whole-city nodes are in id order: row i and context node i are region i.
+  const core::BatchInputs city = core::WholeCityInputs(urg);
+  features_ = ConcatCols(city.poi->value, city.image->value);
   const int d = features_.cols();
 
   // Minority (UV) training nodes the generator imitates.
@@ -76,7 +76,7 @@ void ImGagnBaseline::Train(const urg::UrbanRegionGraph& urg,
   ag::AdamOptimizer opt_gen(gen_params, aopt);
   ag::AdamOptimizer opt_disc(disc_params, aopt);
 
-  const std::vector<graph::Edge> base_edges = EdgeList(urg.adjacency);
+  const std::vector<graph::Edge> base_edges = EdgeList(city.ctx);
   const ag::VarPtr real_features = ag::MakeConst(features_);
   const Tensor minority_features = GatherRows(features_, minority);
 
@@ -204,10 +204,8 @@ void ImGagnBaseline::Train(const urg::UrbanRegionGraph& urg,
 
   // Final scores from the UV head on the *original* graph (no fakes).
   {
-    const nn::GraphContext plain_ctx =
-        nn::GraphContext::FromCsr(urg.adjacency);
-    ag::VarPtr x = ag::Relu(disc_g1_->Forward(real_features, plain_ctx));
-    x = ag::Relu(disc_g2_->Forward(x, plain_ctx));
+    ag::VarPtr x = ag::Relu(disc_g1_->Forward(real_features, city.ctx));
+    x = ag::Relu(disc_g2_->Forward(x, city.ctx));
     ag::VarPtr logits = head_uv_->Forward(x);
     scores_all_.resize(n);
     for (int i = 0; i < n; ++i) {

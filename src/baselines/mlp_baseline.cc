@@ -12,10 +12,13 @@ constexpr int kHidden = 64;  // Section VI-A hidden size.
 
 ag::VarPtr MlpBaseline::ForwardRows(const urg::UrbanRegionGraph& urg,
                                     const std::vector<int>& ids) const {
-  ag::VarPtr poi = GatherConstRows(urg.poi_features, ids);
-  ag::VarPtr img = GatherConstRows(urg.image_features, ids);
-  ag::VarPtr hp = poi_fc_->Forward(poi, kern::Activation::kRelu);
-  ag::VarPtr hi = img_fc_->Forward(img, kern::Activation::kRelu);
+  Tensor poi, img;
+  urg.GatherPoiRows(ids, &poi);
+  urg.GatherImageRows(ids, &img);
+  ag::VarPtr hp = poi_fc_->Forward(ag::MakeConst(std::move(poi)),
+                                   kern::Activation::kRelu);
+  ag::VarPtr hi = img_fc_->Forward(ag::MakeConst(std::move(img)),
+                                   kern::Activation::kRelu);
   return head_->Forward(ag::ConcatCols(hp, hi));
 }
 
@@ -23,10 +26,8 @@ void MlpBaseline::Train(const urg::UrbanRegionGraph& urg,
                         const std::vector<int>& train_ids,
                         const std::vector<int>& train_labels) {
   Rng rng(options_.seed);
-  poi_fc_ = std::make_unique<nn::Linear>(urg.poi_features.cols(), kHidden,
-                                         &rng);
-  img_fc_ = std::make_unique<nn::Linear>(urg.image_features.cols(), kHidden,
-                                         &rng);
+  poi_fc_ = std::make_unique<nn::Linear>(urg.PoiDim(), kHidden, &rng);
+  img_fc_ = std::make_unique<nn::Linear>(urg.ImageDim(), kHidden, &rng);
   head_ = std::make_unique<nn::Linear>(2 * kHidden, 1, &rng);
 
   const Tensor labels = core::MakeLabelTensor(train_labels);

@@ -34,11 +34,11 @@ ag::VarPtr LogSigmoidLoss(const ag::VarPtr& scores, bool positive) {
 
 ag::VarPtr MmreBaseline::EmbedAll() const {
   ag::VarPtr img_code = enc3_->Forward(
-      enc2_->Forward(enc1_->Forward(img_const_, kern::Activation::kRelu),
+      enc2_->Forward(enc1_->Forward(city_.image, kern::Activation::kRelu),
                      kern::Activation::kRelu),
       kern::Activation::kRelu);
-  ag::VarPtr poi_code = ag::Relu(poi_g1_->Forward(poi_const_, *ctx_));
-  poi_code = ag::Relu(poi_g2_->Forward(poi_code, *ctx_));
+  ag::VarPtr poi_code = ag::Relu(poi_g1_->Forward(city_.poi, city_.ctx));
+  poi_code = ag::Relu(poi_g2_->Forward(poi_code, city_.ctx));
   return ag::Tanh(fuse_->Forward(ag::ConcatCols(poi_code, img_code)));
 }
 
@@ -46,10 +46,8 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
                          const std::vector<int>& train_ids,
                          const std::vector<int>& train_labels) {
   Rng rng(options_.seed);
-  ctx_ = nn::GraphContext::FromCsr(urg.adjacency);
-  poi_const_ = ag::MakeConst(urg.poi_features);
-  img_const_ = ag::MakeConst(urg.image_features);
-  const int img_dim = urg.image_features.cols();
+  city_ = core::WholeCityInputs(urg);
+  const int img_dim = urg.ImageDim();
 
   enc1_ = std::make_unique<nn::Linear>(img_dim, 120, &rng);
   enc2_ = std::make_unique<nn::Linear>(120, 84, &rng);
@@ -57,8 +55,7 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
   dec1_ = std::make_unique<nn::Linear>(kEmbedDim, 84, &rng);
   dec2_ = std::make_unique<nn::Linear>(84, 120, &rng);
   dec3_ = std::make_unique<nn::Linear>(120, img_dim, &rng);
-  poi_g1_ = std::make_unique<nn::GcnLayer>(urg.poi_features.cols(),
-                                           kPoiHidden, &rng);
+  poi_g1_ = std::make_unique<nn::GcnLayer>(urg.PoiDim(), kPoiHidden, &rng);
   poi_g2_ = std::make_unique<nn::GcnLayer>(kPoiHidden, kEmbedDim, &rng);
   fuse_ = std::make_unique<nn::Linear>(2 * kEmbedDim, kEmbedDim, &rng);
   head_ = std::make_unique<nn::Linear>(kEmbedDim, 1, &rng);
@@ -78,6 +75,9 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
   add(fuse_->Params());
 
   const int n = urg.num_regions();
+  // Whole-city nodes are in id order, so the context's sources are ids.
+  const std::vector<int>& offsets = *city_.ctx.offsets;
+  const std::vector<int>& sources = *city_.ctx.src_ids;
 
   // Unsupervised phase: denoising reconstruction + SkipGram with per-epoch
   // negative sampling (the expensive part the paper's Table III shows).
@@ -90,7 +90,7 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
       &opt, unsup_epochs, options_.lr_decay_per_epoch, /*num_batches=*/1,
       [&](int, int) -> ag::VarPtr {
         // Denoising autoencoder branch.
-        Tensor noisy = urg.image_features;
+        Tensor noisy = city_.image->value;
         for (int64_t i = 0; i < noisy.size(); ++i) {
           noisy[i] += static_cast<float>(rng.Gaussian(0.0, 0.1));
         }
@@ -103,7 +103,7 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
         ag::VarPtr recon = dec3_->Forward(
             dec2_->Forward(dec1_->Forward(code, kern::Activation::kRelu),
                            kern::Activation::kRelu));
-        ag::VarPtr diff = ag::Sub(recon, img_const_);
+        ag::VarPtr diff = ag::Sub(recon, city_.image);
         ag::VarPtr recon_loss = ag::MeanAll(ag::Mul(diff, diff));
 
         // SkipGram branch over the URG context.
@@ -116,12 +116,11 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
         const int num_centers = std::min(n, 1024);
         for (int s = 0; s < num_centers; ++s) {
           const int i = rng.UniformInt(n);
-          const auto nbrs = urg.adjacency.InNeighbors(i);
-          if (nbrs.empty()) continue;
+          const int degree = offsets[i + 1] - offsets[i];
+          if (degree == 0) continue;
           for (int k = 0; k < kNumPositive; ++k) {
             centers->push_back(i);
-            partners->push_back(
-                nbrs[rng.UniformInt(static_cast<int>(nbrs.size()))]);
+            partners->push_back(sources[offsets[i] + rng.UniformInt(degree)]);
           }
           for (int k = 0; k < kNumNegative; ++k) {
             neg_centers->push_back(i);

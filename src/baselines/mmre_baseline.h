@@ -2,9 +2,9 @@
 #define UV_BASELINES_MMRE_BASELINE_H_
 
 #include <memory>
-#include <optional>
 
 #include "baselines/common.h"
+#include "core/batch_plan.h"
 #include "nn/gcn.h"
 #include "nn/linear.h"
 
@@ -40,8 +40,7 @@ class MmreBaseline : public eval::Detector {
   ag::VarPtr EmbedAll() const;
 
   TrainOptions options_;
-  std::optional<nn::GraphContext> ctx_;
-  ag::VarPtr poi_const_, img_const_;
+  core::BatchInputs city_;  // The whole city, built by Train.
   std::unique_ptr<nn::Linear> enc1_, enc2_, enc3_;  // 120-84-64 encoder.
   std::unique_ptr<nn::Linear> dec1_, dec2_, dec3_;  // Symmetric decoder.
   std::unique_ptr<nn::GcnLayer> poi_g1_, poi_g2_;

@@ -26,7 +26,6 @@ std::unique_ptr<eval::Detector> MakeDetector(const std::string& name,
 // Supported for CMSF (and its ablation variants), GCN, and GAT; returns
 // null for detectors without an engine implementation. The detector and
 // URG must outlive construction only — the engine owns all cached state.
-// Aborts on a sharded URG: every engine reads the dense URG.
 std::unique_ptr<infer::Engine> MakeEngine(const eval::Detector& detector,
                                           const urg::UrbanRegionGraph& urg);
 

@@ -12,13 +12,36 @@
 #include "util/timer.h"
 
 namespace uv::core {
+namespace {
+
+// Forward inputs over a sampled subgraph: its context and its nodes' rows.
+BatchInputs SubgraphInputs(const urg::UrbanRegionGraph& urg,
+                           urg::SampledSubgraph sg) {
+  const urg::SubgraphFeatures features = urg::GatherSubgraphFeatures(urg, sg);
+  BatchInputs inputs;
+  inputs.ctx = urg::ContextFromSubgraph(sg);
+  inputs.poi = features.poi;
+  inputs.image = features.image;
+  inputs.nodes = std::move(sg.nodes);
+  return inputs;
+}
+
+}  // namespace
+
+BatchInputs WholeCityInputs(const urg::UrbanRegionGraph& urg) {
+  std::vector<int> all(static_cast<size_t>(urg.num_regions()));
+  std::iota(all.begin(), all.end(), 0);
+  urg::MinibatchConfig cfg;
+  cfg.fanout = 0;
+  cfg.hops = 1;  // Every region is a seed: there is no frontier to open.
+  return SubgraphInputs(urg,
+                        urg::SampleKHop(urg::NeighborView(urg), all, cfg));
+}
 
 const std::shared_ptr<const BatchInputs>& BatchPlan::WholeCity(
     const urg::UrbanRegionGraph& urg) {
   if (!whole_city_) {
-    std::vector<int> all(static_cast<size_t>(urg.num_regions()));
-    std::iota(all.begin(), all.end(), 0);
-    whole_city_ = Sampled(urg, all, /*fanout=*/0, /*sample_seed=*/0).inputs;
+    whole_city_ = std::make_shared<const BatchInputs>(WholeCityInputs(urg));
   }
   return whole_city_;
 }
@@ -56,16 +79,9 @@ Batch BatchPlan::Sampled(const urg::UrbanRegionGraph& urg,
   cfg.fanout = fanout;
   cfg.hops = hops_;
   cfg.seed = sample_seed;
-  urg::SampledSubgraph sg =
-      urg::SampleKHop(urg::NeighborView(urg), seeds, cfg);
-  const urg::SubgraphFeatures features = urg::GatherSubgraphFeatures(urg, sg);
-  auto inputs = std::make_shared<BatchInputs>();
-  inputs->ctx = urg::ContextFromSubgraph(sg);
-  inputs->poi = features.poi;
-  inputs->image = features.image;
-  inputs->nodes = std::move(sg.nodes);
   Batch batch;
-  batch.inputs = std::move(inputs);
+  batch.inputs = std::make_shared<const BatchInputs>(SubgraphInputs(
+      urg, urg::SampleKHop(urg::NeighborView(urg), seeds, cfg)));
   auto rows = std::make_shared<std::vector<int>>(seeds.size());
   std::iota(rows->begin(), rows->end(), 0);
   batch.rows = std::move(rows);
@@ -153,17 +169,6 @@ std::vector<float> BatchPlan::Score(
     }
   });
   return out;
-}
-
-BatchInputs DenseCityInputs(const urg::UrbanRegionGraph& urg) {
-  UV_CHECK(!urg.sharded);
-  BatchInputs inputs;
-  inputs.nodes.resize(static_cast<size_t>(urg.num_regions()));
-  std::iota(inputs.nodes.begin(), inputs.nodes.end(), 0);
-  inputs.ctx = nn::GraphContext::FromCsr(urg.adjacency);
-  inputs.poi = ag::MakeConst(urg.poi_features);
-  inputs.image = ag::MakeConst(urg.image_features);
-  return inputs;
 }
 
 Tensor MakeLabelTensor(const std::vector<int>& labels) {

@@ -41,9 +41,7 @@ struct Batch {
 // scoring are the whole-city batch of the minibatch loop.
 //
 // batch_size <= 0 plans the whole city as a single batch, built once by
-// SampleKHop over every region in id order at fanout 0 — its context and
-// features equal GraphContext::FromCsr and the resident feature matrices
-// bit for bit — and kept for training, scoring and the quality baseline.
+// WholeCityInputs and kept for training, scoring and the quality baseline.
 // Training uses it with the train ids (in the caller's order) as loss
 // rows; scoring reads the requested ids' rows from it.
 //
@@ -121,11 +119,12 @@ class BatchPlan {
   Batch current_;
 };
 
-// The dense URG's whole city as forward inputs, for the grad-free
-// whole-city passes that need no BatchPlan (the inference engines): its
-// adjacency's GraphContext::FromCsr and copies of the resident feature
-// matrices. Aborts on a sharded URG, which leaves all three empty.
-BatchInputs DenseCityInputs(const urg::UrbanRegionGraph& urg);
+// The whole city as forward inputs: SampleKHop over every region in id
+// order at fanout 0 — every in-segment kept, so the context is the URG's
+// adjacency with its GCN norms — plus every region's feature rows, on any
+// shard count. BatchPlan::WholeCity keeps one; the whole-city passes that
+// run without a plan (the inference engines, MMRE, ImGAGN) build their own.
+BatchInputs WholeCityInputs(const urg::UrbanRegionGraph& urg);
 
 // Per-sample BCE weights implementing pos_weight: positives weigh
 // pos_weight, or num_neg/num_pos when pos_weight <= 0 (shared by every

@@ -44,7 +44,7 @@ std::vector<float> CmsfDetector::Score(const urg::UrbanRegionGraph& urg,
 }
 
 void CmsfDetector::EnsureBaseline(const urg::UrbanRegionGraph& urg) {
-  if (!baseline_.empty() || !model_ || urg.sharded) return;
+  if (!baseline_.empty() || !model_) return;
   // The baseline observes exactly what serving engines observe: the
   // grad-free trunk over the whole city (engine workspaces gather rows of
   // this matrix) and the whole-city predicted scores, which are
@@ -79,11 +79,6 @@ void CmsfDetector::EnsureBaseline(const urg::UrbanRegionGraph& urg) {
 Status CmsfDetector::SaveModel(const urg::UrbanRegionGraph& urg,
                                const std::string& path) {
   if (!model_) return Status::FailedPrecondition("detector is not trained");
-  if (urg.sharded) {
-    return Status::FailedPrecondition(
-        "cannot checkpoint against a sharded URG: the quality baseline and "
-        "every engine read the dense URG");
-  }
   EnsureBaseline(urg);
   io::Checkpoint ck;
   ck.model_name = name_;

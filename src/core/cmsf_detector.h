@@ -47,8 +47,6 @@ class CmsfDetector : public eval::Detector {
   // quality baseline (built on first save from the grad-free trunk over
   // the full graph — the same representation serving engines observe — and
   // cached thereafter, so save -> load -> save stays byte-identical).
-  // FailedPrecondition on a sharded URG: the baseline and every engine
-  // read the dense URG.
   Status SaveModel(const urg::UrbanRegionGraph& urg, const std::string& path);
   // Restores a saved checkpoint: validates version / model name / URG
   // fingerprint, adopts the checkpoint's config and quality baseline, and
@@ -57,7 +55,7 @@ class CmsfDetector : public eval::Detector {
 
   // The training-time baseline for drift monitors. Built lazily by
   // SaveModel (or explicitly here); empty() until the detector has been
-  // trained or loaded from a v2 checkpoint, and always on a sharded URG.
+  // trained or loaded from a v2 checkpoint.
   const obs::QualityBaseline& baseline(const urg::UrbanRegionGraph& urg) {
     EnsureBaseline(urg);
     return baseline_;

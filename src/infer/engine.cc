@@ -76,7 +76,7 @@ class CmsfEngine final : public Engine {
   CmsfEngine(const core::CmsfModel& model,
              const core::CmsfModel::FrozenAssignment* frozen,
              const urg::UrbanRegionGraph& urg) {
-    const core::BatchInputs city = core::DenseCityInputs(urg);
+    const core::BatchInputs city = core::WholeCityInputs(urg);
     const core::CmsfConfig& cfg = model.config();
     use_hierarchy_ = cfg.use_hierarchy;
     // Mirrors PredictCmsf: the slave path needs the hierarchy, the gate,

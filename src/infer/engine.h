@@ -3,7 +3,7 @@
 
 // Grad-free batched inference engines. An Engine is built once from a
 // trained model ("Prepare"): it runs the model's own layer forwards once
-// over the dense URG under an ag::NoGradScope, where every op returns a
+// over the whole city under an ag::NoGradScope, where every op returns a
 // constant node and no graph is kept, and caches every globally-coupled
 // intermediate (trunk representations, cluster state) as plain tensors.
 // Each scoring request then evaluates only the per-row tail for the
@@ -66,7 +66,6 @@ class Engine {
 // frozen stage-one assignment to serve the slave path (the config must
 // also enable hierarchy + gate, mirroring PredictCmsf); pass null to serve
 // the master path. The model and URG are only read during construction.
-// Aborts on a sharded URG, which has no dense adjacency or features.
 std::unique_ptr<Engine> MakeCmsfEngine(
     const core::CmsfModel& model,
     const core::CmsfModel::FrozenAssignment* frozen,

@@ -17,9 +17,8 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-// Bytes from the current position to the end of the stream, with the
-// position restored. Used to reject corrupt headers (a huge tensor count or
-// shape) before any allocation happens.
+}  // namespace
+
 int64_t BytesRemaining(std::FILE* f) {
   const long pos = std::ftell(f);
   if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return -1;
@@ -27,8 +26,6 @@ int64_t BytesRemaining(std::FILE* f) {
   if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0) return -1;
   return static_cast<int64_t>(end) - static_cast<int64_t>(pos);
 }
-
-}  // namespace
 
 Status WriteTensorList(std::FILE* f, const std::string& path,
                        const std::vector<Tensor>& tensors) {

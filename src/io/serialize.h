@@ -1,6 +1,7 @@
 #ifndef UV_IO_SERIALIZE_H_
 #define UV_IO_SERIALIZE_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,6 +29,11 @@ Status WriteTensorList(std::FILE* f, const std::string& path,
                        const std::vector<Tensor>& tensors);
 StatusOr<std::vector<Tensor>> ReadTensorList(std::FILE* f,
                                              const std::string& path);
+
+// Bytes from the current position to the end of the stream (position
+// restored), or -1 if the stream cannot be sized. Readers check length
+// fields against it to reject a corrupt header before allocating.
+int64_t BytesRemaining(std::FILE* f);
 
 // Convenience wrappers over a parameter list. Loading requires the shapes
 // on disk to match the existing parameters exactly.

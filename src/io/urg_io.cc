@@ -1,8 +1,13 @@
 #include "io/urg_io.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <numeric>
+
+#include "io/serialize.h"
+#include "urg/neighbor_sampler.h"
 
 namespace uv::io {
 namespace {
@@ -41,18 +46,23 @@ bool WriteIntVector(std::FILE* f, const std::vector<int>& v) {
          std::fwrite(v.data(), sizeof(int), v.size(), f) == v.size();
 }
 
-bool ReadIntVector(std::FILE* f, std::vector<int>* v) {
-  int64_t n = 0;
-  if (!ReadI64(f, &n) || n < 0) return false;
-  v->resize(n);
-  return n == 0 ||
-         std::fread(v->data(), sizeof(int), v->size(), f) == v->size();
-}
-
 bool WriteTensor(std::FILE* f, const Tensor& t) {
   if (!WriteI32(f, t.rows()) || !WriteI32(f, t.cols())) return false;
   const size_t n = static_cast<size_t>(t.size());
   return n == 0 || std::fwrite(t.data(), sizeof(float), n, f) == n;
+}
+
+// Length-prefixed fields. A length past the end of the file is corrupt and
+// must not size an allocation.
+bool ReadIntVector(std::FILE* f, std::vector<int>* v) {
+  int64_t n = 0;
+  if (!ReadI64(f, &n) || n < 0 ||
+      n > BytesRemaining(f) / static_cast<int64_t>(sizeof(int))) {
+    return false;
+  }
+  v->resize(n);
+  return n == 0 ||
+         std::fread(v->data(), sizeof(int), v->size(), f) == v->size();
 }
 
 bool ReadTensor(std::FILE* f, Tensor* t) {
@@ -60,9 +70,13 @@ bool ReadTensor(std::FILE* f, Tensor* t) {
   if (!ReadI32(f, &rows) || !ReadI32(f, &cols) || rows < 0 || cols < 0) {
     return false;
   }
-  *t = Tensor(rows, cols);
-  const size_t n = static_cast<size_t>(t->size());
-  return n == 0 || std::fread(t->data(), sizeof(float), n, f) == n;
+  const int64_t n = static_cast<int64_t>(rows) * cols;
+  if (n > BytesRemaining(f) / static_cast<int64_t>(sizeof(float))) {
+    return false;
+  }
+  *t = Tensor::Uninit(rows, cols);
+  return n == 0 || std::fread(t->data(), sizeof(float), static_cast<size_t>(n),
+                              f) == static_cast<size_t>(n);
 }
 
 }  // namespace
@@ -71,6 +85,7 @@ Status SaveUrg(const std::string& path, const urg::UrbanRegionGraph& urg) {
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (!f) return Status::IoError("cannot open for write: " + path);
   std::FILE* fp = f.get();
+  const int n = urg.num_regions();
 
   bool ok = std::fwrite(kMagic, 1, 4, fp) == 4;
   // City metadata.
@@ -80,12 +95,23 @@ Status SaveUrg(const std::string& path, const urg::UrbanRegionGraph& urg) {
                           fp) == urg.city_name.size());
   ok = ok && WriteI32(fp, urg.grid.height) && WriteI32(fp, urg.grid.width) &&
        WriteF64(fp, urg.grid.cell_meters);
-  // Adjacency (CSR by destination).
-  ok = ok && WriteIntVector(fp, *urg.adjacency.offsets());
-  ok = ok && WriteIntVector(fp, *urg.adjacency.neighbors());
+  // Adjacency (CSR by destination, global ids), the same for any shard
+  // count.
+  const urg::NeighborView view(urg);
+  std::vector<int> offsets(1, 0), neighbors;
+  offsets.reserve(static_cast<size_t>(n) + 1);
+  for (int id = 0; id < n; ++id) {
+    view.InNeighbors(id, &neighbors);
+    offsets.push_back(static_cast<int>(neighbors.size()));
+  }
+  ok = ok && WriteIntVector(fp, offsets) && WriteIntVector(fp, neighbors);
   // Features.
-  ok = ok && WriteTensor(fp, urg.poi_features);
-  ok = ok && WriteTensor(fp, urg.image_features);
+  std::vector<int> ids(static_cast<size_t>(n));
+  std::iota(ids.begin(), ids.end(), 0);
+  Tensor poi, image;
+  urg.GatherPoiRows(ids, &poi);
+  urg.GatherImageRows(ids, &image);
+  ok = ok && WriteTensor(fp, poi) && WriteTensor(fp, image);
   // Labels + ground truth.
   ok = ok && WriteIntVector(fp, urg.labels);
   std::vector<int> is_uv(urg.is_uv.begin(), urg.is_uv.end());
@@ -124,48 +150,61 @@ StatusOr<urg::UrbanRegionGraph> LoadUrg(const std::string& path) {
       !ReadF64(fp, &urg.grid.cell_meters)) {
     return Status::IoError("truncated grid in " + path);
   }
+  if (urg.grid.height <= 0 || urg.grid.width <= 0 ||
+      urg.grid.num_regions() >= INT32_MAX) {
+    return Status::InvalidArgument("bad grid in " + path);
+  }
+  const int n = urg.num_regions();
 
-  std::vector<int> offsets, neighbors;
-  if (!ReadIntVector(fp, &offsets) || !ReadIntVector(fp, &neighbors)) {
-    return Status::IoError("truncated adjacency in " + path);
-  }
-  const int n = urg.grid.num_regions();
-  if (static_cast<int>(offsets.size()) != n + 1 ||
-      (offsets.empty() ? 0 : offsets.back()) !=
-          static_cast<int>(neighbors.size())) {
-    return Status::InvalidArgument("inconsistent adjacency in " + path);
-  }
-  // Rebuild the CSR graph through its public constructor path.
-  std::vector<graph::Edge> edges;
-  edges.reserve(neighbors.size());
-  for (int dst = 0; dst < n; ++dst) {
-    for (int e = offsets[dst]; e < offsets[dst + 1]; ++e) {
-      edges.emplace_back(neighbors[e], dst);
-    }
-  }
-  urg.adjacency = graph::CsrGraph::FromEdges(n, edges, /*symmetrize=*/false,
-                                             /*add_self_loops=*/false);
-
+  // Every read below checks its length against the rest of the file, so a
+  // failure is a malformed file, whether corrupt or truncated.
+  auto offsets = std::make_shared<std::vector<int>>();
+  auto neighbors = std::make_shared<std::vector<int>>();
   std::vector<int> is_uv;
-  bool ok = ReadTensor(fp, &urg.poi_features) &&
-            ReadTensor(fp, &urg.image_features) &&
-            ReadIntVector(fp, &urg.labels) && ReadIntVector(fp, &is_uv);
-  urg.is_uv.assign(is_uv.begin(), is_uv.end());
-  ok = ok && ReadI64(fp, &urg.num_spatial_edges) &&
-       ReadI64(fp, &urg.num_road_edges) && ReadI64(fp, &urg.num_edges);
-  int32_t image_size = 0, has_images = 0;
-  ok = ok && ReadI32(fp, &image_size) && ReadI32(fp, &has_images);
-  urg.image_size = image_size;
+  Tensor poi, image;
+  int32_t has_images = 0;
+  bool ok = ReadIntVector(fp, offsets.get()) &&
+            ReadIntVector(fp, neighbors.get()) && ReadTensor(fp, &poi) &&
+            ReadTensor(fp, &image) && ReadIntVector(fp, &urg.labels) &&
+            ReadIntVector(fp, &is_uv) && ReadI64(fp, &urg.num_spatial_edges) &&
+            ReadI64(fp, &urg.num_road_edges) && ReadI64(fp, &urg.num_edges) &&
+            ReadI32(fp, &urg.image_size) && ReadI32(fp, &has_images);
   if (ok && has_images == 1) {
     auto images = std::make_shared<Tensor>();
     ok = ReadTensor(fp, images.get());
     urg.images = std::move(images);
   }
-  if (!ok) return Status::IoError("truncated payload in " + path);
-  if (urg.poi_features.rows() != n ||
-      static_cast<int>(urg.labels.size()) != n) {
+  if (!ok) return Status::InvalidArgument("malformed payload in " + path);
+  if (poi.rows() != n || image.rows() != n ||
+      static_cast<int>(urg.labels.size()) != n ||
+      static_cast<int>(is_uv.size()) != n ||
+      (urg.images != nullptr && urg.images->rows() != n)) {
     return Status::InvalidArgument("inconsistent payload in " + path);
   }
+  urg.is_uv.assign(is_uv.begin(), is_uv.end());
+
+  // The adjacency as SaveUrg writes it: offsets from 0 to the neighbor
+  // count, never decreasing, and each segment strictly ascending region
+  // ids. Anything else is rejected before it is indexed.
+  const std::vector<int>& off = *offsets;
+  const std::vector<int>& src = *neighbors;
+  bool csr = static_cast<int64_t>(off.size()) == int64_t{n} + 1 &&
+             off[0] == 0 && off[n] == static_cast<int64_t>(src.size());
+  for (int dst = 0; csr && dst < n; ++dst) csr = off[dst] <= off[dst + 1];
+  for (int dst = 0; csr && dst < n; ++dst) {
+    for (int e = off[dst]; csr && e < off[dst + 1]; ++e) {
+      csr = src[e] >= 0 && src[e] < n &&
+            (e == off[dst] || src[e - 1] < src[e]);
+    }
+  }
+  if (!csr) {
+    return Status::InvalidArgument("inconsistent adjacency in " + path);
+  }
+  urg.sharded = urg::ShardedUrg::FromCsr(
+      urg.grid, graph::CsrGraph::FromCsrArrays(n, std::move(offsets),
+                                               std::move(neighbors)));
+  urg.features = std::make_shared<urg::ResidentFeatureStore>(
+      std::move(poi), std::move(image));
   return urg;
 }
 

@@ -13,6 +13,13 @@ namespace uv::io {
 // BFS + tile encoding); saving it lets sweeps and repeated runs reload the
 // dataset instead of regenerating. Raw satellite tiles are included when
 // present so the image-based baselines keep working after a reload.
+//
+// The file holds the whole-city CSR and every region's feature rows, so
+// any shard count saves the same bytes; LoadUrg returns the one-shard URG
+// (ShardedUrg::FromCsr) over a ResidentFeatureStore. A malformed file —
+// a non-monotone or out-of-range adjacency, a row count other than the
+// region count, a length field past the end of the file — is rejected
+// with InvalidArgument before anything is built from it.
 Status SaveUrg(const std::string& path, const urg::UrbanRegionGraph& urg);
 StatusOr<urg::UrbanRegionGraph> LoadUrg(const std::string& path);
 

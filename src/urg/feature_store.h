@@ -37,8 +37,8 @@ class FeatureStore {
   virtual void GatherImage(const std::vector<int>& ids, Tensor* out) = 0;
 };
 
-// Feature store over tensors it owns: the small-city path, and the
-// reference implementation the parity tests compare the lazy store to.
+// Feature store over tensors it owns: BuildUrg's eagerly encoded features
+// and io::LoadUrg's rows, and the reference the lazy store matches.
 class ResidentFeatureStore : public FeatureStore {
  public:
   ResidentFeatureStore(Tensor poi_features, Tensor image_features);

@@ -44,28 +44,10 @@ MinibatchConfig MinibatchConfig::FromEnv() {
   return FromEnv(MinibatchConfig());
 }
 
-NeighborView::NeighborView(const UrbanRegionGraph& urg) : urg_(&urg) {
-  if (urg.sharded) {
-    num_regions_ = urg.sharded->num_regions();
-  } else {
-    UV_CHECK_GT(urg.adjacency.num_nodes(), 0);
-    num_regions_ = urg.adjacency.num_nodes();
-  }
-}
-
-int NeighborView::GlobalDegree(int id) const {
-  return urg_->sharded ? urg_->sharded->global_degree[id]
-                       : urg_->adjacency.Degree(id);
-}
-
-void NeighborView::InNeighbors(int id, std::vector<int>* out) const {
-  if (urg_->sharded) {
-    urg_->sharded->InNeighborsGlobal(id, out);
-    return;
-  }
-  const auto& off = *urg_->adjacency.offsets();
-  const auto& nbr = *urg_->adjacency.neighbors();
-  out->insert(out->end(), nbr.begin() + off[id], nbr.begin() + off[id + 1]);
+NeighborView::NeighborView(const UrbanRegionGraph& urg)
+    : sharded_(urg.sharded.get()) {
+  UV_CHECK(sharded_ != nullptr);
+  UV_CHECK_GT(sharded_->num_regions(), 0);
 }
 
 SampledSubgraph SampleKHop(const NeighborView& view,

@@ -30,25 +30,25 @@ struct MinibatchConfig {
   static MinibatchConfig FromEnv();
 };
 
-// Uniform read access to a URG's in-neighborhoods, hiding whether the
-// adjacency is the dense CSR or the district-sharded representation.
+// Read access to a URG's global in-neighborhoods, whatever its shard
+// count.
 class NeighborView {
  public:
   explicit NeighborView(const UrbanRegionGraph& urg);
 
-  int num_regions() const { return num_regions_; }
+  int num_regions() const { return sharded_->num_regions(); }
 
   // Global in-degree of `id`, self loop included.
-  int GlobalDegree(int id) const;
+  int GlobalDegree(int id) const { return sharded_->global_degree[id]; }
 
   // Appends the global in-neighbors of `id` (self loop included) to *out,
-  // sorted ascending — the dense CSR segment, whichever representation
-  // backs it.
-  void InNeighbors(int id, std::vector<int>* out) const;
+  // sorted ascending.
+  void InNeighbors(int id, std::vector<int>* out) const {
+    sharded_->InNeighborsGlobal(id, out);
+  }
 
  private:
-  const UrbanRegionGraph* urg_;
-  int num_regions_ = 0;
+  const ShardedUrg* sharded_;
 };
 
 // A compact k-hop subgraph around a seed batch, with nodes remapped to
@@ -81,8 +81,8 @@ struct SampledSubgraph {
 // Deterministic in (cfg.seed, cfg.fanout, cfg.hops, seeds) alone: each
 // node's fanout draw uses a private RNG keyed on (cfg.seed, global id), so
 // results are bit-identical across thread counts, pool settings, batch
-// schedules, and the dense/sharded representations. Trainers vary cfg.seed
-// per epoch to resample neighborhoods.
+// schedules, and shard counts. Trainers vary cfg.seed per epoch to
+// resample neighborhoods.
 SampledSubgraph SampleKHop(const NeighborView& view,
                            const std::vector<int>& seeds,
                            const MinibatchConfig& cfg);
@@ -92,8 +92,8 @@ SampledSubgraph SampleKHop(const NeighborView& view,
 nn::GraphContext ContextFromSubgraph(const SampledSubgraph& sg);
 
 // The subgraph nodes' two feature modalities as constant variables, row i
-// holding the features of sg.nodes[i]. Routes through the URG's feature
-// store when present (pool-backed, render-on-demand at paper scale).
+// holding the features of sg.nodes[i], gathered through the URG's feature
+// store (pool-backed, render-on-demand at paper scale).
 struct SubgraphFeatures {
   ag::VarPtr poi;
   ag::VarPtr image;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <unordered_set>
 #include <utility>
@@ -18,35 +17,39 @@
 namespace uv::urg {
 namespace {
 
-// Zeroes the ablated POI feature group (Fig. 5(b) data ablations); shared by
-// the dense and sharded builders so both produce identical feature bytes.
-void ApplyPoiAblation(FeatureAblation ablation, Tensor* poi) {
-  switch (ablation) {
+// The POI feature block (Section IV-B) with the ablated group zeroed
+// (Fig. 5(b) data ablations), standardized when the options ask; shared by
+// both builders so they produce identical POI bytes.
+Tensor PoiBlock(const synth::City& city, const UrgOptions& options) {
+  Tensor poi = features::BuildPoiFeatures(city);
+  switch (options.feature_ablation) {
     case FeatureAblation::kNone:
     case FeatureAblation::kNoImage:
       break;
     case FeatureAblation::kNoCate:
-      for (int r = 0; r < poi->rows(); ++r) {
+      for (int r = 0; r < poi.rows(); ++r) {
         for (int c = features::PoiFeatureGroups::kCategoryBegin;
              c < features::PoiFeatureGroups::kCategoryEnd; ++c) {
-          poi->at(r, c) = 0.0f;
+          poi.at(r, c) = 0.0f;
         }
       }
       break;
     case FeatureAblation::kNoRad:
-      for (int r = 0; r < poi->rows(); ++r) {
+      for (int r = 0; r < poi.rows(); ++r) {
         for (int c = features::PoiFeatureGroups::kRadiusBegin;
              c < features::PoiFeatureGroups::kRadiusEnd; ++c) {
-          poi->at(r, c) = 0.0f;
+          poi.at(r, c) = 0.0f;
         }
       }
       break;
     case FeatureAblation::kNoIndex:
-      for (int r = 0; r < poi->rows(); ++r) {
-        poi->at(r, features::PoiFeatureGroups::kIndexBegin) = 0.0f;
+      for (int r = 0; r < poi.rows(); ++r) {
+        poi.at(r, features::PoiFeatureGroups::kIndexBegin) = 0.0f;
       }
       break;
   }
+  if (options.standardize_features) StandardizeColumnsInPlace(&poi);
+  return poi;
 }
 
 int ResolveShardTarget(int requested) {
@@ -58,71 +61,8 @@ int ResolveShardTarget(int requested) {
   return ThreadPool::Global().num_threads();
 }
 
-}  // namespace
-
-void ShardedUrg::InNeighborsGlobal(int id, std::vector<int>* out) const {
-  UV_CHECK_GE(id, 0);
-  UV_CHECK_LT(id, num_regions());
-  const UrgShard& shard = shards[spec.ShardOf(grid, id)];
-  const int local = shard.OwnedLocal(grid, id);
-  const auto& off = *shard.local.offsets();
-  const auto& nbr = *shard.local.neighbors();
-  const size_t first = out->size();
-  for (int e = off[local]; e < off[local + 1]; ++e) {
-    out->push_back(shard.GlobalOf(grid, nbr[e]));
-  }
-  // Segments are sorted by local index (owned first, halo after), which is
-  // not global order; restore it so callers see the dense segment exactly.
-  std::sort(out->begin() + static_cast<int64_t>(first), out->end());
-}
-
-std::vector<int> UrbanRegionGraph::LabeledIds() const {
-  std::vector<int> ids;
-  for (int i = 0; i < static_cast<int>(labels.size()); ++i) {
-    if (labels[i] >= 0) ids.push_back(i);
-  }
-  return ids;
-}
-
-int UrbanRegionGraph::PoiDim() const {
-  return features ? features->poi_dim() : poi_features.cols();
-}
-
-int UrbanRegionGraph::ImageDim() const {
-  return features ? features->image_dim() : image_features.cols();
-}
-
-void UrbanRegionGraph::GatherPoiRows(const std::vector<int>& ids,
-                                     Tensor* out) const {
-  if (features) {
-    features->GatherPoi(ids, out);
-    return;
-  }
-  out->ResizeUninit(static_cast<int>(ids.size()), poi_features.cols());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    UV_CHECK_GE(ids[i], 0);
-    UV_CHECK_LT(ids[i], poi_features.rows());
-    std::memcpy(out->row(static_cast<int>(i)), poi_features.row(ids[i]),
-                sizeof(float) * static_cast<size_t>(poi_features.cols()));
-  }
-}
-
-void UrbanRegionGraph::GatherImageRows(const std::vector<int>& ids,
-                                       Tensor* out) const {
-  if (features) {
-    features->GatherImage(ids, out);
-    return;
-  }
-  out->ResizeUninit(static_cast<int>(ids.size()), image_features.cols());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    UV_CHECK_GE(ids[i], 0);
-    UV_CHECK_LT(ids[i], image_features.rows());
-    std::memcpy(out->row(static_cast<int>(i)), image_features.row(ids[i]),
-                sizeof(float) * static_cast<size_t>(image_features.cols()));
-  }
-}
-
-UrbanRegionGraph BuildUrg(const synth::City& city, const UrgOptions& options) {
+// The URG fields every builder copies from the city.
+UrbanRegionGraph UrgFromCity(const synth::City& city) {
   UrbanRegionGraph urg;
   urg.city_name = city.config.name;
   urg.grid = city.grid;
@@ -130,84 +70,24 @@ UrbanRegionGraph BuildUrg(const synth::City& city, const UrgOptions& options) {
   urg.is_uv = std::vector<uint8_t>(city.is_uv.begin(), city.is_uv.end());
   urg.images = city.images;
   urg.image_size = city.config.image_size;
-
-  // --- Region relations (Section IV-A). ----------------------------------
-  std::vector<graph::Edge> edges;
-  if (options.use_spatial_edges) {
-    auto spatial = graph::BuildSpatialProximityEdges(city.grid);
-    urg.num_spatial_edges = static_cast<int64_t>(spatial.size());
-    edges.insert(edges.end(), spatial.begin(), spatial.end());
-  }
-  if (options.use_road_edges) {
-    auto road = city.roads.BuildRegionConnectivityEdges(city.grid,
-                                                        options.road_max_hops);
-    urg.num_road_edges = static_cast<int64_t>(road.size());
-    edges.insert(edges.end(), road.begin(), road.end());
-  }
-  // Attention layers let a region attend to itself via a self loop.
-  urg.adjacency = graph::CsrGraph::FromEdges(city.num_regions(), edges,
-                                             /*symmetrize=*/false,
-                                             /*add_self_loops=*/true);
-  urg.num_edges = urg.adjacency.num_edges() - city.num_regions();
-
-  // --- Region features (Section IV-B). -----------------------------------
-  urg.poi_features = features::BuildPoiFeatures(city);
-  ApplyPoiAblation(options.feature_ablation, &urg.poi_features);
-
-  if (options.feature_ablation == FeatureAblation::kNoImage ||
-      city.images == nullptr) {
-    // Regions characterized by POI features only; keep a minimal zero block
-    // so every model sees the same two-modality interface.
-    urg.image_features = Tensor(city.num_regions(),
-                                std::max(8, options.image_feature_dim / 8));
-  } else {
-    features::ConvEncoder::Options enc;
-    enc.image_size = city.config.image_size;
-    enc.out_dim = options.image_feature_dim;
-    enc.seed = options.encoder_seed;
-    features::ConvEncoder encoder(enc);
-    urg.image_features = encoder.Encode(*city.images);
-  }
-
-  if (options.standardize_features) {
-    StandardizeColumnsInPlace(&urg.poi_features);
-    if (options.feature_ablation != FeatureAblation::kNoImage &&
-        city.images != nullptr) {
-      StandardizeColumnsInPlace(&urg.image_features);
-    }
-  }
-
-  UV_LOG_INFO("URG %s: %d regions, %lld edges (%lld spatial, %lld road)",
-              urg.city_name.c_str(), urg.num_regions(),
-              static_cast<long long>(urg.num_edges),
-              static_cast<long long>(urg.num_spatial_edges),
-              static_cast<long long>(urg.num_road_edges));
   return urg;
 }
 
-UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
-                                 const UrgOptions& options,
-                                 const ShardOptions& shard_options) {
-  UV_CHECK(city != nullptr);
-  const synth::City& c = *city;
+// Builds the region relations (Section IV-A) as district shards (up to
+// `target_shards`) into urg->sharded, with the Table I edge totals.
+void BuildTopology(const synth::City& c, const UrgOptions& options,
+                   int target_shards, UrbanRegionGraph* urg) {
   const graph::GridSpec& grid = c.grid;
   const int n = c.num_regions();
-
-  UrbanRegionGraph urg;
-  urg.city_name = c.config.name;
-  urg.grid = grid;
-  urg.labels = c.labels;
-  urg.is_uv = std::vector<uint8_t>(c.is_uv.begin(), c.is_uv.end());
-  urg.images = c.images;
-  urg.image_size = c.config.image_size;
-
   auto sharded = std::make_shared<ShardedUrg>();
   sharded->grid = grid;
-  sharded->spec =
-      graph::MakeShardSpec(grid, ResolveShardTarget(shard_options.num_shards));
+  sharded->spec = graph::MakeShardSpec(grid, target_shards);
   const graph::ShardSpec& spec = sharded->spec;
   const int num_shards = spec.num_shards();
   sharded->shards.resize(num_shards);
+  // Directed edges into each shard's owned regions, self loops excluded.
+  std::vector<int64_t> spatial_edges(num_shards, 0);
+  std::vector<int64_t> road_edges(num_shards, 0);
 
   // Shared read-only inputs for the per-shard builders: which region (and
   // hence shard) each road intersection falls in.
@@ -245,7 +125,7 @@ UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
                 if (!grid.InBounds(row + dr, col + dc)) continue;
                 edges.emplace_back(dst_local,
                                    grid.RegionId(row + dr, col + dc));
-                ++shard.num_spatial_edges;
+                ++spatial_edges[s];
               }
             }
           }
@@ -255,9 +135,9 @@ UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
       if (options.use_road_edges && num_inter > 0) {
         // Region pairs with an owned endpoint: bounded BFS from every
         // intersection inside an owned region. Hop reachability on the
-        // undirected road graph is symmetric, so every dense pair (a, b)
-        // is discovered both by a's owner and by b's owner — the shard
-        // union reproduces BuildRegionConnectivityEdges exactly.
+        // undirected road graph is symmetric, so every pair (a, b) of
+        // RoadNetwork::BuildRegionConnectivityEdges is discovered both by
+        // a's owner and by b's owner.
         std::unordered_set<int64_t> pair_keys;
         std::vector<int> depth(num_inter, -1);
         std::vector<int> touched;
@@ -293,11 +173,11 @@ UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
           const int hi = static_cast<int>(key % n);
           if (spec.ShardOf(grid, lo) == s) {
             edges.emplace_back(shard.OwnedLocal(grid, lo), hi);
-            ++shard.num_road_edges;
+            ++road_edges[s];
           }
           if (spec.ShardOf(grid, hi) == s) {
             edges.emplace_back(shard.OwnedLocal(grid, hi), lo);
-            ++shard.num_road_edges;
+            ++road_edges[s];
           }
         }
       }
@@ -312,8 +192,7 @@ UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
       shard.halo = std::move(halo);
 
       // Map sources to local indices, then assemble the dst-grouped CSR
-      // (spatial and road relations can duplicate an edge; dedupe like the
-      // dense FromEdges does).
+      // (spatial and road relations can duplicate an edge; dedupe).
       for (auto& e : edges) {
         if (spec.ShardOf(grid, e.second) == s) {
           e.second = shard.OwnedLocal(grid, e.second);
@@ -349,25 +228,109 @@ UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
   // once, by its destination's owning shard.
   sharded->global_degree.assign(n, 0);
   int64_t union_edges = 0;
-  for (const UrgShard& shard : sharded->shards) {
-    urg.num_spatial_edges += shard.num_spatial_edges;
-    urg.num_road_edges += shard.num_road_edges;
+  for (int s = 0; s < num_shards; ++s) {
+    const UrgShard& shard = sharded->shards[s];
+    urg->num_spatial_edges += spatial_edges[s];
+    urg->num_road_edges += road_edges[s];
     union_edges += shard.local.num_edges();
     for (int local = 0; local < shard.num_owned; ++local) {
       sharded->global_degree[shard.GlobalOf(grid, local)] =
           shard.local.Degree(local);
     }
   }
-  urg.num_edges = union_edges - n;
-  urg.sharded = std::move(sharded);
+  urg->num_edges = union_edges - n;
+  urg->sharded = std::move(sharded);
+}
+
+}  // namespace
+
+void ShardedUrg::InNeighborsGlobal(int id, std::vector<int>* out) const {
+  UV_CHECK_GE(id, 0);
+  UV_CHECK_LT(id, num_regions());
+  const UrgShard& shard = shards[spec.ShardOf(grid, id)];
+  const int local = shard.OwnedLocal(grid, id);
+  const auto& off = *shard.local.offsets();
+  const auto& nbr = *shard.local.neighbors();
+  const size_t first = out->size();
+  for (int e = off[local]; e < off[local + 1]; ++e) {
+    out->push_back(shard.GlobalOf(grid, nbr[e]));
+  }
+  // Segments are sorted by local index (owned first, halo after), which is
+  // not global order; restore it so callers see the global segment.
+  std::sort(out->begin() + static_cast<int64_t>(first), out->end());
+}
+
+std::shared_ptr<ShardedUrg> ShardedUrg::FromCsr(const graph::GridSpec& grid,
+                                                graph::CsrGraph adjacency) {
+  const int n = static_cast<int>(grid.num_regions());
+  UV_CHECK_EQ(adjacency.num_nodes(), n);
+  auto sharded = std::make_shared<ShardedUrg>();
+  sharded->grid = grid;
+  sharded->spec = graph::MakeShardSpec(grid, 1);
+  sharded->global_degree.resize(n);
+  for (int id = 0; id < n; ++id) {
+    sharded->global_degree[id] = adjacency.Degree(id);
+  }
+  UrgShard& shard = sharded->shards.emplace_back();
+  shard.bounds = sharded->spec.TileBounds(grid, 0);
+  shard.num_owned = n;
+  shard.local = std::move(adjacency);
+  return sharded;
+}
+
+std::vector<int> UrbanRegionGraph::LabeledIds() const {
+  std::vector<int> ids;
+  for (int i = 0; i < static_cast<int>(labels.size()); ++i) {
+    if (labels[i] >= 0) ids.push_back(i);
+  }
+  return ids;
+}
+
+UrbanRegionGraph BuildUrg(const synth::City& city, const UrgOptions& options) {
+  UrbanRegionGraph urg = UrgFromCity(city);
+  BuildTopology(city, options, /*target_shards=*/1, &urg);
+
+  // --- Region features (Section IV-B). -----------------------------------
+  Tensor image;
+  if (options.feature_ablation != FeatureAblation::kNoImage &&
+      city.images != nullptr) {
+    features::ConvEncoder::Options enc;
+    enc.image_size = city.config.image_size;
+    enc.out_dim = options.image_feature_dim;
+    enc.seed = options.encoder_seed;
+    image = features::ConvEncoder(enc).Encode(*city.images);
+    if (options.standardize_features) StandardizeColumnsInPlace(&image);
+  } else {
+    // Regions characterized by POI features only; keep a minimal zero block
+    // so every model sees the same two-modality interface.
+    image = Tensor(city.num_regions(),
+                   std::max(8, options.image_feature_dim / 8));
+  }
+  urg.features = std::make_shared<ResidentFeatureStore>(
+      PoiBlock(city, options), std::move(image));
+
+  UV_LOG_INFO("URG %s: %d regions, %lld edges (%lld spatial, %lld road)",
+              urg.city_name.c_str(), urg.num_regions(),
+              static_cast<long long>(urg.num_edges),
+              static_cast<long long>(urg.num_spatial_edges),
+              static_cast<long long>(urg.num_road_edges));
+  return urg;
+}
+
+UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
+                                 const UrgOptions& options,
+                                 const ShardOptions& shard_options) {
+  UV_CHECK(city != nullptr);
+  const synth::City& c = *city;
+  const int n = c.num_regions();
+  UrbanRegionGraph urg = UrgFromCity(c);
+  BuildTopology(c, options, ResolveShardTarget(shard_options.num_shards),
+                &urg);
 
   // --- Features: resident POIs, render-on-demand images. ------------------
-  Tensor poi = features::BuildPoiFeatures(c);
-  ApplyPoiAblation(options.feature_ablation, &poi);
-  if (options.standardize_features) StandardizeColumnsInPlace(&poi);
-
+  Tensor poi = PoiBlock(c, options);
   if (options.feature_ablation == FeatureAblation::kNoImage) {
-    // POI-only ablation: a small resident zero block, like the dense path.
+    // POI-only ablation: a small resident zero block, like BuildUrg.
     urg.features = std::make_shared<ResidentFeatureStore>(
         std::move(poi),
         Tensor(n, std::max(8, options.image_feature_dim / 8)));
@@ -380,6 +343,7 @@ UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
                                                       store);
   }
 
+  const graph::ShardSpec& spec = urg.sharded->spec;
   UV_LOG_INFO(
       "Sharded URG %s: %d regions, %d shards (%dx%d), %lld edges "
       "(%lld spatial, %lld road)",

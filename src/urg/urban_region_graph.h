@@ -39,21 +39,20 @@ struct UrgOptions {
   bool standardize_features = true;
 };
 
-// One rectangular district of the sharded URG: the regions of a ShardSpec
-// tile plus the cross-shard "halo" sources its in-edges reference. The
-// shard's adjacency is a local dst-grouped CSR over num_owned + halo.size()
-// nodes — owned regions first in tile row-major order, then halo regions in
+// One rectangular district of the URG: the regions of a ShardSpec tile
+// plus the cross-shard "halo" sources its in-edges reference. The shard's
+// adjacency is a local dst-grouped CSR over num_owned + halo.size() nodes —
+// owned regions first in tile row-major order, then halo regions in
 // ascending global-id order. Only owned nodes carry in-segments (halo nodes
-// exist purely as edge sources), so no per-shard structure — and no union of
-// shards held at once — ever materializes a global O(E) array.
+// exist purely as edge sources), so no per-shard structure — and no union
+// of shards held at once — ever materializes a global O(E) array. A
+// one-shard URG has no halo: its local ids are global ids.
 struct UrgShard {
   int shard_id = 0;
   std::array<int, 4> bounds{};  // Half-open cell bounds {r0, c0, r1, c1}.
   int num_owned = 0;
   std::vector<int> halo;  // Sorted global ids of non-owned edge sources.
   graph::CsrGraph local;  // Dst-grouped; sources are local indices.
-  int64_t num_spatial_edges = 0;  // Directed, into owned, self loops excluded.
-  int64_t num_road_edges = 0;
 
   // Local index of an owned region: pure arithmetic, no table.
   int OwnedLocal(const graph::GridSpec& grid, int id) const {
@@ -71,11 +70,11 @@ struct UrgShard {
   }
 };
 
-// District-sharded URG adjacency: per-shard CSRs that together represent
-// exactly the edge set (plus self loops) of the dense BuildUrg adjacency.
-// Shard membership is deterministic arithmetic on the grid (ShardSpec), and
+// The URG adjacency (self loops included) as district shards. Shard
+// membership is deterministic arithmetic on the grid (ShardSpec), and
 // shards build independently in parallel, so construction peaks at
-// O(E/shards) transient memory instead of one global edge list.
+// O(E/shards) transient memory instead of one global edge list. The edge
+// set does not depend on the shard count.
 struct ShardedUrg {
   graph::GridSpec grid;
   graph::ShardSpec spec;
@@ -87,8 +86,16 @@ struct ShardedUrg {
   int num_regions() const { return static_cast<int>(global_degree.size()); }
 
   // Appends the global in-neighbors of `id` (self loop included) to *out,
-  // sorted ascending. Equals the dense adjacency's in-segment of `id`.
+  // sorted ascending.
   void InNeighborsGlobal(int id, std::vector<int>* out) const;
+
+  // The one-shard case over a whole-city adjacency: a single shard owns
+  // every region, so its CSR is `adjacency` itself. `adjacency` must be
+  // dst-grouped over grid.num_regions() nodes with ascending segments
+  // (what graph::CsrGraph::FromEdges builds). A graph that arrives as a CSR
+  // — io::LoadUrg, or a real city's own relation tables — enters here.
+  static std::shared_ptr<ShardedUrg> FromCsr(const graph::GridSpec& grid,
+                                             graph::CsrGraph adjacency);
 };
 
 // Options for BuildShardedUrg.
@@ -109,14 +116,6 @@ struct UrbanRegionGraph {
   std::string city_name;
   graph::GridSpec grid;
 
-  // Combined adjacency with self loops (grouped by destination, the layout
-  // the attention layers consume).
-  graph::CsrGraph adjacency;
-
-  // Multi-modal region features.
-  Tensor poi_features;    // N x 64.
-  Tensor image_features;  // N x image_feature_dim.
-
   // Supervision: -1 unlabeled, 0 non-UV, 1 UV; plus full ground truth for
   // the Fig. 7 case study.
   std::vector<int> labels;
@@ -127,11 +126,10 @@ struct UrbanRegionGraph {
   std::shared_ptr<Tensor> images;
   int image_size = 32;
 
-  // Paper-scale representation (BuildShardedUrg): district-sharded
-  // adjacency plus a batch-oriented feature store. When `sharded` is set,
-  // `adjacency` is empty and poi/image feature tensors live behind
-  // `features` instead of the resident members above — access rows through
-  // the Gather helpers below, which route either way.
+  // The adjacency as district shards (one shard for BuildUrg) and the
+  // region features behind a batch-oriented store (resident for BuildUrg,
+  // render-on-demand for BuildShardedUrg). Read neighborhoods through
+  // urg::NeighborView and feature rows through the Gather helpers below.
   std::shared_ptr<ShardedUrg> sharded;
   std::shared_ptr<FeatureStore> features;
 
@@ -145,23 +143,27 @@ struct UrbanRegionGraph {
   // Ids of labeled regions, in ascending order.
   std::vector<int> LabeledIds() const;
 
-  // Feature dimensions and batched row access, uniform across the resident
-  // and feature-store representations.
-  int PoiDim() const;
-  int ImageDim() const;
-  void GatherPoiRows(const std::vector<int>& ids, Tensor* out) const;
-  void GatherImageRows(const std::vector<int>& ids, Tensor* out) const;
+  // Feature dimensions and batched row access through the feature store.
+  int PoiDim() const { return features->poi_dim(); }
+  int ImageDim() const { return features->image_dim(); }
+  void GatherPoiRows(const std::vector<int>& ids, Tensor* out) const {
+    features->GatherPoi(ids, out);
+  }
+  void GatherImageRows(const std::vector<int>& ids, Tensor* out) const {
+    features->GatherImage(ids, out);
+  }
 };
 
-// Assembles the URG from generated city data.
+// Assembles the URG from generated city data: the one-shard case, with
+// features encoded eagerly from the city's tiles (a zero image block when
+// it has none) and held in a ResidentFeatureStore.
 UrbanRegionGraph BuildUrg(const synth::City& city, const UrgOptions& options);
 
 // Paper-scale assembly: district-sharded adjacency (shards build in
 // parallel; no global O(E) edge list is ever materialized) plus a lazy
 // feature store that renders and encodes tile batches on demand. The edge
-// set represented by the union of shards is exactly BuildUrg's. Requires a
-// shared City because tiles are re-rendered per batch for the store's
-// lifetime.
+// set is exactly BuildUrg's. Requires a shared City because tiles are
+// re-rendered per batch for the store's lifetime.
 UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
                                  const UrgOptions& options,
                                  const ShardOptions& shard_options);

@@ -83,8 +83,7 @@ TEST_F(CmsfTest, ModelShapesAcrossVariants) {
       config.use_maga = use_maga;
       config.use_hierarchy = use_hierarchy;
       config.use_gate = use_hierarchy;
-      CmsfModel model(config, urg_->poi_features.cols(),
-                      urg_->image_features.cols(), &rng);
+      CmsfModel model(config, urg_->PoiDim(), urg_->ImageDim(), &rng);
       BatchPlan plan = TrainPlan(config);
       auto fwd = model.Forward(*plan.WholeCity(*urg_), nullptr);
       EXPECT_EQ(fwd.master_logits->rows(), urg_->num_regions());
@@ -104,15 +103,13 @@ TEST_F(CmsfTest, MasterTrainingReducesLoss) {
   Rng rng(6);
   CmsfConfig config = FastConfig();
   config.master_epochs = 3;
-  CmsfModel model(config, urg_->poi_features.cols(),
-                  urg_->image_features.cols(), &rng);
+  CmsfModel model(config, urg_->PoiDim(), urg_->ImageDim(), &rng);
   BatchPlan plan = TrainPlan(config);
   auto early = TrainMaster(&model, *urg_, &plan);
 
   Rng rng2(6);
   CmsfConfig config2 = FastConfig();
-  CmsfModel model2(config2, urg_->poi_features.cols(),
-                   urg_->image_features.cols(), &rng2);
+  CmsfModel model2(config2, urg_->PoiDim(), urg_->ImageDim(), &rng2);
   auto late = TrainMaster(&model2, *urg_, &plan);
   EXPECT_LT(late.final_loss, early.final_loss);
 }
@@ -121,8 +118,7 @@ TEST_F(CmsfTest, FrozenAssignmentFromMasterTraining) {
   Rng rng(7);
   CmsfConfig config = FastConfig();
   config.master_epochs = 5;
-  CmsfModel model(config, urg_->poi_features.cols(),
-                  urg_->image_features.cols(), &rng);
+  CmsfModel model(config, urg_->PoiDim(), urg_->ImageDim(), &rng);
   BatchPlan plan = TrainPlan(config);
   auto result = TrainMaster(&model, *urg_, &plan);
   EXPECT_EQ(result.frozen.soft.rows(), urg_->num_regions());
@@ -141,8 +137,7 @@ TEST_F(CmsfTest, SlaveStageRunsAndKeepsLossFinite) {
   Rng rng(8);
   CmsfConfig config = FastConfig();
   config.master_epochs = 10;
-  CmsfModel model(config, urg_->poi_features.cols(),
-                  urg_->image_features.cols(), &rng);
+  CmsfModel model(config, urg_->PoiDim(), urg_->ImageDim(), &rng);
   BatchPlan plan = TrainPlan(config);
   auto master = TrainMaster(&model, *urg_, &plan);
   auto slave = TrainSlave(&model, *urg_, &plan, master.frozen);
@@ -156,8 +151,7 @@ TEST_F(CmsfTest, TrainingStepAfterPredictHasGradients) {
   Rng rng(10);
   CmsfConfig config = FastConfig();
   config.master_epochs = 2;
-  CmsfModel model(config, urg_->poi_features.cols(),
-                  urg_->image_features.cols(), &rng);
+  CmsfModel model(config, urg_->PoiDim(), urg_->ImageDim(), &rng);
   BatchPlan plan = TrainPlan(config);
   const MasterTrainResult master = TrainMaster(&model, *urg_, &plan);
   const std::vector<float> scores =
@@ -235,11 +229,9 @@ TEST_F(CmsfTest, GateAddsParameters) {
   CmsfConfig with_gate = FastConfig();
   CmsfConfig no_gate = FastConfig();
   no_gate.use_gate = false;
-  CmsfModel a(with_gate, urg_->poi_features.cols(),
-              urg_->image_features.cols(), &rng);
+  CmsfModel a(with_gate, urg_->PoiDim(), urg_->ImageDim(), &rng);
   Rng rng2(9);
-  CmsfModel b(no_gate, urg_->poi_features.cols(),
-              urg_->image_features.cols(), &rng2);
+  CmsfModel b(no_gate, urg_->PoiDim(), urg_->ImageDim(), &rng2);
   int64_t pa = 0, pb = 0;
   for (const auto& p : a.AllParams()) pa += p->value.size();
   for (const auto& p : b.AllParams()) pb += p->value.size();

@@ -17,9 +17,13 @@
 #include "core/cmsf_detector.h"
 #include "core/cmsf_model.h"
 #include "eval/runner.h"
+#include "features/image_encoder.h"
+#include "features/poi_features.h"
+#include "graph/road_network.h"
 #include "nn/graph_context.h"
 #include "obs/metrics.h"
 #include "synth/city.h"
+#include "tensor/tensor_ops.h"
 #include "test_helpers.h"
 #include "util/buffer_pool.h"
 #include "util/rng.h"
@@ -40,7 +44,7 @@ UrgOptions SmallOptions() {
   return options;
 }
 
-UrbanRegionGraph Dense(const std::shared_ptr<const synth::City>& city) {
+UrbanRegionGraph OneShard(const std::shared_ptr<const synth::City>& city) {
   return BuildUrg(*city, SmallOptions());
 }
 
@@ -53,8 +57,63 @@ UrbanRegionGraph Sharded(const std::shared_ptr<const synth::City>& city,
   return BuildShardedUrg(city, SmallOptions(), shard);
 }
 
+// The URG relations built independently of the shard builder: the graph
+// library's spatial-proximity and road-connectivity edge lists (Section
+// IV-A), unioned into one dst-grouped CSR with self loops.
+struct ReferenceGraph {
+  graph::CsrGraph csr;
+  int64_t num_spatial_edges = 0;
+  int64_t num_road_edges = 0;
+};
+
+ReferenceGraph Reference(const synth::City& city) {
+  std::vector<graph::Edge> edges = graph::BuildSpatialProximityEdges(city.grid);
+  const std::vector<graph::Edge> road = city.roads.BuildRegionConnectivityEdges(
+      city.grid, SmallOptions().road_max_hops);
+  ReferenceGraph ref;
+  ref.num_spatial_edges = static_cast<int64_t>(edges.size());
+  ref.num_road_edges = static_cast<int64_t>(road.size());
+  edges.insert(edges.end(), road.begin(), road.end());
+  ref.csr = graph::CsrGraph::FromEdges(city.num_regions(), edges,
+                                       /*symmetrize=*/false,
+                                       /*add_self_loops=*/true);
+  return ref;
+}
+
+// The eager feature pipeline, computed in the test: standardized POI
+// features and standardized ConvEncoder features of the city's tiles.
+struct ReferenceFeatures {
+  Tensor poi;
+  Tensor image;
+};
+
+ReferenceFeatures EagerFeatures(const synth::City& city) {
+  ReferenceFeatures ref;
+  ref.poi = features::BuildPoiFeatures(city);
+  StandardizeColumnsInPlace(&ref.poi);
+  features::ConvEncoder::Options enc;
+  enc.image_size = city.config.image_size;
+  enc.out_dim = SmallOptions().image_feature_dim;
+  enc.seed = SmallOptions().encoder_seed;
+  ref.image = features::ConvEncoder(enc).Encode(*city.images);
+  StandardizeColumnsInPlace(&ref.image);
+  return ref;
+}
+
+using uv::testing::SameBytes;
+
+// The URGs every representation test covers: BuildUrg's one shard and
+// BuildShardedUrg at 1, 4 and 6 shards.
+std::vector<UrbanRegionGraph> EveryShardCount(
+    const std::shared_ptr<const synth::City>& city) {
+  std::vector<UrbanRegionGraph> urgs;
+  urgs.push_back(OneShard(city));
+  for (const int shards : {1, 4, 6}) urgs.push_back(Sharded(city, shards));
+  return urgs;
+}
+
 // All (dst -> sorted global sources) segments reconstructed from the
-// sharded representation.
+// shards.
 std::vector<std::vector<int>> ShardedSegments(const UrbanRegionGraph& urg) {
   const ShardedUrg& s = *urg.sharded;
   std::vector<std::vector<int>> segs(s.num_regions());
@@ -86,22 +145,36 @@ void ExpectSubgraphsIdentical(const SampledSubgraph& a,
 
 TEST(ShardedUrgTest, ReconstructsDenseAdjacencyExactly) {
   auto city = TinyCity();
-  const UrbanRegionGraph dense = Dense(city);
-  const int n = dense.num_regions();
-  for (const int shards : {1, 4, 6}) {
-    const UrbanRegionGraph sh = Sharded(city, shards);
+  const ReferenceGraph ref = Reference(*city);
+  const int n = city->num_regions();
+  const std::vector<UrbanRegionGraph> urgs = EveryShardCount(city);
+  for (const UrbanRegionGraph& sh : urgs) {
     ASSERT_NE(sh.sharded, nullptr);
-    EXPECT_GE(static_cast<int>(sh.sharded->shards.size()), 1);
+    const size_t shards = sh.sharded->shards.size();
+    EXPECT_GE(shards, 1u);
     const auto segs = ShardedSegments(sh);
+    const NeighborView view(sh);
     for (int r = 0; r < n; ++r) {
-      EXPECT_EQ(segs[r], dense.adjacency.InNeighbors(r))
+      EXPECT_EQ(segs[r], ref.csr.InNeighbors(r))
           << "dst " << r << " shards " << shards;
-      EXPECT_EQ(sh.sharded->global_degree[r], dense.adjacency.Degree(r));
+      std::vector<int> viewed;
+      view.InNeighbors(r, &viewed);
+      EXPECT_EQ(viewed, segs[r]) << "dst " << r << " shards " << shards;
+      EXPECT_EQ(sh.sharded->global_degree[r], ref.csr.Degree(r));
     }
-    EXPECT_EQ(sh.num_edges, dense.num_edges);
-    EXPECT_EQ(sh.num_spatial_edges, dense.num_spatial_edges);
-    EXPECT_EQ(sh.num_road_edges, dense.num_road_edges);
+    EXPECT_EQ(sh.num_edges, ref.csr.num_edges() - n);
+    EXPECT_EQ(sh.num_spatial_edges, ref.num_spatial_edges);
+    EXPECT_EQ(sh.num_road_edges, ref.num_road_edges);
   }
+  EXPECT_EQ(urgs[1].sharded->shards.size(), 1u);
+  EXPECT_EQ(urgs[2].sharded->shards.size(), 4u);
+  EXPECT_EQ(urgs[3].sharded->shards.size(), 6u);
+  // BuildUrg's one shard owns every region: its CSR is the reference.
+  const graph::CsrGraph& one = urgs[0].sharded->shards[0].local;
+  ASSERT_EQ(urgs[0].sharded->shards.size(), 1u);
+  EXPECT_TRUE(urgs[0].sharded->shards[0].halo.empty());
+  EXPECT_EQ(*one.offsets(), *ref.csr.offsets());
+  EXPECT_EQ(*one.neighbors(), *ref.csr.neighbors());
 }
 
 TEST(ShardedUrgTest, HaloRegionsAreSortedNonOwnedSources) {
@@ -133,8 +206,9 @@ TEST(ShardedUrgTest, HaloRegionsAreSortedNonOwnedSources) {
 
 TEST(NeighborSamplerTest, KHopClosureMatchesBruteForce) {
   auto city = TinyCity();
-  const UrbanRegionGraph dense = Dense(city);
-  const NeighborView view(dense);
+  const UrbanRegionGraph urg = OneShard(city);
+  const graph::CsrGraph reference = Reference(*city).csr;
+  const NeighborView view(urg);
   const std::vector<int> seeds = {0, 37, 201, 514};
   MinibatchConfig cfg;
   cfg.fanout = 0;  // Exact closure.
@@ -142,12 +216,12 @@ TEST(NeighborSamplerTest, KHopClosureMatchesBruteForce) {
   const SampledSubgraph sg = SampleKHop(view, seeds, cfg);
   ASSERT_EQ(sg.num_seeds, static_cast<int>(seeds.size()));
 
-  // Brute-force level sets over the dense adjacency.
+  // Brute-force level sets over the reference adjacency.
   std::set<int> level0(seeds.begin(), seeds.end());
   auto expand = [&](const std::set<int>& frontier) {
     std::set<int> out = frontier;
     for (const int id : frontier) {
-      for (const int src : dense.adjacency.InNeighbors(id)) out.insert(src);
+      for (const int src : reference.InNeighbors(id)) out.insert(src);
     }
     return out;
   };
@@ -168,7 +242,7 @@ TEST(NeighborSamplerTest, KHopClosureMatchesBruteForce) {
     }
     std::sort(sources.begin(), sources.end());
     if (level1.count(global) > 0) {
-      EXPECT_EQ(sources, dense.adjacency.InNeighbors(global))
+      EXPECT_EQ(sources, reference.InNeighbors(global))
           << "node " << global;
     } else {
       EXPECT_EQ(sources, std::vector<int>{global}) << "frontier " << global;
@@ -178,8 +252,8 @@ TEST(NeighborSamplerTest, KHopClosureMatchesBruteForce) {
 
 TEST(NeighborSamplerTest, FanoutSamplesAreValidAndBatchInvariant) {
   auto city = TinyCity();
-  const UrbanRegionGraph dense = Dense(city);
-  const NeighborView view(dense);
+  const UrbanRegionGraph urg = OneShard(city);
+  const NeighborView view(urg);
   MinibatchConfig cfg;
   cfg.fanout = 3;
   cfg.hops = 2;
@@ -200,9 +274,9 @@ TEST(NeighborSamplerTest, FanoutSamplesAreValidAndBatchInvariant) {
 
   // Same node, same cfg.seed => identical draw regardless of the batch.
   EXPECT_EQ(sources, seed_sources(batched));
-  // Valid: a subset of the dense segment, self loop included, exactly
+  // Valid: a subset of the full segment, self loop included, exactly
   // min(fanout, deg - 1) sampled neighbors + self.
-  const std::vector<int> full = dense.adjacency.InNeighbors(5);
+  const std::vector<int> full = Reference(*city).csr.InNeighbors(5);
   for (const int s : sources) {
     EXPECT_TRUE(std::binary_search(full.begin(), full.end(), s));
   }
@@ -236,7 +310,7 @@ TEST(NeighborSamplerTest, BitIdenticalAcrossThreadsPoolAndRepresentation) {
   cfg.hops = 2;
   cfg.seed = 2023;
 
-  const UrbanRegionGraph reference_urg = Dense(city);
+  const UrbanRegionGraph reference_urg = OneShard(city);
   const SampledSubgraph reference =
       SampleKHop(NeighborView(reference_urg), seeds, cfg);
 
@@ -244,10 +318,10 @@ TEST(NeighborSamplerTest, BitIdenticalAcrossThreadsPoolAndRepresentation) {
     for (const bool pool : {true, false}) {
       ThreadPool::SetGlobalThreads(threads);
       BufferPool::SetEnabled(pool);
-      const UrbanRegionGraph dense = Dense(city);
+      const UrbanRegionGraph one_shard = OneShard(city);
       const UrbanRegionGraph sharded = Sharded(city, 4);
-      ExpectSubgraphsIdentical(reference,
-                               SampleKHop(NeighborView(dense), seeds, cfg));
+      ExpectSubgraphsIdentical(
+          reference, SampleKHop(NeighborView(one_shard), seeds, cfg));
       ExpectSubgraphsIdentical(reference,
                                SampleKHop(NeighborView(sharded), seeds, cfg));
     }
@@ -256,28 +330,23 @@ TEST(NeighborSamplerTest, BitIdenticalAcrossThreadsPoolAndRepresentation) {
   BufferPool::SetEnabled(original_pool);
 }
 
+// With statistics over the whole city, lazy rows are the eager pipeline's
+// bytes (the LazyFeatureStore contract).
 TEST(FeatureStoreTest, LazyRowsMatchEagerFeatures) {
   auto city = TinyCity();
-  const UrbanRegionGraph dense = Dense(city);
+  const UrbanRegionGraph eager = OneShard(city);
   const UrbanRegionGraph sharded = Sharded(city, 2);
-  ASSERT_EQ(sharded.PoiDim(), dense.poi_features.cols());
-  ASSERT_EQ(sharded.ImageDim(), dense.image_features.cols());
+  ASSERT_EQ(sharded.PoiDim(), eager.PoiDim());
+  ASSERT_EQ(sharded.ImageDim(), eager.ImageDim());
 
   const std::vector<int> ids = {0, 5, 5, 123, 42, 575};
-  Tensor poi, img;
+  Tensor poi, img, eager_poi, eager_img;
   sharded.GatherPoiRows(ids, &poi);
   sharded.GatherImageRows(ids, &img);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    for (int c = 0; c < poi.cols(); ++c) {
-      EXPECT_FLOAT_EQ(poi.at(static_cast<int>(i), c),
-                      dense.poi_features.at(ids[i], c));
-    }
-    for (int c = 0; c < img.cols(); ++c) {
-      EXPECT_NEAR(img.at(static_cast<int>(i), c),
-                  dense.image_features.at(ids[i], c), 1e-4)
-          << "region " << ids[i] << " col " << c;
-    }
-  }
+  eager.GatherPoiRows(ids, &eager_poi);
+  eager.GatherImageRows(ids, &eager_img);
+  EXPECT_TRUE(SameBytes(poi, eager_poi));
+  EXPECT_TRUE(SameBytes(img, eager_img));
 
   // A second gather is served from the LRU cache and returns identical rows.
   auto store = std::dynamic_pointer_cast<LazyFeatureStore>(sharded.features);
@@ -334,7 +403,7 @@ TEST(GridTest, RegionCountIsInt64) {
 
 TEST(ParityTest, MasterPredictionsExactWithoutHierarchy) {
   auto city = TinyCity();
-  const UrbanRegionGraph urg = Dense(city);
+  const UrbanRegionGraph urg = OneShard(city);
   core::CmsfConfig cfg;
   cfg.use_hierarchy = false;
   cfg.use_gate = false;
@@ -356,30 +425,35 @@ TEST(ParityTest, MasterPredictionsExactWithoutHierarchy) {
 }
 
 // The one-batch premise: the whole-city batch (SampleKHop over every region
-// in id order at fanout 0) IS the dense URG — the same edge arrays and GCN
-// norms as GraphContext::FromCsr and the same feature bytes — and the plan
-// keeps it, together with one loss-row vector, across epochs and stages.
+// in id order at fanout 0) IS the URG — the edge arrays and GCN norms of
+// GraphContext::FromCsr over the reference adjacency and the eager feature
+// bytes, on any shard count — and the plan keeps it, together with one
+// loss-row vector, across epochs and stages.
 TEST(BatchPlanTest, WholeCityBatchIsTheDenseUrgBitForBit) {
   auto city = TinyCity();
-  const UrbanRegionGraph urg = Dense(city);
+  const nn::GraphContext dense =
+      nn::GraphContext::FromCsr(Reference(*city).csr);
+  const ReferenceFeatures eager = EagerFeatures(*city);
+  std::vector<int> ids(static_cast<size_t>(city->num_regions()));
+  std::iota(ids.begin(), ids.end(), 0);
+  for (const UrbanRegionGraph& sharded : EveryShardCount(city)) {
+    const core::BatchInputs batch = core::WholeCityInputs(sharded);
+    const size_t shards = sharded.sharded->shards.size();
+    EXPECT_EQ(batch.nodes, ids) << shards;
+    EXPECT_EQ(batch.ctx.num_nodes, dense.num_nodes) << shards;
+    EXPECT_EQ(*batch.ctx.offsets, *dense.offsets) << shards;
+    EXPECT_EQ(*batch.ctx.src_ids, *dense.src_ids) << shards;
+    EXPECT_EQ(*batch.ctx.dst_ids, *dense.dst_ids) << shards;
+    EXPECT_TRUE(SameBytes(batch.ctx.gcn_norm->value, dense.gcn_norm->value))
+        << shards;
+    EXPECT_TRUE(SameBytes(batch.poi->value, eager.poi)) << shards;
+    EXPECT_TRUE(SameBytes(batch.image->value, eager.image)) << shards;
+  }
+
+  const UrbanRegionGraph urg = OneShard(city);
   core::BatchPlan plan(/*batch_size=*/0, /*fanout=*/16, /*hops=*/2);
   const core::BatchInputs& batch = *plan.WholeCity(urg);
-  const nn::GraphContext dense = nn::GraphContext::FromCsr(urg.adjacency);
-
-  std::vector<int> ids(static_cast<size_t>(urg.num_regions()));
-  std::iota(ids.begin(), ids.end(), 0);
-  EXPECT_EQ(batch.nodes, ids);
-  EXPECT_EQ(batch.ctx.num_nodes, dense.num_nodes);
-  EXPECT_EQ(*batch.ctx.offsets, *dense.offsets);
   EXPECT_EQ(*batch.ctx.src_ids, *dense.src_ids);
-  EXPECT_EQ(*batch.ctx.dst_ids, *dense.dst_ids);
-  auto same_bytes = [](const Tensor& a, const Tensor& b) {
-    return a.SameShape(b) &&
-           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
-  };
-  EXPECT_TRUE(same_bytes(batch.ctx.gcn_norm->value, dense.gcn_norm->value));
-  EXPECT_TRUE(same_bytes(batch.poi->value, urg.poi_features));
-  EXPECT_TRUE(same_bytes(batch.image->value, urg.image_features));
   EXPECT_EQ(plan.WholeCity(urg).get(), &batch);
 
   const std::vector<int> labeled = urg.LabeledIds();
@@ -399,7 +473,7 @@ TEST(BatchPlanTest, WholeCityBatchIsTheDenseUrgBitForBit) {
 // only the clusters a sampled batch's nodes populate.
 TEST(BatchPlanTest, SlavePuClustersAllOnWholeCityPopulatedOnSampled) {
   auto city = TinyCity();
-  const UrbanRegionGraph urg = Dense(city);
+  const UrbanRegionGraph urg = OneShard(city);
   const int n = urg.num_regions();
   constexpr int kClusters = 30;
   core::CmsfModel::FrozenAssignment frozen;
@@ -438,7 +512,7 @@ TEST(BatchPlanTest, SlavePuClustersAllOnWholeCityPopulatedOnSampled) {
 
 TEST(ParityTest, FullAndMinibatchGcnMetricsMatch) {
   auto city = TinyCity();
-  const UrbanRegionGraph urg = Dense(city);
+  const UrbanRegionGraph urg = OneShard(city);
   eval::RunnerOptions ropt;
   ropt.num_folds = 3;
   ropt.num_runs = 1;
@@ -491,38 +565,62 @@ TEST(CmsfMinibatchTest, TrainsAndScoresOnShardedUrg) {
   }
 }
 
-// Checkpoints embed a quality baseline over the dense URG, which a sharded
-// graph does not hold: SaveModel must refuse cleanly instead of aborting.
-TEST(CmsfMinibatchTest, SaveModelRefusesShardedUrg) {
+std::vector<int> LabelsOf(const UrbanRegionGraph& urg,
+                          const std::vector<int>& ids) {
+  std::vector<int> labels;
+  for (const int id : ids) labels.push_back(urg.labels[id]);
+  return labels;
+}
+
+// A checkpoint of a model trained on a sharded URG: save -> load -> save is
+// byte-identical, with a non-empty quality baseline, and the file equals
+// the one saved against the one-shard URG of the same city.
+TEST(CmsfMinibatchTest, SaveModelRoundTripsOnShardedUrg) {
   auto city = TinyCity();
   const UrbanRegionGraph urg = Sharded(city, 2);
+  const UrbanRegionGraph one_shard = OneShard(city);
   core::CmsfConfig cfg;
   cfg.master_epochs = 1;
   cfg.slave_epochs = 1;
   cfg.batch_size = 64;
   cfg.fanout = 4;
   cfg.num_clusters = 10;
-  core::CmsfDetector detector(cfg);
   const std::vector<int> labeled = urg.LabeledIds();
-  std::vector<int> labels(labeled.size());
-  for (size_t i = 0; i < labeled.size(); ++i) labels[i] = urg.labels[labeled[i]];
+  const std::vector<int> labels = LabelsOf(urg, labeled);
+  core::CmsfDetector detector(cfg);
   detector.Train(urg, labeled, labels);
 
-  const std::string path = ::testing::TempDir() + "/sharded_refused.uvck";
-  std::remove(path.c_str());
-  const Status status = detector.SaveModel(urg, path);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(detector.baseline(urg).empty());
-  EXPECT_FALSE(std::ifstream(path).good());
+  const std::string saved = ::testing::TempDir() + "/sharded_saved.uvck";
+  const std::string resaved = ::testing::TempDir() + "/sharded_resaved.uvck";
+  const std::string reference = ::testing::TempDir() + "/one_shard.uvck";
+  ASSERT_TRUE(detector.SaveModel(urg, saved).ok());
+  EXPECT_FALSE(detector.baseline(urg).empty());
+  core::CmsfDetector reloaded(cfg);
+  ASSERT_TRUE(reloaded.LoadModel(urg, saved).ok());
+  EXPECT_FALSE(reloaded.baseline(urg).empty());
+  ASSERT_TRUE(reloaded.SaveModel(urg, resaved).ok());
+
+  core::CmsfDetector trained_one_shard(cfg);
+  trained_one_shard.Train(one_shard, labeled, labels);
+  ASSERT_TRUE(trained_one_shard.SaveModel(one_shard, reference).ok());
+
+  auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string first = bytes(saved);
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(bytes(resaved), first);
+  EXPECT_EQ(bytes(reference), first);
 }
 
-// Every engine reads the dense adjacency and feature matrices, which a
-// sharded URG leaves empty: building one must abort up front, naming the
-// cause, instead of deep inside a GEMM.
-TEST(CmsfMinibatchTest, EnginesRefuseShardedUrg) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+// Engines read the whole city through the shard-agnostic whole-city batch:
+// built on a 2-shard URG they return the bytes they return on the one-shard
+// URG of the same city.
+TEST(CmsfMinibatchTest, EnginesOnShardedUrgMatchOneShardUrg) {
   auto city = TinyCity();
   const UrbanRegionGraph urg = Sharded(city, 2);
+  const UrbanRegionGraph one_shard = OneShard(city);
   baselines::TrainOptions options;
   options.epochs = 1;
   options.batch_size = 64;
@@ -531,12 +629,46 @@ TEST(CmsfMinibatchTest, EnginesRefuseShardedUrg) {
   cfg.slave_epochs = 1;
   cfg.num_clusters = 10;
   const std::vector<int> labeled = urg.LabeledIds();
-  std::vector<int> labels(labeled.size());
-  for (size_t i = 0; i < labeled.size(); ++i) labels[i] = urg.labels[labeled[i]];
+  std::vector<int> all(static_cast<size_t>(urg.num_regions()));
+  std::iota(all.begin(), all.end(), 0);
   for (const char* name : {"CMSF", "GCN"}) {
     auto detector = baselines::MakeDetector(name, options, cfg);
-    detector->Train(urg, labeled, labels);
-    EXPECT_DEATH(baselines::MakeEngine(*detector, urg), "sharded") << name;
+    detector->Train(urg, labeled, LabelsOf(urg, labeled));
+    const std::vector<float> sharded_scores =
+        baselines::MakeEngine(*detector, urg)->Score(all);
+    const std::vector<float> one_shard_scores =
+        baselines::MakeEngine(*detector, one_shard)->Score(all);
+    ASSERT_EQ(sharded_scores.size(), all.size()) << name;
+    EXPECT_EQ(0, std::memcmp(sharded_scores.data(), one_shard_scores.data(),
+                             sizeof(float) * all.size()))
+        << name;
+  }
+}
+
+// The baselines that read the whole city outside a BatchPlan — MLP through
+// the feature gathers, MMRE and ImGAGN through the whole-city batch — score
+// a 2-shard URG exactly as the one-shard URG.
+TEST(ShardedUrgTest, WholeCityBaselinesScoreTheSameOnShardedUrg) {
+  auto city = TinyCity();
+  const UrbanRegionGraph urg = Sharded(city, 2);
+  const UrbanRegionGraph one_shard = OneShard(city);
+  baselines::TrainOptions options;
+  options.epochs = 4;
+  const std::vector<int> labeled = urg.LabeledIds();
+  const std::vector<int> labels = LabelsOf(urg, labeled);
+  std::vector<int> all(static_cast<size_t>(urg.num_regions()));
+  std::iota(all.begin(), all.end(), 0);
+  for (const char* name : {"MLP", "MMRE", "ImGAGN"}) {
+    auto on_sharded = baselines::MakeDetector(name, options, {});
+    on_sharded->Train(urg, labeled, labels);
+    auto on_one_shard = baselines::MakeDetector(name, options, {});
+    on_one_shard->Train(one_shard, labeled, labels);
+    const std::vector<float> got = on_sharded->Score(urg, all);
+    const std::vector<float> want = on_one_shard->Score(one_shard, all);
+    ASSERT_EQ(got.size(), all.size()) << name;
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             sizeof(float) * all.size()))
+        << name;
   }
 }
 

@@ -391,11 +391,13 @@ TEST_F(QualityServingTest, PsiExactlyZeroServingTheTrainingCity) {
 }
 
 TEST_F(QualityServingTest, ShiftedCityTripsThePsiAlert) {
+  Tensor poi, image;
+  urg_->GatherPoiRows(*all_ids_, &poi);
+  urg_->GatherImageRows(*all_ids_, &image);
+  for (int64_t i = 0; i < poi.size(); ++i) poi[i] = poi[i] * 1.6f + 0.8f;
   urg::UrbanRegionGraph shifted = *urg_;
-  float* poi = shifted.poi_features.data();
-  const int64_t n = static_cast<int64_t>(shifted.poi_features.rows()) *
-                    shifted.poi_features.cols();
-  for (int64_t i = 0; i < n; ++i) poi[i] = poi[i] * 1.6f + 0.8f;
+  shifted.features = std::make_shared<urg::ResidentFeatureStore>(
+      std::move(poi), std::move(image));
 
   auto engine = baselines::MakeEngine(*detector_, shifted);
   obs::QualityMonitor monitor(detector_->baseline(*urg_), ManualPublish());

@@ -1,7 +1,12 @@
 #ifndef UV_TESTS_TEST_HELPERS_H_
 #define UV_TESTS_TEST_HELPERS_H_
 
+#include <cstring>
+#include <numeric>
+#include <vector>
+
 #include "synth/city.h"
+#include "tensor/tensor.h"
 #include "urg/urban_region_graph.h"
 
 namespace uv::testing {
@@ -34,6 +39,27 @@ inline urg::UrbanRegionGraph TinyUrg(uint64_t seed = 11) {
   urg::UrgOptions options;
   options.image_feature_dim = 32;
   return urg::BuildUrg(synth::GenerateCity(TinyCityConfig(seed)), options);
+}
+
+// Every region's feature rows, in id order, through the URG's store.
+inline Tensor PoiRows(const urg::UrbanRegionGraph& urg) {
+  std::vector<int> ids(static_cast<size_t>(urg.num_regions()));
+  std::iota(ids.begin(), ids.end(), 0);
+  Tensor rows;
+  urg.GatherPoiRows(ids, &rows);
+  return rows;
+}
+inline Tensor ImageRows(const urg::UrbanRegionGraph& urg) {
+  std::vector<int> ids(static_cast<size_t>(urg.num_regions()));
+  std::iota(ids.begin(), ids.end(), 0);
+  Tensor rows;
+  urg.GatherImageRows(ids, &rows);
+  return rows;
+}
+
+inline bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
 }
 
 }  // namespace uv::testing

@@ -19,24 +19,35 @@ UrgOptions SmallOptions() {
   return options;
 }
 
+using uv::testing::ImageRows;
+using uv::testing::PoiRows;
+
+// BuildUrg's adjacency: the CSR of its single shard, over global ids.
+const graph::CsrGraph& Adjacency(const UrbanRegionGraph& urg) {
+  EXPECT_EQ(urg.sharded->shards.size(), 1u);
+  EXPECT_TRUE(urg.sharded->shards[0].halo.empty());
+  return urg.sharded->shards[0].local;
+}
+
 TEST(UrgTest, BasicShapes) {
   synth::City city = MakeTestCity();
   UrbanRegionGraph urg = BuildUrg(city, SmallOptions());
   EXPECT_EQ(urg.num_regions(), city.num_regions());
-  EXPECT_EQ(urg.poi_features.rows(), city.num_regions());
-  EXPECT_EQ(urg.poi_features.cols(), features::kPoiFeatureDim);
-  EXPECT_EQ(urg.image_features.rows(), city.num_regions());
-  EXPECT_EQ(urg.image_features.cols(), 32);
+  ASSERT_NE(urg.features, nullptr);
+  EXPECT_EQ(urg.features->num_regions(), city.num_regions());
+  EXPECT_EQ(urg.PoiDim(), features::kPoiFeatureDim);
+  EXPECT_EQ(urg.ImageDim(), 32);
+  EXPECT_EQ(Adjacency(urg).num_nodes(), city.num_regions());
   EXPECT_EQ(urg.labels, city.labels);
-  EXPECT_FALSE(urg.poi_features.HasNonFinite());
-  EXPECT_FALSE(urg.image_features.HasNonFinite());
+  EXPECT_FALSE(PoiRows(urg).HasNonFinite());
+  EXPECT_FALSE(ImageRows(urg).HasNonFinite());
 }
 
 TEST(UrgTest, SelfLoopsPresent) {
   synth::City city = MakeTestCity();
   UrbanRegionGraph urg = BuildUrg(city, SmallOptions());
   for (int i = 0; i < urg.num_regions(); i += 37) {
-    EXPECT_TRUE(urg.adjacency.HasEdge(i, i));
+    EXPECT_TRUE(Adjacency(urg).HasEdge(i, i));
   }
 }
 
@@ -66,9 +77,10 @@ TEST(UrgTest, EdgeCountsAdditive) {
 TEST(UrgTest, AdjacencyIsSymmetric) {
   synth::City city = MakeTestCity();
   UrbanRegionGraph urg = BuildUrg(city, SmallOptions());
+  const graph::CsrGraph& adjacency = Adjacency(urg);
   for (int a = 0; a < urg.num_regions(); a += 11) {
-    for (int b : urg.adjacency.InNeighbors(a)) {
-      EXPECT_TRUE(urg.adjacency.HasEdge(a, b)) << a << " <-> " << b;
+    for (int b : adjacency.InNeighbors(a)) {
+      EXPECT_TRUE(adjacency.HasEdge(a, b)) << a << " <-> " << b;
     }
   }
 }
@@ -86,7 +98,7 @@ TEST(UrgTest, RoadHopsWidenReach) {
 TEST(UrgTest, StandardizationCentersColumns) {
   synth::City city = MakeTestCity();
   UrbanRegionGraph urg = BuildUrg(city, SmallOptions());
-  Tensor mean = ColumnMean(urg.poi_features);
+  Tensor mean = ColumnMean(PoiRows(urg));
   for (int c = 0; c < mean.cols(); ++c) {
     EXPECT_NEAR(mean.at(0, c), 0.0f, 1e-3f);
   }
@@ -111,14 +123,14 @@ TEST(UrgAblationTest, NoCateZeroesCategoryColumns) {
   UrgOptions options = SmallOptions();
   options.feature_ablation = FeatureAblation::kNoCate;
   options.standardize_features = false;
-  UrbanRegionGraph urg = BuildUrg(city, options);
-  for (int r = 0; r < urg.poi_features.rows(); r += 13) {
-    for (int c = 0; c < 48; ++c) EXPECT_FLOAT_EQ(urg.poi_features.at(r, c), 0.0f);
+  const Tensor poi = PoiRows(BuildUrg(city, options));
+  for (int r = 0; r < poi.rows(); r += 13) {
+    for (int c = 0; c < 48; ++c) EXPECT_FLOAT_EQ(poi.at(r, c), 0.0f);
   }
   // Radius columns survive.
   double radius_norm = 0.0;
-  for (int r = 0; r < urg.poi_features.rows(); ++r) {
-    for (int c = 48; c < 63; ++c) radius_norm += urg.poi_features.at(r, c);
+  for (int r = 0; r < poi.rows(); ++r) {
+    for (int c = 48; c < 63; ++c) radius_norm += poi.at(r, c);
   }
   EXPECT_GT(radius_norm, 0.0);
 }
@@ -128,10 +140,10 @@ TEST(UrgAblationTest, NoRadZeroesRadiusColumns) {
   UrgOptions options = SmallOptions();
   options.feature_ablation = FeatureAblation::kNoRad;
   options.standardize_features = false;
-  UrbanRegionGraph urg = BuildUrg(city, options);
-  for (int r = 0; r < urg.poi_features.rows(); r += 13) {
+  const Tensor poi = PoiRows(BuildUrg(city, options));
+  for (int r = 0; r < poi.rows(); r += 13) {
     for (int c = 48; c < 63; ++c) {
-      EXPECT_FLOAT_EQ(urg.poi_features.at(r, c), 0.0f);
+      EXPECT_FLOAT_EQ(poi.at(r, c), 0.0f);
     }
   }
 }
@@ -141,9 +153,9 @@ TEST(UrgAblationTest, NoIndexZeroesIndexColumn) {
   UrgOptions options = SmallOptions();
   options.feature_ablation = FeatureAblation::kNoIndex;
   options.standardize_features = false;
-  UrbanRegionGraph urg = BuildUrg(city, options);
-  for (int r = 0; r < urg.poi_features.rows(); ++r) {
-    EXPECT_FLOAT_EQ(urg.poi_features.at(r, 63), 0.0f);
+  const Tensor poi = PoiRows(BuildUrg(city, options));
+  for (int r = 0; r < poi.rows(); ++r) {
+    EXPECT_FLOAT_EQ(poi.at(r, 63), 0.0f);
   }
 }
 
@@ -153,7 +165,7 @@ TEST(UrgAblationTest, NoImageShrinksImageBlock) {
   options.feature_ablation = FeatureAblation::kNoImage;
   UrbanRegionGraph urg = BuildUrg(city, options);
   // Zero placeholder block: every entry zero.
-  EXPECT_DOUBLE_EQ(urg.image_features.Norm(), 0.0);
+  EXPECT_DOUBLE_EQ(ImageRows(urg).Norm(), 0.0);
 }
 
 // ------------------------ Main urban area rule ------------------------------
