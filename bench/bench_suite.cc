@@ -29,6 +29,8 @@
 #include "infer/engine.h"
 #include "infer/server.h"
 #include "nn/graph_context.h"
+#include "nn/linear.h"
+#include "nn/ms_gate.h"
 #include "obs/quality.h"
 #include "tensor/tensor_ops.h"
 #include "urg/neighbor_sampler.h"
@@ -54,8 +56,8 @@ uv::nn::GraphContext GridContext(int side) {
 
 // The micro suite: one entry per hot kernel family. Sizes are chosen so a
 // repeat lands in the 10-100 ms band on one core — long enough to swamp
-// timer noise, short enough that CI's warmup + 5 repeats x 9 benchmarks
-// stays under a minute.
+// timer noise, short enough that CI's warmup + 5 repeats of every
+// benchmark stays under a minute.
 void RunMicroSuite(uv::obs::Report* report) {
   {
     const uv::Tensor a = RandomTensor(256, 256, 1);
@@ -160,6 +162,38 @@ void RunMicroSuite(uv::obs::Report* report) {
       uv::ag::Backward(loss);
       (void)w->grad.data();
     });
+  }
+  {
+    // The slave stage's gate (eq. 17-22): MS-Gate forward + backward over
+    // 2,048 regions at production widths (K = 50, classifier 128 -> 32,
+    // context 16, so a 4,161-wide filter per region), every row in the
+    // loss. The pool peak of a repeat is what the fused gate bounds.
+    constexpr int kRegions = 2048;
+    uv::nn::MsGate::Options options;
+    options.num_clusters = 50;
+    options.cluster_repr_dim = 128;
+    options.context_dim = 16;
+    options.classifier_in = 128;
+    options.classifier_hidden = 32;
+    uv::Rng rng(24);
+    const uv::nn::MsGate gate(options, &rng);
+    const uv::nn::Mlp master(options.classifier_in, options.classifier_hidden,
+                             1, &rng);
+    auto x = uv::ag::MakeConst(RandomTensor(kRegions, 128, 25));
+    auto assignment = uv::ag::MakeConst(
+        uv::RowSoftmax(RandomTensor(kRegions, options.num_clusters, 26), 1.0f));
+    auto cluster_repr =
+        uv::ag::MakeConst(RandomTensor(options.num_clusters, 128, 27));
+    uint64_t peak = 0;
+    auto& e = report->RunTimed("ms_gate_fwd_bwd_2k", [&] {
+      uv::BufferPool::ResetPeak();
+      auto inclusion = gate.EstimateInclusion(cluster_repr);
+      uv::ag::Backward(uv::ag::SumAll(
+          gate.Forward(x, assignment, inclusion, master)));
+      peak = uv::BufferPool::Stats().pool_bytes_peak;
+    });
+    e.AddMetric("mem.pool_bytes_peak", static_cast<double>(peak),
+                uv::obs::Direction::kLowerIsBetter);
   }
 }
 

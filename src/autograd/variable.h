@@ -86,12 +86,12 @@ class BackwardFn {
   void (*destroy_)(void*) = nullptr;
 };
 
-// Fixed-capacity input-edge list (ops have at most 6 inputs — GatedMlp).
+// Fixed-capacity input-edge list (ops have at most 8 inputs — GatedMlp).
 // Inline storage keeps the whole graph node in one recycled block instead
 // of a per-node std::vector allocation.
 class VarList {
  public:
-  static constexpr size_t kCapacity = 6;
+  static constexpr size_t kCapacity = 8;
 
   VarList() noexcept = default;
   VarList(std::initializer_list<VarPtr> init) {

@@ -1,6 +1,8 @@
 #include "core/cmsf_detector.h"
 
+#include <cmath>
 #include <numeric>
+#include <string>
 
 #include "core/config_codec.h"
 #include "io/checkpoint.h"
@@ -8,6 +10,58 @@
 #include "util/timer.h"
 
 namespace uv::core {
+namespace {
+
+// A checkpoint's frozen stage-one assignment must have the shapes
+// SaveModel writes for its config, because scoring indexes and gates with
+// it: with the gate, soft B is N x K and finite, the hard ids are 1 x N
+// cluster ids in [0, K) and the pseudo labels are 1 x K values in {0, 1};
+// without the gate, the state is empty.
+Status ValidateFrozen(const Tensor& soft, const Tensor& hard,
+                      const Tensor& pseudo, bool gated, int n, int k) {
+  if (!gated) {
+    if (soft.rows() != 0 || soft.cols() != 0 || hard.rows() != 1 ||
+        hard.cols() != 0 || pseudo.rows() != 1 || pseudo.cols() != 0) {
+      return Status::InvalidArgument(
+          "checkpoint without the gate carries a frozen assignment");
+    }
+    return Status::Ok();
+  }
+  if (soft.rows() != n || soft.cols() != k || soft.HasNonFinite()) {
+    return Status::InvalidArgument(
+        "frozen soft assignment is " + soft.ShapeString() +
+        " or non-finite; expected finite " + std::to_string(n) + " x " +
+        std::to_string(k));
+  }
+  if (hard.rows() != 1 || hard.cols() != n) {
+    return Status::InvalidArgument("frozen hard assignment is " +
+                                   hard.ShapeString() + "; expected 1 x " +
+                                   std::to_string(n));
+  }
+  for (int64_t i = 0; i < hard.size(); ++i) {
+    const float id = hard[i];
+    // NaN fails both comparisons.
+    if (!(id >= 0.0f && id < static_cast<float>(k)) || id != std::floor(id)) {
+      return Status::InvalidArgument(
+          "frozen hard assignment of region " + std::to_string(i) +
+          " is not a cluster id in [0, " + std::to_string(k) + ")");
+    }
+  }
+  if (pseudo.rows() != 1 || pseudo.cols() != k) {
+    return Status::InvalidArgument("frozen pseudo labels are " +
+                                   pseudo.ShapeString() + "; expected 1 x " +
+                                   std::to_string(k));
+  }
+  for (int64_t c = 0; c < pseudo.size(); ++c) {
+    if (pseudo[c] != 0.0f && pseudo[c] != 1.0f) {
+      return Status::InvalidArgument("frozen pseudo label of cluster " +
+                                     std::to_string(c) + " is not 0 or 1");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 void CmsfDetector::Train(const urg::UrbanRegionGraph& urg,
                          const std::vector<int>& train_ids,
@@ -125,6 +179,13 @@ Status CmsfDetector::LoadModel(const urg::UrbanRegionGraph& urg,
   if (tensors.size() != params.size() + 3) {
     return Status::InvalidArgument("checkpoint layout mismatch");
   }
+  const Tensor& hard = tensors[params.size() + 1];
+  const Tensor& pseudo = tensors[params.size() + 2];
+  Status frozen_valid = ValidateFrozen(
+      tensors[params.size()], hard, pseudo,
+      config_.use_hierarchy && config_.use_gate, urg.num_regions(),
+      config_.num_clusters);
+  if (!frozen_valid.ok()) return frozen_valid;
   for (size_t i = 0; i < params.size(); ++i) {
     if (!tensors[i].SameShape(params[i]->value)) {
       return Status::InvalidArgument("parameter shape mismatch");
@@ -132,12 +193,10 @@ Status CmsfDetector::LoadModel(const urg::UrbanRegionGraph& urg,
     params[i]->value = std::move(tensors[i]);
   }
   frozen_.soft = std::move(tensors[params.size()]);
-  const Tensor& hard = tensors[params.size() + 1];
   frozen_.hard.resize(hard.cols());
   for (int i = 0; i < hard.cols(); ++i) {
     frozen_.hard[i] = static_cast<int>(hard.at(0, i));
   }
-  const Tensor& pseudo = tensors[params.size() + 2];
   frozen_.pseudo_labels.resize(pseudo.cols());
   for (int i = 0; i < pseudo.cols(); ++i) {
     frozen_.pseudo_labels[i] = static_cast<int>(pseudo.at(0, i));

@@ -50,7 +50,8 @@ class CmsfDetector : public eval::Detector {
   Status SaveModel(const urg::UrbanRegionGraph& urg, const std::string& path);
   // Restores a saved checkpoint: validates version / model name / URG
   // fingerprint, adopts the checkpoint's config and quality baseline, and
-  // rebuilds the model.
+  // rebuilds the model. A frozen assignment whose shapes or values differ
+  // from what SaveModel writes for that config is InvalidArgument.
   Status LoadModel(const urg::UrbanRegionGraph& urg, const std::string& path);
 
   // The training-time baseline for drift monitors. Built lazily by

@@ -144,17 +144,15 @@ class CmsfEngine final : public Engine {
     }
 
     if (use_slave_) {
-      // Context vector q = sigmoid((B ⊙ s^T) W_q), filter, gated MLP.
+      // Context vector q = sigmoid((B ⊙ s^T) W_q), then the gated MLP,
+      // which derives the filter one tile of rows at a time.
       weighted_ = b_;
       MulRowVectorInPlace(inclusion_row_, &weighted_);
       context_.ResizeUninit(n, w_q_.cols());
       Gemm(false, false, 1.0f, weighted_, w_q_, 0.0f, &context_);
       SigmoidInPlace(&context_);
-      filter_.ResizeUninit(n, w_f_.cols());
-      GemmBiasAct(false, false, 1.0f, context_, w_f_, 0.0f, &filter_, &b_f_,
-                  kern::Activation::kSigmoid);
-      GatedMlpForward(*region, filter_, w1_, b1_, w2_, b2_, &logits_,
-                      &hidden_);
+      GatedMlpForward(*region, context_, w_f_, b_f_, w1_, b1_, w2_, b2_,
+                      &tile_, &logits_, &hidden_);
     } else {
       hidden_.ResizeUninit(n, w1_.cols());
       GemmBiasAct(false, false, 1.0f, *region, w1_, 0.0f, &hidden_, &b1_,
@@ -190,7 +188,8 @@ class CmsfEngine final : public Engine {
 
   // Per-request workspaces; slabs are reused across calls.
   Tensor x_, b_, global_, region_;
-  Tensor weighted_, context_, filter_;
+  Tensor weighted_, context_;
+  GatedMlpTile tile_;  // Filter tile of the slave path.
   Tensor hidden_, logits_;
 };
 

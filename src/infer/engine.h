@@ -9,7 +9,10 @@
 // Each scoring request then evaluates only the per-row tail for the
 // requested region ids on raw tensors over reusable pooled workspaces. The
 // tail never calls a layer, so steady-state scoring performs ~0 heap
-// allocations per request (gated by bench_serve_alloc).
+// allocations per request (gated by bench_serve_alloc). The slave tail
+// derives the gate's per-region filter one tile of rows at a time
+// (GatedMlpForward), so no workspace holds n x P filter floats (P = 4,161
+// at the default widths).
 //
 // Scores are bit-identical to the detector's Score path: the build runs
 // the same layers, the tail evaluates the same shared forward kernels

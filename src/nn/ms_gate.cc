@@ -44,12 +44,10 @@ ag::VarPtr MsGate::Forward(const ag::VarPtr& region_repr,
                            const Mlp& master) const {
   UV_CHECK_EQ(region_repr->cols(), options_.classifier_in);
   ag::VarPtr context = ContextVector(assignment, inclusion);
-  // Region-specific parameter filter (eq. 20), elements in (0, 1);
-  // matmul, bias, and sigmoid fused into one kernel pass.
-  ag::VarPtr filter =
-      ag::DenseBiasAct(context, w_f_, b_f_, kern::Activation::kSigmoid);
-  // Slave model prediction with gated master parameters (eq. 21-22).
-  return ag::GatedMlp(region_repr, filter, master.layer1().w(),
+  // Region-specific parameter filter (eq. 20) and the slave prediction with
+  // the gated master parameters (eq. 21-22) in one fused op, which derives
+  // the filter a tile of rows at a time instead of storing it.
+  return ag::GatedMlp(region_repr, context, w_f_, b_f_, master.layer1().w(),
                       master.layer1().b(), master.layer2().w(),
                       master.layer2().b());
 }

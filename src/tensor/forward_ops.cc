@@ -1,7 +1,9 @@
 #include "tensor/forward_ops.h"
 
 #include <algorithm>
+#include <cstring>
 
+#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -158,12 +160,49 @@ int GatedMlpFilterSize(int d_in, int d_hidden) {
   return d_in * d_hidden + 2 * d_hidden + 1;
 }
 
-void GatedMlpForward(const Tensor& x, const Tensor& filter, const Tensor& w1,
+void GatedMlpFilterTile(const Tensor& w_f, const Tensor& b_f,
+                        GatedMlpTile* tile) {
+  tile->filter.ResizeUninit(tile->context.rows(), w_f.cols());
+  GemmBiasAct(false, false, 1.0f, tile->context, w_f, 0.0f, &tile->filter,
+              &b_f, kern::Activation::kSigmoid);
+}
+
+namespace {
+
+// One row of the slave classifier: writes the post-ReLU hidden activations
+// (d_hidden floats) into h and returns the logit. w1/b1/w2/b2 are the
+// master parameters' data (d_in x d_hidden, d_hidden, d_hidden, 1).
+float GatedMlpRow(const float* x, const float* filter, int d_in,
+                  int d_hidden, const float* w1, const float* b1,
+                  const float* w2, const float* b2, float* h) {
+  const float* f_b1 = filter + d_in * d_hidden;
+  const float* f_w2 = f_b1 + d_hidden;
+  const float* f_b2 = f_w2 + d_hidden;
+  // Each h[c] accumulates over r ascending, as a dot product per hidden
+  // unit would; walking r outermost only makes the reads contiguous.
+  for (int c = 0; c < d_hidden; ++c) h[c] = b1[c] * f_b1[c];
+  for (int r = 0; r < d_in; ++r) {
+    const float xr = x[r];
+    const float* w1r = w1 + r * d_hidden;
+    const float* f1r = filter + r * d_hidden;
+    for (int c = 0; c < d_hidden; ++c) h[c] += xr * w1r[c] * f1r[c];
+  }
+  for (int c = 0; c < d_hidden; ++c) h[c] = ReluScalar(h[c]);
+  float logit = b2[0] * f_b2[0];
+  for (int c = 0; c < d_hidden; ++c) logit += h[c] * w2[c] * f_w2[c];
+  return logit;
+}
+
+}  // namespace
+
+void GatedMlpForward(const Tensor& x, const Tensor& context,
+                     const Tensor& w_f, const Tensor& b_f, const Tensor& w1,
                      const Tensor& b1, const Tensor& w2, const Tensor& b2,
-                     Tensor* out, Tensor* hidden) {
+                     GatedMlpTile* tile, Tensor* out, Tensor* hidden) {
   const int n = x.rows();
   const int d_in = x.cols();
   const int d_hidden = w1.cols();
+  const int context_dim = context.cols();
   UV_CHECK_EQ(w1.rows(), d_in);
   UV_CHECK_EQ(b1.rows(), 1);
   UV_CHECK_EQ(b1.cols(), d_hidden);
@@ -171,35 +210,23 @@ void GatedMlpForward(const Tensor& x, const Tensor& filter, const Tensor& w1,
   UV_CHECK_EQ(w2.cols(), 1);
   UV_CHECK_EQ(b2.rows(), 1);
   UV_CHECK_EQ(b2.cols(), 1);
-  UV_CHECK_EQ(filter.rows(), n);
-  UV_CHECK_EQ(filter.cols(), GatedMlpFilterSize(d_in, d_hidden));
-
-  // Filter row offsets for each parameter block.
-  const int off_w1 = 0;
-  const int off_b1 = d_in * d_hidden;
-  const int off_w2 = off_b1 + d_hidden;
-  const int off_b2 = off_w2 + d_hidden;
+  UV_CHECK_EQ(context.rows(), n);
+  UV_CHECK_EQ(w_f.rows(), context_dim);
+  UV_CHECK_EQ(w_f.cols(), GatedMlpFilterSize(d_in, d_hidden));
 
   out->ResizeUninit(n, 1);
-  if (hidden != nullptr) hidden->ResizeUninit(n, d_hidden);
-  // Small scratch row when the caller does not need the hidden activations.
-  std::vector<float> scratch(hidden == nullptr ? d_hidden : 0);
-  for (int i = 0; i < n; ++i) {
-    const float* xi = x.row(i);
-    const float* fi = filter.row(i);
-    float* hi = hidden != nullptr ? hidden->row(i) : scratch.data();
-    for (int c = 0; c < d_hidden; ++c) {
-      float z = b1.at(0, c) * fi[off_b1 + c];
-      for (int r = 0; r < d_in; ++r) {
-        z += xi[r] * w1.at(r, c) * fi[off_w1 + r * d_hidden + c];
-      }
-      hi[c] = z > 0.0f ? z : 0.0f;
+  hidden->ResizeUninit(n, d_hidden);
+  for (int r0 = 0; r0 < n; r0 += kGatedMlpTileRows) {
+    const int rows = std::min(kGatedMlpTileRows, n - r0);
+    tile->context.ResizeUninit(rows, context_dim);
+    std::memcpy(tile->context.data(), context.row(r0),
+                sizeof(float) * static_cast<size_t>(rows) * context_dim);
+    GatedMlpFilterTile(w_f, b_f, tile);
+    for (int i = 0; i < rows; ++i) {
+      (*out)[r0 + i] = GatedMlpRow(x.row(r0 + i), tile->filter.row(i), d_in,
+                                   d_hidden, w1.data(), b1.data(), w2.data(),
+                                   b2.data(), hidden->row(r0 + i));
     }
-    float logit = b2.at(0, 0) * fi[off_b2];
-    for (int c = 0; c < d_hidden; ++c) {
-      logit += hi[c] * w2.at(c, 0) * fi[off_w2 + c];
-    }
-    out->at(i, 0) = logit;
   }
 }
 

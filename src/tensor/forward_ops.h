@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/tensor.h"
 
 namespace uv {
@@ -82,16 +83,37 @@ void SegmentSumInto(const Tensor& x, const SegmentDestIndex& dest,
 void MulColBroadcastInPlace(const Tensor& scale, Tensor* x);
 void MulRowVectorInPlace(const Tensor& v, Tensor* x);
 
-// Dynamic-filtered gated MLP (the slave classifier): per-row elementwise
-// filter over a 2-layer ReLU MLP's weights. Filter layout per row:
-// [w1 (d_in*d_hidden) | b1 (d_hidden) | w2 (d_hidden) | b2 (1)].
+// The slave classifier of the contextual master-slave gate (paper eq.
+// 20-22): a 2-layer ReLU MLP whose parameters are gated per row by a
+// filter F_i = sigmoid(context_i W_f + b_f) in (0,1)^P. Filter layout per
+// row: [w1 (d_in*d_hidden) | b1 (d_hidden) | w2 (d_hidden) | b2 (1)].
 int GatedMlpFilterSize(int d_in, int d_hidden);
 
-// Writes logits (n x 1) into `out`; if `hidden` is non-null, also writes
-// the post-ReLU hidden activations (n x d_hidden) for the backward pass.
-void GatedMlpForward(const Tensor& x, const Tensor& filter, const Tensor& w1,
+// Rows per filter tile. A tile is exactly one K block of the packed GEMM,
+// so the W_f gradient, accumulated one tile at a time (ctx_rows^T * dz),
+// adds the same partial sums in the same order as one whole-matrix
+// product would. No N x P filter is ever held.
+inline constexpr int kGatedMlpTileRows = kern::kGemmKc;
+
+// Workspaces for one filter tile; a caller that scores repeatedly keeps
+// one so the slabs are reused.
+struct GatedMlpTile {
+  Tensor context;  // Tile rows of the context (rows x context_dim).
+  Tensor filter;   // Their filter rows (rows x P).
+};
+
+// tile->filter = sigmoid(tile->context * w_f + b_f), through the GEMM's
+// fused bias/sigmoid epilogue; row r depends only on context row r.
+void GatedMlpFilterTile(const Tensor& w_f, const Tensor& b_f,
+                        GatedMlpTile* tile);
+
+// Logits (n x 1) into `out` and the hidden activations (n x d_hidden, what
+// the backward pass reads) into `hidden` for x (n x d_in) and context
+// (n x c), deriving the filter kGatedMlpTileRows rows at a time.
+void GatedMlpForward(const Tensor& x, const Tensor& context,
+                     const Tensor& w_f, const Tensor& b_f, const Tensor& w1,
                      const Tensor& b1, const Tensor& w2, const Tensor& b2,
-                     Tensor* out, Tensor* hidden);
+                     GatedMlpTile* tile, Tensor* out, Tensor* hidden);
 
 }  // namespace uv
 

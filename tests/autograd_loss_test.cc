@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "autograd/gated_mlp.h"
 #include "autograd/grad_check.h"
@@ -127,6 +129,19 @@ TEST(GatedMlpTest, FilterSize) {
   EXPECT_EQ(GatedMlpFilterSize(4, 3), 4 * 3 + 3 + 3 + 1);
 }
 
+// Gate inputs whose filter is sigmoid(bias) on every row: W_f = 0, so a
+// bias of +-1000 saturates the filter to exactly 1 or 0.
+struct GateInputs {
+  VarPtr context, w_f, b_f;
+};
+
+GateInputs SaturatedGate(int n, int p, float bias) {
+  Tensor b(1, p);
+  b.Fill(bias);
+  return {MakeConst(RandomTensor(n, 2, 39)), MakeConst(Tensor(2, p)),
+          MakeConst(std::move(b))};
+}
+
 // With an all-ones filter the gated MLP must equal the plain master MLP.
 TEST(GatedMlpTest, UnitFilterEqualsMasterMlp) {
   const int n = 5, d_in = 4, d_h = 3;
@@ -135,9 +150,9 @@ TEST(GatedMlpTest, UnitFilterEqualsMasterMlp) {
   auto b1 = MakeConst(RandomTensor(1, d_h, 42));
   auto w2 = MakeConst(RandomTensor(d_h, 1, 43));
   auto b2 = MakeConst(RandomTensor(1, 1, 44));
-  Tensor ones(n, GatedMlpFilterSize(d_in, d_h));
-  ones.Fill(1.0f);
-  auto gated = GatedMlp(x, MakeConst(ones), w1, b1, w2, b2);
+  const GateInputs g =
+      SaturatedGate(n, GatedMlpFilterSize(d_in, d_h), 1000.0f);
+  auto gated = GatedMlp(x, g.context, g.w_f, g.b_f, w1, b1, w2, b2);
   auto plain = AddRowBroadcast(
       MatMul(Relu(AddRowBroadcast(MatMul(x, w1), b1)), w2), b2);
   for (int i = 0; i < n; ++i) {
@@ -153,49 +168,182 @@ TEST(GatedMlpTest, ZeroFilterGivesZeroLogits) {
   auto b1 = MakeConst(RandomTensor(1, d_h, 47));
   auto w2 = MakeConst(RandomTensor(d_h, 1, 48));
   auto b2 = MakeConst(RandomTensor(1, 1, 49));
-  auto gated = GatedMlp(x, MakeConst(Tensor(n, GatedMlpFilterSize(d_in, d_h))),
-                        w1, b1, w2, b2);
+  const GateInputs g =
+      SaturatedGate(n, GatedMlpFilterSize(d_in, d_h), -1000.0f);
+  auto gated = GatedMlp(x, g.context, g.w_f, g.b_f, w1, b1, w2, b2);
   for (int i = 0; i < n; ++i) EXPECT_FLOAT_EQ(gated->value.at(i, 0), 0.0f);
 }
 
-// Different rows of the filter derive genuinely different slave models.
+// Different context rows derive genuinely different slave models: with a
+// saturated bias of 1000 and W_f = -1000, context 0 gives the all-ones
+// filter and context 1 the all-0.5 filter.
 TEST(GatedMlpTest, PerRegionFiltersDiffer) {
   const int d_in = 3, d_h = 2;
   const int p = GatedMlpFilterSize(d_in, d_h);
   Tensor x(2, d_in, {1, 1, 1, 1, 1, 1});  // Identical inputs.
-  Tensor filt(2, p);
-  for (int c = 0; c < p; ++c) {
-    filt.at(0, c) = 1.0f;
-    filt.at(1, c) = 0.5f;
-  }
+  Tensor w_f(1, p);
+  w_f.Fill(-1000.0f);
+  Tensor b_f(1, p);
+  b_f.Fill(1000.0f);
   auto w1 = MakeConst(RandomTensor(d_in, d_h, 50));
   auto b1 = MakeConst(RandomTensor(1, d_h, 51));
   auto w2 = MakeConst(RandomTensor(d_h, 1, 52));
   auto b2 = MakeConst(RandomTensor(1, 1, 53));
-  auto out = GatedMlp(MakeConst(x), MakeConst(filt), w1, b1, w2, b2);
+  auto out = GatedMlp(MakeConst(x), MakeConst(Tensor(2, 1, {0.0f, 1.0f})),
+                      MakeConst(w_f), MakeConst(b_f), w1, b1, w2, b2);
   EXPECT_NE(out->value.at(0, 0), out->value.at(1, 0));
 }
 
 TEST(GatedMlpTest, GradCheckAllInputs) {
-  const int n = 3, d_in = 3, d_h = 2;
+  const int n = 3, d_in = 3, d_h = 2, c = 2;
   const int p = GatedMlpFilterSize(d_in, d_h);
   auto x = MakeParam(RandomTensor(n, d_in, 60));
-  // Keep the filter strictly inside (0,1) and away from ReLU kinks.
-  Tensor f(n, p);
-  Rng rng(61);
-  for (int64_t i = 0; i < f.size(); ++i) {
-    f[i] = 0.3f + 0.4f * static_cast<float>(rng.Uniform());
-  }
-  auto filt = MakeParam(std::move(f));
+  auto context = MakeParam(RandomTensor(n, c, 66));
+  // Small filter weights keep the filter near sigmoid(b_f), inside (0, 1).
+  auto w_f = MakeParam(RandomTensor(c, p, 67, 0.3f));
+  auto b_f = MakeParam(RandomTensor(1, p, 68, 0.5f));
   auto w1 = MakeParam(RandomTensor(d_in, d_h, 62));
   auto b1 = MakeParam(RandomTensor(1, d_h, 63));
   auto w2 = MakeParam(RandomTensor(d_h, 1, 64));
   auto b2 = MakeParam(RandomTensor(1, 1, 65));
-  auto result = CheckGradients({x, filt, w1, b1, w2, b2}, [&]() {
-    auto y = GatedMlp(x, filt, w1, b1, w2, b2);
-    return SumAll(Mul(y, y));
-  });
+  auto result =
+      CheckGradients({x, context, w_f, b_f, w1, b1, w2, b2}, [&]() {
+        auto y = GatedMlp(x, context, w_f, b_f, w1, b1, w2, b2);
+        return SumAll(Mul(y, y));
+      });
   EXPECT_TRUE(result.ok) << result.detail;
+}
+
+// The unfused chain the fused op replaces: the filter as a whole N x P
+// DenseBiasAct sigmoid output, then the per-row gated MLP over it, with its
+// backward walking every row in ascending order and accumulating every
+// gradient from zero (filter gradient included).
+VarPtr ReferenceGatedMlp(const VarPtr& x, const VarPtr& filter,
+                         const VarPtr& w1, const VarPtr& b1, const VarPtr& w2,
+                         const VarPtr& b2) {
+  const int n = x->rows(), d_in = x->cols(), d_h = w1->cols();
+  const int off_b1 = d_in * d_h, off_w2 = off_b1 + d_h, off_b2 = off_w2 + d_h;
+  Tensor out(n, 1);
+  Tensor hidden(n, d_h);
+  for (int i = 0; i < n; ++i) {
+    const float* fi = filter->value.row(i);
+    for (int c = 0; c < d_h; ++c) {
+      float z = b1->value.at(0, c) * fi[off_b1 + c];
+      for (int r = 0; r < d_in; ++r) {
+        z += x->value.at(i, r) * w1->value.at(r, c) * fi[r * d_h + c];
+      }
+      hidden.at(i, c) = z > 0.0f ? z : 0.0f;
+    }
+    float logit = b2->value.at(0, 0) * fi[off_b2];
+    for (int c = 0; c < d_h; ++c) {
+      logit += hidden.at(i, c) * w2->value.at(c, 0) * fi[off_w2 + c];
+    }
+    out.at(i, 0) = logit;
+  }
+  return MakeOp(
+      std::move(out), {x, filter, w1, b1, w2, b2},
+      [x, filter, w1, b1, w2, b2, hidden, d_in, d_h, off_b1, off_w2,
+       off_b2](Variable* self) {
+        Tensor& gx = x->EnsureGrad();
+        Tensor& gf = filter->EnsureGrad();
+        Tensor& gw1 = w1->EnsureGrad();
+        Tensor& gb1 = b1->EnsureGrad();
+        Tensor& gw2 = w2->EnsureGrad();
+        Tensor& gb2 = b2->EnsureGrad();
+        std::vector<float> dz(d_h);
+        for (int i = 0; i < x->rows(); ++i) {
+          const float d = self->grad.at(i, 0);
+          if (d == 0.0f) continue;
+          const float* fi = filter->value.row(i);
+          float* gfi = gf.row(i);
+          gb2.at(0, 0) += d * fi[off_b2];
+          gfi[off_b2] += d * b2->value.at(0, 0);
+          for (int c = 0; c < d_h; ++c) {
+            const float w2c = w2->value.at(c, 0);
+            const float f2c = fi[off_w2 + c];
+            gw2.at(c, 0) += d * hidden.at(i, c) * f2c;
+            gfi[off_w2 + c] += d * hidden.at(i, c) * w2c;
+            const float da1 = d * w2c * f2c;
+            dz[c] = hidden.at(i, c) > 0.0f ? da1 : 0.0f;
+          }
+          for (int c = 0; c < d_h; ++c) {
+            if (dz[c] == 0.0f) continue;
+            gb1.at(0, c) += dz[c] * fi[off_b1 + c];
+            gfi[off_b1 + c] += dz[c] * b1->value.at(0, c);
+          }
+          for (int r = 0; r < d_in; ++r) {
+            const float xr = x->value.at(i, r);
+            float dx_acc = 0.0f;
+            for (int c = 0; c < d_h; ++c) {
+              if (dz[c] == 0.0f) continue;
+              const float w1rc = w1->value.at(r, c);
+              const float f1rc = fi[r * d_h + c];
+              gw1.at(r, c) += dz[c] * xr * f1rc;
+              gfi[r * d_h + c] += dz[c] * xr * w1rc;
+              dx_acc += dz[c] * w1rc * f1rc;
+            }
+            gx.at(i, r) += dx_acc;
+          }
+        }
+      },
+      "reference_gated_mlp");
+}
+
+// Bitwise equality, except on builds targeting FMA hardware (UV_NATIVE),
+// where the compiler may fuse a*b + c in the library and in the reference
+// above independently, so only rounding-level differences are allowed.
+void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_TRUE(got.SameShape(want)) << what;
+#ifdef __FMA__
+  for (int64_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-5f * (1.0f + std::fabs(want[i])))
+        << what << " element " << i;
+  }
+#else
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(want.size()) * sizeof(float)),
+            0)
+      << what;
+#endif
+}
+
+// The fused op reproduces the unfused chain bit for bit: 600 rows are two
+// full filter tiles and a partial one, P = 313 and N = 600 both span more
+// than one GEMM K block, and a third of the rows (plus a run of 120) get a
+// zero upstream gradient, so the backward skips them inside live tiles.
+TEST(GatedMlpTest, MatchesUnfusedChainBitForBit) {
+  const int n = 600, d_in = 24, d_h = 12, c = 6;
+  const int p = GatedMlpFilterSize(d_in, d_h);
+  Tensor weights = RandomTensor(n, 1, 70);
+  for (int i = 0; i < n; ++i) {
+    if (i % 3 == 0 || (i >= 300 && i < 420)) weights.at(i, 0) = 0.0f;
+  }
+  const std::vector<Tensor> init = {
+      RandomTensor(n, d_in, 71),       RandomTensor(n, c, 72),
+      RandomTensor(c, p, 73, 0.5f),    RandomTensor(1, p, 74),
+      RandomTensor(d_in, d_h, 75),     RandomTensor(1, d_h, 76),
+      RandomTensor(d_h, 1, 77),        RandomTensor(1, 1, 78)};
+  std::vector<VarPtr> fused, unfused;
+  for (const Tensor& t : init) {
+    fused.push_back(MakeParam(t));
+    unfused.push_back(MakeParam(t));
+  }
+  const VarPtr w = MakeConst(weights);
+
+  auto y = GatedMlp(fused[0], fused[1], fused[2], fused[3], fused[4],
+                    fused[5], fused[6], fused[7]);
+  Backward(SumAll(Mul(y, w)));
+  auto filter = DenseBiasAct(unfused[1], unfused[2], unfused[3],
+                             kern::Activation::kSigmoid);
+  auto y_ref = ReferenceGatedMlp(unfused[0], filter, unfused[4], unfused[5],
+                                 unfused[6], unfused[7]);
+  Backward(SumAll(Mul(y_ref, w)));
+
+  ExpectSameBits(y->value, y_ref->value, "logits");
+  const char* names[] = {"x", "context", "w_f", "b_f", "w1", "b1", "w2", "b2"};
+  for (size_t k = 0; k < init.size(); ++k) {
+    ExpectSameBits(fused[k]->grad, unfused[k]->grad, names[k]);
+  }
 }
 
 }  // namespace

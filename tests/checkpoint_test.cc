@@ -3,8 +3,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/cmsf_detector.h"
 #include "core/config_codec.h"
@@ -31,7 +35,10 @@ class CheckpointTest : public ::testing::Test {
     detector_->Train(*urg_, fold_->train_ids, *train_labels_);
     expected_ = new std::vector<float>(
         detector_->Score(*urg_, fold_->test_ids));
-    path_ = new std::string(::testing::TempDir() + "/uvck_fixture.bin");
+    // One file per process: ctest runs every case as its own process, in
+    // parallel, and a case must never read a file another one is writing.
+    path_ = new std::string(::testing::TempDir() + "/uvck_fixture_" +
+                            std::to_string(::getpid()) + ".bin");
     ASSERT_TRUE(detector_->SaveModel(*urg_, *path_).ok());
   }
 
@@ -47,6 +54,37 @@ class CheckpointTest : public ::testing::Test {
     config.learning_rate = 5e-3;
     return config;
   }
+
+  // Re-saves the fixture checkpoint with its frozen stage-one assignment
+  // (the last three tensors: soft, hard, pseudo) altered by `mutate`, and
+  // returns what LoadModel makes of it.
+  static Status LoadWithFrozen(
+      const std::function<void(Tensor* soft, Tensor* hard, Tensor* pseudo)>&
+          mutate) {
+    auto ck = io::LoadCheckpoint(*path_);
+    EXPECT_TRUE(ck.ok());
+    io::Checkpoint altered = std::move(ck).value();
+    std::vector<Tensor>& t = altered.tensors;
+    const size_t n = t.size();
+    mutate(&t[n - 3], &t[n - 2], &t[n - 1]);
+    return SaveAndLoad(altered, FastConfig(), "CMSF");
+  }
+
+  static Status SaveAndLoad(const io::Checkpoint& ck,
+                            const CmsfConfig& config,
+                            const std::string& name) {
+    const std::string path =
+        ::testing::TempDir() + "/uvck_frozen_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".bin";
+    EXPECT_TRUE(io::SaveCheckpoint(path, ck).ok());
+    CmsfDetector loaded(config, name);
+    const Status status = loaded.LoadModel(*urg_, path);
+    std::remove(path.c_str());
+    return status;
+  }
+
+  static void TearDownTestSuite() { std::remove(path_->c_str()); }
 
   static urg::UrbanRegionGraph* urg_;
   static eval::Fold* fold_;
@@ -391,6 +429,91 @@ TEST(CheckpointBaselineIo, SyntheticRoundTripAndCorruption) {
       << corrupt.status().message();
   std::remove(bad.c_str());
   std::remove(path.c_str());
+}
+
+// The frozen assignment feeds the MS-Gate context and the GSCM's frozen
+// forward, so LoadModel refuses one that SaveModel could not have written.
+TEST_F(CheckpointTest, RejectsNegativeHardClusterId) {
+  const Status status = LoadWithFrozen(
+      [](Tensor*, Tensor* hard, Tensor*) { hard->at(0, 4) = -1.0f; });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+}
+
+TEST_F(CheckpointTest, RejectsHardClusterIdPastK) {
+  const Status status = LoadWithFrozen(
+      [](Tensor*, Tensor* hard, Tensor*) { hard->at(0, 4) = 1e10f; });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+}
+
+TEST_F(CheckpointTest, RejectsNanHardClusterId) {
+  const Status status = LoadWithFrozen([](Tensor*, Tensor* hard, Tensor*) {
+    hard->at(0, 4) = std::numeric_limits<float>::quiet_NaN();
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+}
+
+TEST_F(CheckpointTest, RejectsFractionalHardClusterId) {
+  const Status status = LoadWithFrozen(
+      [](Tensor*, Tensor* hard, Tensor*) { hard->at(0, 4) = 0.5f; });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+}
+
+TEST_F(CheckpointTest, RejectsHardAssignmentOfWrongLength) {
+  const Status status = LoadWithFrozen(
+      [](Tensor*, Tensor* hard, Tensor*) { *hard = Tensor(1, 3); });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+}
+
+TEST_F(CheckpointTest, RejectsSoftAssignmentOfWrongRowCount) {
+  const Status status = LoadWithFrozen([](Tensor* soft, Tensor*, Tensor*) {
+    *soft = Tensor(3, soft->cols());
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+}
+
+TEST_F(CheckpointTest, RejectsNonFiniteSoftAssignment) {
+  const Status status = LoadWithFrozen([](Tensor* soft, Tensor*, Tensor*) {
+    soft->at(2, 1) = std::numeric_limits<float>::infinity();
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+}
+
+TEST_F(CheckpointTest, RejectsPseudoLabelsOfWrongLength) {
+  const Status status = LoadWithFrozen(
+      [](Tensor*, Tensor*, Tensor* pseudo) { *pseudo = Tensor(1, 2); });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+}
+
+TEST_F(CheckpointTest, RejectsPseudoLabelOutsideZeroOne) {
+  const Status status = LoadWithFrozen(
+      [](Tensor*, Tensor*, Tensor* pseudo) { pseudo->at(0, 1) = 2.0f; });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+}
+
+// Without the gate SaveModel writes the empty frozen state (and loads it
+// back); a gate-less checkpoint carrying an assignment is refused.
+TEST_F(CheckpointTest, RejectsFrozenAssignmentWithoutGate) {
+  CmsfConfig config = FastConfig();
+  config.use_gate = false;
+  config.master_epochs = 2;
+  CmsfDetector gateless(config, "CMSF-G");
+  gateless.Train(*urg_, fold_->train_ids, *train_labels_);
+  const std::string path = ::testing::TempDir() + "/uvck_gateless.bin";
+  ASSERT_TRUE(gateless.SaveModel(*urg_, path).ok());
+  auto ck = io::LoadCheckpoint(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(ck.ok());
+  io::Checkpoint altered = std::move(ck).value();
+  EXPECT_TRUE(SaveAndLoad(altered, config, "CMSF-G").ok());
+
+  const int n = urg_->num_regions();
+  std::vector<Tensor>& t = altered.tensors;
+  const size_t size = t.size();
+  t[size - 3] = Tensor(n, config.num_clusters);
+  t[size - 2] = Tensor(1, n);
+  t[size - 1] = Tensor(1, config.num_clusters);
+  const Status status = SaveAndLoad(altered, config, "CMSF-G");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
 }
 
 TEST_F(CheckpointTest, LoadedDetectorCanSaveAgainIdentically) {

@@ -440,5 +440,42 @@ TEST(MsGateTest, EndToEndGradCheck) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
+// The fused gate keeps no N x P filter: a steady-state Forward + Backward
+// at production widths (classifier 128 -> 32, context 16, so P = 4,161)
+// over 2,048 regions, every row with a nonzero upstream gradient, raises
+// the pool's high-water mark by less than one N x P filter.
+TEST(MsGateTest, PoolPeakBelowOneFilter) {
+  constexpr int kRegions = 2048;
+  MsGate::Options options;
+  options.num_clusters = 50;
+  options.cluster_repr_dim = 128;
+  options.context_dim = 16;
+  options.classifier_in = 128;
+  options.classifier_hidden = 32;
+  Rng rng(43);
+  MsGate gate(options, &rng);
+  Mlp master(options.classifier_in, options.classifier_hidden, 1, &rng);
+  auto x = ag::MakeConst(RandomTensor(kRegions, options.classifier_in, 44));
+  auto b = ag::MakeConst(
+      RowSoftmax(RandomTensor(kRegions, options.num_clusters, 45), 1.0f));
+  auto h = ag::MakeConst(
+      RandomTensor(options.num_clusters, options.cluster_repr_dim, 46));
+  auto step = [&] {
+    auto inc = gate.EstimateInclusion(h);
+    ag::Backward(ag::SumAll(gate.Forward(x, b, inc, master)));
+  };
+  step();  // Warms kernel workspaces and the parameter grads.
+  const uint64_t live = BufferPool::Stats().pool_bytes;
+  BufferPool::ResetPeak();
+  step();
+  const uint64_t growth = BufferPool::Stats().pool_bytes_peak - live;
+  const uint64_t filter_bytes =
+      static_cast<uint64_t>(kRegions) *
+      ag::GatedMlpFilterSize(options.classifier_in,
+                             options.classifier_hidden) *
+      sizeof(float);
+  EXPECT_LT(growth, filter_bytes) << "filter bytes " << filter_bytes;
+}
+
 }  // namespace
 }  // namespace uv::nn
