@@ -24,6 +24,7 @@
 #include "core/cmsf_detector.h"
 #include "core/cmsf_model.h"
 #include "eval/splits.h"
+#include "features/image_encoder.h"
 #include "graph/csr_graph.h"
 #include "graph/grid.h"
 #include "infer/engine.h"
@@ -143,6 +144,22 @@ void RunMicroSuite(uv::obs::Report* report) {
       auto y = uv::ag::Conv2d(x, w, b, spec);
       uv::ag::Backward(uv::ag::SumAll(uv::ag::Mul(y, y)));
     });
+  }
+  {
+    // The frozen tile encoder over one projection chunk of fixed random
+    // 32x32 tiles: the encode cost of 256 feature-cache misses. The pool
+    // peak of a repeat is the encoder's transient.
+    constexpr int kTiles = 256;
+    const uv::features::ConvEncoder encoder({});
+    const uv::Tensor tiles = RandomTensor(kTiles, 3 * 32 * 32, 28);
+    uint64_t peak = 0;
+    auto& e = report->RunTimed("encode_tiles_256", [&] {
+      uv::BufferPool::ResetPeak();
+      const uv::Tensor features = encoder.Encode(tiles);
+      peak = uv::BufferPool::Stats().pool_bytes_peak;
+    });
+    e.AddMetric("mem.pool_bytes_peak", static_cast<double>(peak),
+                uv::obs::Direction::kLowerIsBetter);
   }
   {
     // Fused edge softmax + neighbor sum over a 20k-segment CSR.

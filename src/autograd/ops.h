@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "autograd/variable.h"
+#include "tensor/forward_ops.h"
 #include "tensor/kernels/kernel_dispatch.h"
 
 namespace uv::ag {
@@ -116,18 +117,9 @@ VarPtr SegmentSumByIds(const VarPtr& x,
 // CHW order; shapes are passed explicitly.
 // ---------------------------------------------------------------------------
 
-struct Conv2dSpec {
-  int in_channels = 0;
-  int in_h = 0;
-  int in_w = 0;
-  int out_channels = 0;
-  int kernel = 0;
-  int stride = 1;
-  int pad = 0;
-
-  int out_h() const { return (in_h + 2 * pad - kernel) / stride + 1; }
-  int out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
-};
+// The raw kernels' geometry (tensor/forward_ops.h): Conv2d and MaxPool2d
+// take their forward values from Conv2dForwardImage and MaxPool2dImage.
+using Conv2dSpec = uv::Conv2dSpec;
 
 // x: (N x in_c*in_h*in_w), w: (out_c x in_c*k*k), b: (1 x out_c).
 // Result: (N x out_c*out_h*out_w).

@@ -1,48 +1,16 @@
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "obs/trace.h"
+#include "tensor/forward_ops.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace uv::ag {
 namespace {
-
-// Images per parallel chunk. The forward/backward batch loops are
-// independent per image except for the weight/bias gradients, which are
-// reduced from per-chunk partial buffers in chunk-index order. Chunk
-// boundaries depend only on this constant and the batch size — never on
-// the thread count — so results are identical for every UV_THREADS value.
-constexpr int64_t kConvImageGrain = 4;
-
-// Unpacks one CHW image row into the im2col matrix: (in_c*k*k) x (oh*ow).
-void Im2Col(const float* img, const Conv2dSpec& s, Tensor* col) {
-  obs::SpanGuard span("im2col", obs::SpanLevel::kFine);
-  const int oh = s.out_h(), ow = s.out_w();
-  for (int c = 0; c < s.in_channels; ++c) {
-    const float* plane = img + static_cast<size_t>(c) * s.in_h * s.in_w;
-    for (int ky = 0; ky < s.kernel; ++ky) {
-      for (int kx = 0; kx < s.kernel; ++kx) {
-        const int row = (c * s.kernel + ky) * s.kernel + kx;
-        float* dst = col->row(row);
-        for (int oy = 0; oy < oh; ++oy) {
-          const int iy = oy * s.stride + ky - s.pad;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * s.stride + kx - s.pad;
-            const int out_idx = oy * ow + ox;
-            dst[out_idx] = (iy >= 0 && iy < s.in_h && ix >= 0 && ix < s.in_w)
-                               ? plane[iy * s.in_w + ix]
-                               : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
 
 // Scatter-adds the im2col gradient back to the image gradient.
 void Col2ImAccum(const Tensor& col, const Conv2dSpec& s, float* img_grad) {
@@ -84,25 +52,16 @@ VarPtr Conv2d(const VarPtr& x, const VarPtr& w, const VarPtr& b,
   const int n = x->rows();
   Tensor out = Tensor::Uninit(n, spec.out_channels * oh * ow);
   obs::SpanGuard fwd_span("conv2d_fwd", obs::SpanLevel::kFine, "batch", n);
-  // Each image is independent and writes its own output row. The im2col /
-  // product scratch persists per worker thread across chunks and steps
-  // (Im2Col and the beta=0 Gemm overwrite every element, so reuse is
-  // deterministic and allocation-free in steady state).
+  // Each image is independent and writes its own output row. The
+  // workspace persists per worker thread across chunks and steps (Im2Col
+  // and the beta=0 Gemm overwrite every element, so reuse is deterministic
+  // and allocation-free in steady state).
   ParallelFor(0, n, kConvImageGrain, [&](int64_t i0, int64_t i1) {
-    thread_local Tensor col;
-    thread_local Tensor prod;
-    col.ResizeUninit(patch, oh * ow);
-    prod.ResizeUninit(spec.out_channels, oh * ow);
+    thread_local Conv2dWorkspace ws;
     for (int64_t i = i0; i < i1; ++i) {
-      Im2Col(x->value.row(static_cast<int>(i)), spec, &col);
-      Gemm(false, false, 1.0f, w->value, col, 0.0f, &prod);
-      float* dst = out.row(static_cast<int>(i));
-      for (int c = 0; c < spec.out_channels; ++c) {
-        const float bias = b->value.at(0, c);
-        const float* src = prod.row(c);
-        float* plane = dst + static_cast<size_t>(c) * oh * ow;
-        for (int p = 0; p < oh * ow; ++p) plane[p] = src[p] + bias;
-      }
+      Conv2dForwardImage(x->value.row(static_cast<int>(i)), spec, w->value,
+                         b->value, /*relu=*/false, &ws,
+                         out.row(static_cast<int>(i)));
     }
   });
 
@@ -193,43 +152,26 @@ VarPtr MaxPool2d(const VarPtr& x, int channels, int h, int w, int kernel,
   UV_CHECK_GT(ow, 0);
   const int n = x->rows();
 
-  Tensor out = Tensor::Uninit(n, channels * oh * ow);
-  // argmax[i][o] = flat input index within the row that won the max.
-  auto argmax = std::make_shared<std::vector<int>>(
-      static_cast<size_t>(n) * channels * oh * ow);
+  const int out_cols = channels * oh * ow;
+  Tensor out = Tensor::Uninit(n, out_cols);
+  // argmax[i][o] = flat input index within row i that won output o; only
+  // a backward pass reads it, so a grad-free call never builds it.
+  std::shared_ptr<std::vector<int>> argmax;
+  if (NeedsGrad(*x)) {
+    argmax = std::make_shared<std::vector<int>>(static_cast<size_t>(n) *
+                                                out_cols);
+  }
   ParallelFor(0, n, kConvImageGrain, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
-      const float* img = x->value.row(static_cast<int>(i));
-      float* dst = out.row(static_cast<int>(i));
-      int* am = argmax->data() + static_cast<size_t>(i) * channels * oh * ow;
-      for (int c = 0; c < channels; ++c) {
-        const float* plane = img + static_cast<size_t>(c) * h * w;
-        for (int oy = 0; oy < oh; ++oy) {
-          for (int ox = 0; ox < ow; ++ox) {
-            float best = -std::numeric_limits<float>::infinity();
-            int best_idx = 0;
-            for (int ky = 0; ky < kernel; ++ky) {
-              for (int kx = 0; kx < kernel; ++kx) {
-                const int iy = oy * stride + ky;
-                const int ix = ox * stride + kx;
-                const float v = plane[iy * w + ix];
-                if (v > best) {
-                  best = v;
-                  best_idx = c * h * w + iy * w + ix;
-                }
-              }
-            }
-            const int o = (c * oh + oy) * ow + ox;
-            dst[o] = best;
-            am[o] = best_idx;
-          }
-        }
-      }
+      MaxPool2dImage(x->value.row(static_cast<int>(i)), channels, h, w, kernel,
+                     stride, out.row(static_cast<int>(i)),
+                     argmax != nullptr
+                         ? argmax->data() + static_cast<size_t>(i) * out_cols
+                         : nullptr);
     }
   });
 
   VarPtr xv = x;
-  const int out_cols = channels * oh * ow;
   return MakeOp(
       std::move(out), {x},
       [xv, argmax, out_cols](Variable* self) {

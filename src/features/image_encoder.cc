@@ -2,71 +2,91 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
-#include "autograd/variable.h"
+#include "obs/trace.h"
+#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace uv::features {
+namespace {
+
+// Per-worker buffers of the encoder's image loop: one convolution
+// workspace per layer (their shapes differ, so a shared one would change
+// slab on every layer) and the two planes the stack alternates between.
+struct EncodeScratch {
+  std::array<Conv2dWorkspace, 3> conv;
+  Tensor act;     // A convolution's output; layer 1's is the largest.
+  Tensor pooled;  // A pool's output, the next convolution's input.
+};
+
+}  // namespace
 
 ConvEncoder::ConvEncoder(const Options& options) : options_(options) {
   UV_CHECK_GE(options.image_size, 8);
+  options_.batch_size = std::max(1, options.batch_size);
   Rng rng(options.seed);
-  const int s = options.image_size;
-
-  spec1_ = {/*in_channels=*/3, s, s, /*out_channels=*/8, /*kernel=*/3,
-            /*stride=*/1, /*pad=*/1};
-  const int s2 = s / 2;
-  spec2_ = {8, s2, s2, 16, 3, 1, 1};
-  const int s4 = s2 / 2;
-  spec3_ = {16, s4, s4, 32, 3, 1, 1};
-  const int s8 = s4 / 2;
-  flat_dim_ = 32 * s8 * s8;
-
-  auto init_conv = [&rng](Tensor* w, Tensor* b, int out_c, int in_c, int k) {
-    *w = Tensor(out_c, in_c * k * k);
+  constexpr std::array<int, 3> kChannels = {8, 16, 32};
+  int in_c = 3, side = options.image_size;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    Layer& layer = layers_[l];
+    const int out_c = kChannels[l];
+    layer.spec = {in_c, side, side, out_c, /*kernel=*/3, /*stride=*/1,
+                  /*pad=*/1};
+    layer.w = Tensor(out_c, in_c * 9);
     // He-style init keeps activation magnitudes stable through the stack.
-    w->RandomNormal(&rng, std::sqrt(2.0f / (in_c * k * k)));
-    *b = Tensor(1, out_c);
-  };
-  init_conv(&w1_, &b1_, 8, 3, 3);
-  init_conv(&w2_, &b2_, 16, 8, 3);
-  init_conv(&w3_, &b3_, 32, 16, 3);
-  proj_ = Tensor(flat_dim_, options.out_dim);
+    layer.w.RandomNormal(&rng, std::sqrt(2.0f / (in_c * 9)));
+    layer.b = Tensor(1, out_c);
+    in_c = out_c;
+    side /= 2;
+  }
+  proj_ = Tensor(in_c * side * side, options.out_dim);
   proj_.GlorotUniform(&rng);
 }
 
 Tensor ConvEncoder::Encode(const Tensor& images) const {
   UV_CHECK_EQ(images.cols(), 3 * options_.image_size * options_.image_size);
   const int n = images.rows();
-  Tensor out(n, options_.out_dim);
-  const int batch = std::max(1, options_.batch_size);
-
-  const auto w1 = ag::MakeConst(w1_), b1 = ag::MakeConst(b1_);
-  const auto w2 = ag::MakeConst(w2_), b2 = ag::MakeConst(b2_);
-  const auto w3 = ag::MakeConst(w3_), b3 = ag::MakeConst(b3_);
-  const auto proj = ag::MakeConst(proj_);
-
-  for (int begin = 0; begin < n; begin += batch) {
-    const int end = std::min(n, begin + batch);
-    Tensor chunk(end - begin, images.cols());
-    for (int i = begin; i < end; ++i) {
-      std::copy(images.row(i), images.row(i) + images.cols(),
-                chunk.row(i - begin));
+  const Conv2dSpec& first = layers_.front().spec;
+  Tensor out = Tensor::Uninit(n, options_.out_dim);
+  Tensor flat;
+  Tensor projected;
+  for (int begin = 0; begin < n; begin += options_.batch_size) {
+    const int rows = std::min(n - begin, options_.batch_size);
+    flat.ResizeUninit(rows, proj_.rows());
+    {
+      obs::SpanGuard span("conv2d_fwd", obs::SpanLevel::kFine, "batch", rows);
+      ParallelFor(0, rows, kConvImageGrain, [&](int64_t i0, int64_t i1) {
+        thread_local EncodeScratch scratch;
+        scratch.act.ResizeUninit(
+            1, first.out_channels * first.out_h() * first.out_w());
+        scratch.pooled.ResizeUninit(1, layers_[1].spec.in_channels *
+                                           layers_[1].spec.in_h *
+                                           layers_[1].spec.in_w);
+        for (int64_t i = i0; i < i1; ++i) {
+          const int r = static_cast<int>(i);
+          const float* in = images.row(begin + r);
+          for (size_t l = 0; l < layers_.size(); ++l) {
+            const Layer& layer = layers_[l];
+            const Conv2dSpec& s = layer.spec;
+            float* pooled =
+                l + 1 < layers_.size() ? scratch.pooled.data() : flat.row(r);
+            Conv2dForwardImage(in, s, layer.w, layer.b, /*relu=*/true,
+                               &scratch.conv[l], scratch.act.data());
+            MaxPool2dImage(scratch.act.data(), s.out_channels, s.out_h(),
+                           s.out_w(), 2, 2, pooled, nullptr);
+            in = pooled;
+          }
+        }
+      });
     }
-    auto x = ag::MakeConst(std::move(chunk));
-    x = ag::Relu(ag::Conv2d(x, w1, b1, spec1_));
-    x = ag::MaxPool2d(x, 8, spec1_.out_h(), spec1_.out_w(), 2, 2);
-    x = ag::Relu(ag::Conv2d(x, w2, b2, spec2_));
-    x = ag::MaxPool2d(x, 16, spec2_.out_h(), spec2_.out_w(), 2, 2);
-    x = ag::Relu(ag::Conv2d(x, w3, b3, spec3_));
-    x = ag::MaxPool2d(x, 32, spec3_.out_h(), spec3_.out_w(), 2, 2);
-    x = ag::MatMul(x, proj);
-    for (int i = begin; i < end; ++i) {
-      std::copy(x->value.row(i - begin),
-                x->value.row(i - begin) + options_.out_dim, out.row(i));
-    }
+    projected.ResizeUninit(rows, options_.out_dim);
+    Gemm(false, false, 1.0f, flat, proj_, 0.0f, &projected);
+    std::memcpy(out.row(begin), projected.data(),
+                sizeof(float) * static_cast<size_t>(projected.size()));
   }
   return out;
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
+#include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -24,6 +26,139 @@ void LeakyReluInPlace(float negative_slope, Tensor* t) {
 void SigmoidInPlace(Tensor* t) {
   float* d = t->data();
   for (int64_t i = 0; i < t->size(); ++i) d[i] = SigmoidScalar(d[i]);
+}
+
+namespace {
+
+// [*lo, *hi): the output positions o in [0, out) whose input coordinate
+// o * stride + offset lies in [0, in).
+void InRangeOutputs(int offset, int stride, int in, int out, int* lo,
+                    int* hi) {
+  const int last = in - 1 - offset;  // o * stride <= last.
+  *hi = last < 0 ? 0 : std::min(out, last / stride + 1);
+  const int first = offset >= 0 ? 0 : (stride - 1 - offset) / stride;
+  *lo = std::min(first, *hi);
+}
+
+}  // namespace
+
+void Im2Col(const float* image, const Conv2dSpec& s, Tensor* col) {
+  obs::SpanGuard span("im2col", obs::SpanLevel::kFine);
+  const int oh = s.out_h(), ow = s.out_w();
+  // At stride 1 with the input's width ("same" padding), output position p
+  // of a tap reads input p + shift, so the tap's in-range rows are one span
+  // of the plane: a single memcpy, after which the margin columns it filled
+  // from neighbouring rows are zeroed.
+  const bool contiguous = s.stride == 1 && ow == s.in_w;
+  for (int c = 0; c < s.in_channels; ++c) {
+    const float* plane = image + static_cast<size_t>(c) * s.in_h * s.in_w;
+    for (int ky = 0; ky < s.kernel; ++ky) {
+      int oy_lo, oy_hi;
+      InRangeOutputs(ky - s.pad, s.stride, s.in_h, oh, &oy_lo, &oy_hi);
+      for (int kx = 0; kx < s.kernel; ++kx) {
+        int ox_lo, ox_hi;
+        InRangeOutputs(kx - s.pad, s.stride, s.in_w, ow, &ox_lo, &ox_hi);
+        float* dst = col->row((c * s.kernel + ky) * s.kernel + kx);
+        std::fill(dst, dst + oy_lo * ow, 0.0f);
+        if (contiguous) {
+          if (oy_lo < oy_hi && ox_lo < ox_hi) {
+            const int first = oy_lo * ow + ox_lo;
+            const int last = (oy_hi - 1) * ow + ox_hi;
+            const int shift = (ky - s.pad) * s.in_w + kx - s.pad;
+            std::memcpy(dst + first, plane + first + shift,
+                        sizeof(float) * (last - first));
+          }
+          // A margin is a float or two per row: zero it column by column,
+          // not with a fill call per row.
+          auto zero_column = [&](int ox) {
+            for (int oy = oy_lo; oy < oy_hi; ++oy) dst[oy * ow + ox] = 0.0f;
+          };
+          for (int ox = 0; ox < ox_lo; ++ox) zero_column(ox);
+          for (int ox = ox_hi; ox < ow; ++ox) zero_column(ox);
+        } else {
+          for (int oy = oy_lo; oy < oy_hi; ++oy) {
+            // Input column of output ox is ox * stride + kx - pad.
+            const float* src = plane + (oy * s.stride + ky - s.pad) * s.in_w;
+            float* out = dst + oy * ow;
+            std::fill(out, out + ox_lo, 0.0f);
+            for (int ox = ox_lo; ox < ox_hi; ++ox) {
+              out[ox] = src[ox * s.stride + kx - s.pad];
+            }
+            std::fill(out + ox_hi, out + ow, 0.0f);
+          }
+        }
+        std::fill(dst + oy_hi * ow, dst + oh * ow, 0.0f);
+      }
+    }
+  }
+}
+
+void Conv2dForwardImage(const float* image, const Conv2dSpec& spec,
+                        const Tensor& w, const Tensor& b, bool relu,
+                        Conv2dWorkspace* ws, float* out) {
+  const int plane = spec.out_h() * spec.out_w();
+  ws->col.ResizeUninit(spec.in_channels * spec.kernel * spec.kernel, plane);
+  ws->prod.ResizeUninit(spec.out_channels, plane);
+  Im2Col(image, spec, &ws->col);
+  Gemm(false, false, 1.0f, w, ws->col, 0.0f, &ws->prod);
+  for (int c = 0; c < spec.out_channels; ++c) {
+    const float bias = b[c];
+    const float* src = ws->prod.row(c);
+    float* dst = out + static_cast<size_t>(c) * plane;
+    if (relu) {
+      for (int p = 0; p < plane; ++p) dst[p] = ReluScalar(src[p] + bias);
+    } else {
+      for (int p = 0; p < plane; ++p) dst[p] = src[p] + bias;
+    }
+  }
+}
+
+namespace {
+
+// kKernel > 0 fixes a kKernel x kKernel window at stride kKernel at compile
+// time (the 2x2 pools of every model here), which unrolls the window
+// loops; 0 reads kernel and stride at run time. `v > best` keeps a
+// window's first maximum and never selects a NaN.
+template <bool kArgmax, int kKernel>
+void MaxPoolPlanes(const float* image, int channels, int h, int w,
+                   int kernel, int stride, float* out, int* argmax) {
+  if constexpr (kKernel > 0) kernel = stride = kKernel;
+  const int oh = (h - kernel) / stride + 1;
+  const int ow = (w - kernel) / stride + 1;
+  for (int c = 0; c < channels; ++c) {
+    const float* plane = image + static_cast<size_t>(c) * h * w;
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        int best_idx = 0;
+        for (int ky = 0; ky < kernel; ++ky) {
+          const int row = (oy * stride + ky) * w + ox * stride;
+          for (int kx = 0; kx < kernel; ++kx) {
+            const float v = plane[row + kx];
+            if constexpr (kArgmax) best_idx = v > best ? row + kx : best_idx;
+            best = v > best ? v : best;
+          }
+        }
+        const int o = (c * oh + oy) * ow + ox;
+        out[o] = best;
+        if constexpr (kArgmax) argmax[o] = c * h * w + best_idx;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void MaxPool2dImage(const float* image, int channels, int h, int w,
+                    int kernel, int stride, float* out, int* argmax) {
+  const bool two = kernel == 2 && stride == 2;
+  if (argmax != nullptr) {
+    (two ? MaxPoolPlanes<true, 2> : MaxPoolPlanes<true, 0>)(
+        image, channels, h, w, kernel, stride, out, argmax);
+  } else {
+    (two ? MaxPoolPlanes<false, 2> : MaxPoolPlanes<false, 0>)(
+        image, channels, h, w, kernel, stride, out, argmax);
+  }
 }
 
 void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,

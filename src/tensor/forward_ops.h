@@ -2,11 +2,12 @@
 #define UV_TENSOR_FORWARD_OPS_H_
 
 // Raw forward-only kernels shared by the autograd ops (src/autograd) and
-// the grad-free inference engine (src/infer). Bit-identical serving depends
-// on both callers evaluating the exact same scalar formulas in the exact
-// same accumulation order, so this header is the single source of truth:
-// the autograd ops call these for their forward values and keep only the
-// backward logic local. Every parallel loop here chunks by a fixed grain,
+// their grad-free callers: the inference engine (src/infer) and the tile
+// encoder (src/features). Bit-identical results depend on every caller
+// evaluating the exact same scalar formulas in the exact same accumulation
+// order, so this header is the single source of truth: the autograd ops
+// call these for their forward values and keep only the backward logic
+// local. Every parallel loop here chunks by a fixed grain,
 // never by thread count, so results are identical for every UV_THREADS.
 
 #include <cmath>
@@ -35,6 +36,59 @@ inline float SigmoidScalar(float x) {
 void ReluInPlace(Tensor* t);
 void LeakyReluInPlace(float negative_slope, Tensor* t);
 void SigmoidInPlace(Tensor* t);
+
+// Convolution geometry over CHW image rows: a square `kernel` applied at
+// `stride`, with `pad` zeros around every spatial border.
+struct Conv2dSpec {
+  int in_channels = 0;
+  int in_h = 0;
+  int in_w = 0;
+  int out_channels = 0;
+  int kernel = 0;
+  int stride = 1;
+  int pad = 0;
+
+  int out_h() const { return (in_h + 2 * pad - kernel) / stride + 1; }
+  int out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
+};
+
+// Images per parallel chunk in every per-image convolution and pooling
+// loop (the autograd ops and the tile encoder). Chunks depend only on this
+// constant and the batch size, never on the thread count. ag::Conv2d
+// reduces its weight and bias gradients from per-chunk partials in chunk
+// order, so their bytes depend on it.
+inline constexpr int64_t kConvImageGrain = 4;
+
+// Unpacks one CHW image into its im2col matrix, (in_c*k*k) x (oh*ow), which
+// the caller sizes: row (c, ky, kx) holds the pixel under that kernel tap
+// for every output position, 0 in the padding. The bounds test is hoisted
+// out of the pixel loop: each output row's in-range span is one copy
+// between zero-filled margins, and at stride 1 with "same" padding a tap's
+// whole in-range block is one memcpy.
+void Im2Col(const float* image, const Conv2dSpec& spec, Tensor* col);
+
+// Workspaces of Conv2dForwardImage; each worker thread keeps its own, so
+// steady-state calls allocate nothing.
+struct Conv2dWorkspace {
+  Tensor col;   // (in_c*k*k) x (oh*ow).
+  Tensor prod;  // out_c x (oh*ow).
+};
+
+// One image's convolution: writes out_c*oh*ow floats (CHW) of
+// w * im2col(image) plus the channel bias b, then ReLU when `relu`. w is
+// out_c x (in_c*k*k) and b is 1 x out_c. The product is one
+// Gemm(false, false, 1, w, col, 0, &prod) per image.
+void Conv2dForwardImage(const float* image, const Conv2dSpec& spec,
+                        const Tensor& w, const Tensor& b, bool relu,
+                        Conv2dWorkspace* ws, float* out);
+
+// One image's max pool: channels x h x w (CHW) in, channels x oh x ow out
+// with oh = (h - kernel) / stride + 1 (likewise ow). A window keeps its
+// first maximum in row-major order. `argmax` may be null; otherwise
+// argmax[o] receives the flat input index that output o took its value
+// from, which is all the backward pass needs.
+void MaxPool2dImage(const float* image, int channels, int h, int w,
+                    int kernel, int stride, float* out, int* argmax);
 
 // Fused message passing over a destination-grouped edge list. `offsets` is
 // a CSR row pointer of size num_segments + 1 tiling [0, E) exactly: edge e

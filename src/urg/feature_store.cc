@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -105,26 +106,39 @@ void LazyFeatureStore::EncodeRegions(const std::vector<int>& ids,
   const int s = city_->config.image_size;
   const int dim = encoder_.out_dim();
   const int count = static_cast<int>(ids.size());
-  // A plain local, NOT thread_local: the render lambda below runs on pool
-  // workers, and a lambda body never captures a thread_local — each worker
-  // would resolve its own (empty) instance. The slab comes from BufferPool,
-  // so a fresh tensor per call is allocation-free in steady state anyway.
-  Tensor tiles;
-  tiles.ResizeUninit(count, 3 * s * s);
+  const int chunk = encoder_.batch_size();
   auto& tiles_rendered =
       obs::Registry::Global().GetCounter("synth.tiles_rendered");
-  ParallelFor(0, count, 16, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      city_->RenderRegionTile(ids[i], tiles.row(i));
+  // One encoder chunk of tiles at a time, so the transient is bounded by
+  // the chunk whatever the number of ids; rows match a single whole-batch
+  // encode because the encoder is row-independent. A plain local, NOT
+  // thread_local: the render lambda below runs on pool workers, and a
+  // lambda body never captures a thread_local — each worker would resolve
+  // its own (empty) instance. The slab comes from BufferPool, so a fresh
+  // tensor per call is allocation-free in steady state anyway.
+  Tensor tiles;
+  for (int begin = 0; begin < count; begin += chunk) {
+    const int rows = std::min(chunk, count - begin);
+    tiles.ResizeUninit(rows, 3 * s * s);
+    {
+      obs::SpanGuard span("render_tiles", obs::SpanLevel::kFine, "tiles",
+                          rows);
+      ParallelFor(0, rows, 16, [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          city_->RenderRegionTile(ids[begin + r],
+                                  tiles.row(static_cast<int>(r)));
+        }
+        tiles_rendered.Inc(static_cast<uint64_t>(r1 - r0));
+      });
     }
-    tiles_rendered.Inc(static_cast<uint64_t>(end - begin));
-  });
-  const Tensor encoded = encoder_.Encode(tiles);
-  for (int i = 0; i < count; ++i) {
-    const float* in = encoded.row(i);
-    float* dst = out->row(i);
-    for (int c = 0; c < dim; ++c) {
-      dst[c] = (in[c] - col_mean_.at(0, c)) / col_std_.at(0, c);
+    obs::SpanGuard span("encode_tiles", obs::SpanLevel::kFine, "tiles", rows);
+    const Tensor encoded = encoder_.Encode(tiles);
+    for (int i = 0; i < rows; ++i) {
+      const float* in = encoded.row(i);
+      float* dst = out->row(begin + i);
+      for (int c = 0; c < dim; ++c) {
+        dst[c] = (in[c] - col_mean_.at(0, c)) / col_std_.at(0, c);
+      }
     }
   }
 }

@@ -62,6 +62,9 @@ class ResidentFeatureStore : public FeatureStore {
 //   GatherImage(ids) -> LRU lookup -> miss: render tiles from the city's
 //   per-region RNG streams -> ConvEncoder -> standardize -> cache row.
 //
+// Misses are rendered and encoded one encoder chunk at a time, so the tile
+// transient is bounded by the chunk, not by the batch.
+//
 // The cache is a fixed (cache_rows x image_dim) pool-backed tensor, so the
 // store's footprint is O(cache) regardless of city size. Standardization
 // statistics come from a deterministic evenly-spaced region sample; when

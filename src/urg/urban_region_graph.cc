@@ -9,6 +9,7 @@
 
 #include "features/image_encoder.h"
 #include "features/poi_features.h"
+#include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -298,6 +299,8 @@ UrbanRegionGraph BuildUrg(const synth::City& city, const UrgOptions& options) {
     enc.image_size = city.config.image_size;
     enc.out_dim = options.image_feature_dim;
     enc.seed = options.encoder_seed;
+    obs::SpanGuard span("encode_tiles", obs::SpanLevel::kFine, "tiles",
+                        city.images->rows());
     image = features::ConvEncoder(enc).Encode(*city.images);
     if (options.standardize_features) StandardizeColumnsInPlace(&image);
   } else {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
+#include "tensor/forward_ops.h"
+#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace uv::ag {
@@ -34,6 +40,35 @@ float NaiveConvAt(const Tensor& x, const Tensor& w, const Tensor& b, int img,
     }
   }
   return acc;
+}
+
+// The per-element im2col the raw kernel replaced: every tap bounds-tests
+// its pixel. Kept as the reference the hoisted Im2Col must reproduce.
+void ReferenceIm2Col(const float* img, const Conv2dSpec& s, Tensor* col) {
+  const int oh = s.out_h(), ow = s.out_w();
+  for (int c = 0; c < s.in_channels; ++c) {
+    const float* plane = img + static_cast<size_t>(c) * s.in_h * s.in_w;
+    for (int ky = 0; ky < s.kernel; ++ky) {
+      for (int kx = 0; kx < s.kernel; ++kx) {
+        const int row = (c * s.kernel + ky) * s.kernel + kx;
+        float* dst = col->row(row);
+        for (int oy = 0; oy < oh; ++oy) {
+          const int iy = oy * s.stride + ky - s.pad;
+          for (int ox = 0; ox < ow; ++ox) {
+            const int ix = ox * s.stride + kx - s.pad;
+            const int out_idx = oy * ow + ox;
+            dst[out_idx] = (iy >= 0 && iy < s.in_h && ix >= 0 && ix < s.in_w)
+                               ? plane[iy * s.in_w + ix]
+                               : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+bool SameBytes(const float* a, const float* b, size_t count) {
+  return std::memcmp(a, b, sizeof(float) * count) == 0;
 }
 
 TEST(Conv2dTest, OutputShape) {
@@ -78,6 +113,65 @@ INSTANTIATE_TEST_SUITE_P(Geometry, Conv2dForwardTest,
                                             ::testing::Values(0, 1),
                                             ::testing::Values(1, 3)));
 
+// (stride, pad, out_channels, kernel, in_h, in_w): the Conv2dForwardTest
+// grid plus kernels 1 and 5, pad 2 and a non-square input.
+class Conv2dRawForwardTest
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, int, int, std::tuple<int, int>>> {};
+
+TEST_P(Conv2dRawForwardTest, MatchesReferenceIm2ColBitForBit) {
+  const auto [stride, pad, out_c, kernel, shape] = GetParam();
+  const auto [in_h, in_w] = shape;
+  const Conv2dSpec s{2, in_h, in_w, out_c, kernel, stride, pad};
+  if (s.out_h() <= 0 || s.out_w() <= 0) GTEST_SKIP();
+  const int patch = 2 * kernel * kernel;
+  const int plane = s.out_h() * s.out_w();
+  const int out_cols = out_c * plane;
+  const Tensor x = RandomTensor(3, 2 * in_h * in_w, 31);
+  const Tensor w = RandomTensor(out_c, patch, 32);
+  const Tensor b = RandomTensor(1, out_c, 33);
+
+  Tensor ref_col(patch, plane);
+  Tensor col(patch, plane);
+  Tensor prod(out_c, plane);
+  Conv2dWorkspace ws;
+  std::vector<float> expected(out_cols), expected_relu(out_cols);
+  std::vector<float> got(out_cols), got_relu(out_cols);
+  const auto y = Conv2d(MakeConst(x), MakeConst(w), MakeConst(b), s);
+  for (int img = 0; img < x.rows(); ++img) {
+    ReferenceIm2Col(x.row(img), s, &ref_col);
+    col.Fill(std::numeric_limits<float>::quiet_NaN());  // Every cell written.
+    Im2Col(x.row(img), s, &col);
+    ASSERT_TRUE(SameBytes(col.data(), ref_col.data(), col.size()))
+        << "im2col, image " << img;
+
+    Gemm(false, false, 1.0f, w, ref_col, 0.0f, &prod);
+    for (int c = 0; c < out_c; ++c) {
+      for (int p = 0; p < plane; ++p) {
+        const float v = prod.at(c, p) + b.at(0, c);
+        expected[c * plane + p] = v;
+        expected_relu[c * plane + p] = v > 0.0f ? v : 0.0f;
+      }
+    }
+    Conv2dForwardImage(x.row(img), s, w, b, /*relu=*/false, &ws, got.data());
+    Conv2dForwardImage(x.row(img), s, w, b, /*relu=*/true, &ws,
+                       got_relu.data());
+    EXPECT_TRUE(SameBytes(got.data(), expected.data(), out_cols))
+        << "image " << img;
+    EXPECT_TRUE(SameBytes(got_relu.data(), expected_relu.data(), out_cols))
+        << "image " << img;
+    EXPECT_TRUE(SameBytes(y->value.row(img), expected.data(), out_cols))
+        << "ag::Conv2d, image " << img;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, Conv2dRawForwardTest,
+    ::testing::Combine(::testing::Values(1, 2), ::testing::Values(0, 1, 2),
+                       ::testing::Values(1, 3), ::testing::Values(1, 3, 5),
+                       ::testing::Values(std::make_tuple(6, 6),
+                                         std::make_tuple(5, 7))));
+
 TEST(Conv2dTest, GradCheckSmall) {
   Conv2dSpec s{1, 4, 4, 2, 3, 1, 1};
   auto x = MakeParam(RandomTensor(2, 16, 10));
@@ -111,6 +205,42 @@ TEST(MaxPool2dTest, BackwardRoutesToArgmax) {
   Backward(loss);
   EXPECT_FLOAT_EQ(x->grad.at(0, 5), 1.0f);
   EXPECT_FLOAT_EQ(x->grad.at(0, 0), 0.0f);
+}
+
+TEST(MaxPool2dTest, RawPoolSameValuesWithAndWithoutArgmax) {
+  // Rounded values make ties common; a window keeps its first maximum.
+  const int channels = 3, h = 7, w = 6;
+  Tensor img = RandomTensor(1, channels * h * w, 34);
+  for (int64_t i = 0; i < img.size(); ++i) img[i] = std::round(img[i]);
+  for (const auto& [kernel, stride] : {std::make_tuple(2, 2),
+                                       std::make_tuple(3, 1)}) {
+    const int oh = (h - kernel) / stride + 1;
+    const int ow = (w - kernel) / stride + 1;
+    const int outs = channels * oh * ow;
+    std::vector<float> with(outs), without(outs);
+    std::vector<int> argmax(outs, -1);
+    MaxPool2dImage(img.data(), channels, h, w, kernel, stride, with.data(),
+                   argmax.data());
+    MaxPool2dImage(img.data(), channels, h, w, kernel, stride,
+                   without.data(), nullptr);
+    EXPECT_TRUE(SameBytes(with.data(), without.data(), outs))
+        << "kernel " << kernel;
+    for (int o = 0; o < outs; ++o) {
+      ASSERT_GE(argmax[o], 0);
+      ASSERT_LT(argmax[o], img.cols());
+      EXPECT_EQ(img[argmax[o]], with[o]) << "output " << o;
+    }
+  }
+}
+
+TEST(MaxPool2dTest, GradFreeCallMatchesGradCall) {
+  // A constant input skips the argmax; a parameter builds it. Same values.
+  const Tensor img = RandomTensor(5, 2 * 6 * 6, 35);
+  const auto grad_free = MaxPool2d(MakeConst(img), 2, 6, 6, 2, 2);
+  const auto with_grad = MaxPool2d(MakeParam(img), 2, 6, 6, 2, 2);
+  ASSERT_EQ(grad_free->value.size(), with_grad->value.size());
+  EXPECT_TRUE(SameBytes(grad_free->value.data(), with_grad->value.data(),
+                        grad_free->value.size()));
 }
 
 TEST(MaxPool2dTest, GradCheck) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "autograd/ops.h"
 #include "features/image_encoder.h"
 #include "tensor/tensor_ops.h"
 #include "features/poi_features.h"
@@ -210,7 +212,8 @@ TEST(ConvEncoderTest, DeterministicAcrossInstances) {
   images.RandomNormal(&rng, 0.3f);
   Tensor fa = a.Encode(images);
   Tensor fb = b.Encode(images);
-  EXPECT_EQ(fa.at(2, 31), fb.at(2, 31));
+  ASSERT_TRUE(fa.SameShape(fb));
+  EXPECT_EQ(0, std::memcmp(fa.data(), fb.data(), sizeof(float) * fa.size()));
 }
 
 TEST(ConvEncoderTest, BatchBoundaryConsistent) {
@@ -226,7 +229,38 @@ TEST(ConvEncoderTest, BatchBoundaryConsistent) {
   images.RandomNormal(&rng, 0.3f);
   Tensor fa = chunked.Encode(images);
   Tensor fb = whole.Encode(images);
-  EXPECT_LT(MaxAbsDiff(fa, fb), 1e-4f);
+  ASSERT_TRUE(fa.SameShape(fb));
+  EXPECT_EQ(0, std::memcmp(fa.data(), fb.data(), sizeof(float) * fa.size()));
+}
+
+// The grad-free encoder is the autograd chain it replaced, op for op, over
+// its own weights: [Conv2d -> Relu -> MaxPool2d] x 3, then MatMul.
+TEST(ConvEncoderTest, MatchesAutogradChainBitForBit) {
+  for (const int size : {16, 32}) {
+    ConvEncoder::Options options;
+    options.image_size = size;
+    options.out_dim = 40;
+    options.batch_size = 4;  // Two full chunks and a partial one.
+    const ConvEncoder encoder(options);
+    Rng rng(21);
+    Tensor images(11, 3 * size * size);
+    images.RandomNormal(&rng, 0.5f);
+
+    ag::VarPtr x = ag::MakeConst(images);
+    for (const ConvEncoder::Layer& layer : encoder.layers()) {
+      const Conv2dSpec& s = layer.spec;
+      x = ag::Relu(ag::Conv2d(x, ag::MakeConst(layer.w),
+                              ag::MakeConst(layer.b), s));
+      x = ag::MaxPool2d(x, s.out_channels, s.out_h(), s.out_w(), 2, 2);
+    }
+    x = ag::MatMul(x, ag::MakeConst(encoder.projection()));
+
+    const Tensor got = encoder.Encode(images);
+    ASSERT_TRUE(got.SameShape(x->value)) << "size " << size;
+    EXPECT_EQ(0, std::memcmp(got.data(), x->value.data(),
+                             sizeof(float) * got.size()))
+        << "size " << size;
+  }
 }
 
 TEST(ConvEncoderTest, DifferentImagesDifferentFeatures) {

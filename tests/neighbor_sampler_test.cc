@@ -348,6 +348,14 @@ TEST(FeatureStoreTest, LazyRowsMatchEagerFeatures) {
   EXPECT_TRUE(SameBytes(poi, eager_poi));
   EXPECT_TRUE(SameBytes(img, eager_img));
 
+  // Every region in one call: a miss batch that spans three encoder chunks.
+  std::vector<int> all(city->num_regions());
+  for (int i = 0; i < city->num_regions(); ++i) all[i] = i;
+  Tensor all_img, eager_all_img;
+  sharded.GatherImageRows(all, &all_img);
+  eager.GatherImageRows(all, &eager_all_img);
+  EXPECT_TRUE(SameBytes(all_img, eager_all_img));
+
   // A second gather is served from the LRU cache and returns identical rows.
   auto store = std::dynamic_pointer_cast<LazyFeatureStore>(sharded.features);
   ASSERT_NE(store, nullptr);
