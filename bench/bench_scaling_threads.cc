@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
 
   // --- Conv2d forward + backward on a 32-image batch. ---
   {
-    const uv::ag::Conv2dSpec spec{3, 32, 32, 16, 3, 1, 1};
+    const uv::Conv2dSpec spec{3, 32, 32, 16, 3, 1, 1};
     const Tensor x0 = RandomTensor(32, 3 * 32 * 32, 3);
     const Tensor w0 = RandomTensor(16, 3 * 9, 4);
     const Tensor b0 = RandomTensor(1, 16, 5);

@@ -133,7 +133,7 @@ void RunMicroSuite(uv::obs::Report* report) {
   }
   {
     // Conv2d forward + backward over an 8-image batch.
-    const uv::ag::Conv2dSpec spec{3, 32, 32, 16, 3, 1, 1};
+    const uv::Conv2dSpec spec{3, 32, 32, 16, 3, 1, 1};
     const uv::Tensor x0 = RandomTensor(8, 3 * 32 * 32, 11);
     const uv::Tensor w0 = RandomTensor(16, 3 * 9, 12);
     const uv::Tensor b0 = RandomTensor(1, 16, 13);

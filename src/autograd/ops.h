@@ -117,10 +117,6 @@ VarPtr SegmentSumByIds(const VarPtr& x,
 // CHW order; shapes are passed explicitly.
 // ---------------------------------------------------------------------------
 
-// The raw kernels' geometry (tensor/forward_ops.h): Conv2d and MaxPool2d
-// take their forward values from Conv2dForwardImage and MaxPool2dImage.
-using Conv2dSpec = uv::Conv2dSpec;
-
 // x: (N x in_c*in_h*in_w), w: (out_c x in_c*k*k), b: (1 x out_c).
 // Result: (N x out_c*out_h*out_w).
 VarPtr Conv2d(const VarPtr& x, const VarPtr& w, const VarPtr& b,

@@ -36,7 +36,7 @@ class MuvfcnBaseline : public eval::Detector {
   std::vector<ag::VarPtr> Params() const;
 
   TrainOptions options_;
-  ag::Conv2dSpec spec1_, spec2_, spec3_;
+  Conv2dSpec spec1_, spec2_, spec3_;
   ag::VarPtr c1w_, c1b_, c2w_, c2b_, c3w_, c3b_;
   std::unique_ptr<nn::Linear> head_;
   double epoch_seconds_ = 0.0;

@@ -39,7 +39,7 @@ class UvLensBaseline : public eval::Detector {
 
   TrainOptions options_;
   Tensor equalized_;  // Histogram-equalized tiles, built at Train time.
-  ag::Conv2dSpec spec1_, spec2_;
+  Conv2dSpec spec1_, spec2_;
   ag::VarPtr conv1_w_, conv1_b_, conv2_w_, conv2_b_;
   std::unique_ptr<nn::Linear> fc1_, fc2_, fc3_, head_;
   double epoch_seconds_ = 0.0;

@@ -45,11 +45,6 @@ void InRangeOutputs(int offset, int stride, int in, int out, int* lo,
 void Im2Col(const float* image, const Conv2dSpec& s, Tensor* col) {
   obs::SpanGuard span("im2col", obs::SpanLevel::kFine);
   const int oh = s.out_h(), ow = s.out_w();
-  // At stride 1 with the input's width ("same" padding), output position p
-  // of a tap reads input p + shift, so the tap's in-range rows are one span
-  // of the plane: a single memcpy, after which the margin columns it filled
-  // from neighbouring rows are zeroed.
-  const bool contiguous = s.stride == 1 && ow == s.in_w;
   for (int c = 0; c < s.in_channels; ++c) {
     const float* plane = image + static_cast<size_t>(c) * s.in_h * s.in_w;
     for (int ky = 0; ky < s.kernel; ++ky) {
@@ -60,32 +55,15 @@ void Im2Col(const float* image, const Conv2dSpec& s, Tensor* col) {
         InRangeOutputs(kx - s.pad, s.stride, s.in_w, ow, &ox_lo, &ox_hi);
         float* dst = col->row((c * s.kernel + ky) * s.kernel + kx);
         std::fill(dst, dst + oy_lo * ow, 0.0f);
-        if (contiguous) {
-          if (oy_lo < oy_hi && ox_lo < ox_hi) {
-            const int first = oy_lo * ow + ox_lo;
-            const int last = (oy_hi - 1) * ow + ox_hi;
-            const int shift = (ky - s.pad) * s.in_w + kx - s.pad;
-            std::memcpy(dst + first, plane + first + shift,
-                        sizeof(float) * (last - first));
+        for (int oy = oy_lo; oy < oy_hi; ++oy) {
+          // Input column of output ox is ox * stride + kx - pad.
+          const float* src = plane + (oy * s.stride + ky - s.pad) * s.in_w;
+          float* out = dst + oy * ow;
+          std::fill(out, out + ox_lo, 0.0f);
+          for (int ox = ox_lo; ox < ox_hi; ++ox) {
+            out[ox] = src[ox * s.stride + kx - s.pad];
           }
-          // A margin is a float or two per row: zero it column by column,
-          // not with a fill call per row.
-          auto zero_column = [&](int ox) {
-            for (int oy = oy_lo; oy < oy_hi; ++oy) dst[oy * ow + ox] = 0.0f;
-          };
-          for (int ox = 0; ox < ox_lo; ++ox) zero_column(ox);
-          for (int ox = ox_hi; ox < ow; ++ox) zero_column(ox);
-        } else {
-          for (int oy = oy_lo; oy < oy_hi; ++oy) {
-            // Input column of output ox is ox * stride + kx - pad.
-            const float* src = plane + (oy * s.stride + ky - s.pad) * s.in_w;
-            float* out = dst + oy * ow;
-            std::fill(out, out + ox_lo, 0.0f);
-            for (int ox = ox_lo; ox < ox_hi; ++ox) {
-              out[ox] = src[ox * s.stride + kx - s.pad];
-            }
-            std::fill(out + ox_hi, out + ow, 0.0f);
-          }
+          std::fill(out + ox_hi, out + ow, 0.0f);
         }
         std::fill(dst + oy_hi * ow, dst + oh * ow, 0.0f);
       }
@@ -115,14 +93,10 @@ void Conv2dForwardImage(const float* image, const Conv2dSpec& spec,
 
 namespace {
 
-// kKernel > 0 fixes a kKernel x kKernel window at stride kKernel at compile
-// time (the 2x2 pools of every model here), which unrolls the window
-// loops; 0 reads kernel and stride at run time. `v > best` keeps a
-// window's first maximum and never selects a NaN.
-template <bool kArgmax, int kKernel>
+// `v > best` keeps a window's first maximum and never selects a NaN.
+template <bool kArgmax>
 void MaxPoolPlanes(const float* image, int channels, int h, int w,
                    int kernel, int stride, float* out, int* argmax) {
-  if constexpr (kKernel > 0) kernel = stride = kKernel;
   const int oh = (h - kernel) / stride + 1;
   const int ow = (w - kernel) / stride + 1;
   for (int c = 0; c < channels; ++c) {
@@ -151,13 +125,10 @@ void MaxPoolPlanes(const float* image, int channels, int h, int w,
 
 void MaxPool2dImage(const float* image, int channels, int h, int w,
                     int kernel, int stride, float* out, int* argmax) {
-  const bool two = kernel == 2 && stride == 2;
   if (argmax != nullptr) {
-    (two ? MaxPoolPlanes<true, 2> : MaxPoolPlanes<true, 0>)(
-        image, channels, h, w, kernel, stride, out, argmax);
+    MaxPoolPlanes<true>(image, channels, h, w, kernel, stride, out, argmax);
   } else {
-    (two ? MaxPoolPlanes<false, 2> : MaxPoolPlanes<false, 0>)(
-        image, channels, h, w, kernel, stride, out, argmax);
+    MaxPoolPlanes<false>(image, channels, h, w, kernel, stride, out, argmax);
   }
 }
 

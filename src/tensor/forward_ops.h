@@ -63,8 +63,7 @@ inline constexpr int64_t kConvImageGrain = 4;
 // the caller sizes: row (c, ky, kx) holds the pixel under that kernel tap
 // for every output position, 0 in the padding. The bounds test is hoisted
 // out of the pixel loop: each output row's in-range span is one copy
-// between zero-filled margins, and at stride 1 with "same" padding a tap's
-// whole in-range block is one memcpy.
+// between zero-filled margins.
 void Im2Col(const float* image, const Conv2dSpec& spec, Tensor* col);
 
 // Workspaces of Conv2dForwardImage; each worker thread keeps its own, so

@@ -93,7 +93,7 @@ struct ConvResult {
 };
 
 TEST(ParallelDeterminismTest, ConvForwardBackward) {
-  const ag::Conv2dSpec spec{3, 10, 10, 6, 3, 1, 1};
+  const Conv2dSpec spec{3, 10, 10, 6, 3, 1, 1};
   const int n = 10;  // Spans multiple image chunks.
   const Tensor x0 = RandomTensor(n, 3 * 10 * 10, 31);
   const Tensor w0 = RandomTensor(6, 3 * 9, 32);
@@ -305,7 +305,7 @@ TEST(ParallelDeterminismTest, PoolOnOffTimesThreadsMetricsBitIdentical) {
 // bit-identical tensors with recycling on and off (dirty slabs included —
 // the first pool-on pass leaves used slabs behind for the second).
 TEST(ParallelDeterminismTest, KernelResultsPoolOnOffBitIdentical) {
-  const ag::Conv2dSpec spec{3, 10, 10, 6, 3, 1, 1};
+  const Conv2dSpec spec{3, 10, 10, 6, 3, 1, 1};
   const Tensor x0 = RandomTensor(10, 3 * 10 * 10, 61);
   const Tensor w0 = RandomTensor(6, 3 * 9, 62);
   const Tensor b0 = RandomTensor(1, 6, 63);
