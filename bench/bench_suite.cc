@@ -229,14 +229,17 @@ void RunEvalSuite(uv::obs::Report* report, uv::bench::BenchConfig bench) {
 
 // Paper-scale leg: builds one city-scale preset ("93k" / "175k" / "354k",
 // generate_images = false) through the sharded URG + lazy feature store
-// path and records the four gated entries of the city_scale.* family:
+// path and records the five gated entries of the city_scale.* family:
 //   city_scale.urg_build_<tag>       regions_per_sec, peak pool bytes
 //   city_scale.sampler_<tag>         subgraphs_per_sec
 //   city_scale.train_step_cmsf_<tag> per-batch master step, peak pool bytes
+//   city_scale.freeze_<tag>          gated CMSF's freeze sweep (whole-city
+//                                    pass + GSCM assignment), peak pool bytes
 //   city_scale.train_step_gcn_<tag>  per-batch GCN step, peak pool bytes
-// Each train-step closure resets the pool high-water mark first, so
-// mem.pool_peak_delta isolates the per-batch transient footprint — the
-// number that must stay flat from 93k to 354k at fixed batch / fanout.
+// Each train-step and freeze closure resets the pool high-water mark
+// first, so mem.pool_peak_delta isolates its transient footprint — for a
+// train step the number that must stay flat from 93k to 354k at fixed
+// batch / fanout.
 void RunCityScaleSuite(uv::obs::Report* report,
                        const uv::bench::BenchConfig& bench,
                        const std::string& tag) {
@@ -318,8 +321,8 @@ void RunCityScaleSuite(uv::obs::Report* report,
     cfg.batch_size = kBatch;
     cfg.fanout = kFanout;
     // Gate off: the step keeps the full master path (MAGA trunk + GSCM +
-    // classifier) but skips the end-of-training freeze sweep, which is a
-    // one-time cost amortized over real multi-epoch runs.
+    // classifier) but skips the end-of-training freeze sweep, a one-time
+    // cost amortized over real multi-epoch runs with its own entry below.
     cfg.use_gate = false;
     double step_ms = 0.0;
     uint64_t peak_delta = 0, peak = 0;
@@ -341,6 +344,31 @@ void RunCityScaleSuite(uv::obs::Report* report,
                 uv::obs::Direction::kLowerIsBetter);
     e.AddMetric("mem.pool_peak_delta", static_cast<double>(peak_delta));
     e.AddMetric("batches_per_epoch", static_cast<double>(num_batches));
+  }
+
+  {
+    // The freeze sweep of a gated CMSF, as TrainMaster runs it after its
+    // last epoch: the whole-city pass, layer by layer over the shards, then
+    // GSCM's assignment over the trunk rows.
+    uv::core::CmsfConfig cfg;
+    cfg.seed = bench.seed;
+    uv::Rng rng(bench.seed);
+    const uv::core::CmsfModel model(cfg, urg.PoiDim(), urg.ImageDim(), &rng);
+    uint64_t peak_delta = 0, peak = 0;
+    auto& e = report->RunTimed("city_scale.freeze_" + tag, /*warmup=*/0,
+                               step_repeats, [&] {
+      uv::BufferPool::ResetPeak();
+      const uint64_t base = uv::BufferPool::Stats().pool_bytes;
+      (void)uv::core::FreezeAssignment(model, urg, train_ids, train_labels);
+      peak = uv::BufferPool::Stats().pool_bytes_peak;
+      peak_delta = peak > base ? peak - base : 0;
+    });
+    const double secs = e.Stats().p50;
+    e.AddMetric("regions_per_sec", secs > 0.0 ? n / secs : 0.0,
+                uv::obs::Direction::kHigherIsBetter);
+    e.AddMetric("mem.pool_bytes_peak", static_cast<double>(peak),
+                uv::obs::Direction::kLowerIsBetter);
+    e.AddMetric("mem.pool_peak_delta", static_cast<double>(peak_delta));
   }
 
   {

@@ -1,7 +1,6 @@
 #include "baselines/common.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -18,16 +17,6 @@ ag::VarPtr GatherConstRows(const Tensor& features,
               out.row(static_cast<int>(i)));
   }
   return ag::MakeConst(std::move(out));
-}
-
-std::vector<float> SigmoidRows(const Tensor& logits,
-                               const std::vector<int>& ids) {
-  std::vector<float> out(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const float z = logits.at(ids[i], 0);
-    out[i] = 1.0f / (1.0f + std::exp(-z));
-  }
-  return out;
 }
 
 int64_t CountParams(const std::vector<ag::VarPtr>& params) {

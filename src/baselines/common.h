@@ -30,10 +30,6 @@ struct TrainOptions {
 ag::VarPtr GatherConstRows(const Tensor& features,
                            const std::vector<int>& ids);
 
-// Sigmoid over the given rows of a logit column (N x 1).
-std::vector<float> SigmoidRows(const Tensor& logits,
-                               const std::vector<int>& ids);
-
 // Total scalar parameter count.
 int64_t CountParams(const std::vector<ag::VarPtr>& params);
 

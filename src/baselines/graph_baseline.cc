@@ -40,21 +40,23 @@ std::string GraphBaseline<Layer>::name() const {
 }
 
 template <typename Layer>
-ag::VarPtr GraphBaseline<Layer>::Trunk(const core::BatchInputs& inputs) const {
-  const nn::GraphContext& ctx = inputs.ctx;
-  ag::VarPtr p = ag::Relu(poi_g1_->Forward(inputs.poi, ctx));
-  p = ag::Relu(poi_g2_->Forward(p, ctx));
-  ag::VarPtr i = img_reduce_->Forward(inputs.image, kern::Activation::kRelu);
-  i = ag::Relu(img_g1_->Forward(i, ctx));
-  i = ag::Relu(img_g2_->Forward(i, ctx));
-  return ag::ConcatCols(p, i);
+core::TrunkRows GraphBaseline<Layer>::Stem(const ag::VarPtr& poi,
+                                           const ag::VarPtr& image) const {
+  return {poi, img_reduce_->Forward(image, kern::Activation::kRelu)};
 }
 
 template <typename Layer>
-ag::VarPtr GraphBaseline<Layer>::Forward(
-    const core::BatchInputs& inputs) const {
-  return head_->Forward(
-      fuse_->Forward(Trunk(inputs), kern::Activation::kRelu));
+core::TrunkRows GraphBaseline<Layer>::LayerStep(
+    int layer, const core::TrunkRows& in, const nn::GraphContext& ctx) const {
+  const Layer& poi = layer == 0 ? *poi_g1_ : *poi_g2_;
+  const Layer& img = layer == 0 ? *img_g1_ : *img_g2_;
+  return {ag::Relu(poi.Forward(in.poi, ctx)),
+          ag::Relu(img.Forward(in.image, ctx))};
+}
+
+template <typename Layer>
+ag::VarPtr GraphBaseline<Layer>::Head(const ag::VarPtr& trunk) const {
+  return head_->Forward(fuse_->Forward(trunk, kern::Activation::kRelu));
 }
 
 template <typename Layer>
@@ -93,18 +95,18 @@ void GraphBaseline<Layer>::Train(const urg::UrbanRegionGraph& urg,
   aopt.clip_norm = options_.clip_norm;
   ag::AdamOptimizer opt(Params(), aopt);
 
-  plan_ = std::make_unique<core::BatchPlan>(options_.batch_size,
-                                            options_.fanout, /*hops=*/2);
-  plan_->SetTrainSet(train_ids, train_labels, options_.pos_weight);
+  core::BatchPlan plan(options_.batch_size, options_.fanout,
+                       num_layers());
+  plan.SetTrainSet(train_ids, train_labels, options_.pos_weight);
   epoch_seconds_ = core::TrainLoopBatched(
       &opt, options_.epochs, options_.lr_decay_per_epoch,
-      plan_->num_train_batches(),
+      plan.num_train_batches(),
       [&](int epoch, int b) {
         const core::Batch& batch =
-            plan_->TrainBatch(urg, options_.seed, epoch, b);
+            plan.TrainBatch(urg, options_.seed, epoch, b);
         return ag::BceWithLogits(
-            ag::GatherRows(Forward(*batch.inputs), batch.rows), batch.labels,
-            &batch.weights);
+            ag::GatherRows(Head(Trunk(*batch.inputs)), batch.rows),
+            batch.labels, &batch.weights);
       },
       &epoch_history_, Name());
 }
@@ -113,10 +115,9 @@ template <typename Layer>
 std::vector<float> GraphBaseline<Layer>::Score(
     const urg::UrbanRegionGraph& urg, const std::vector<int>& eval_ids) {
   WallTimer timer;
-  std::vector<float> out =
-      plan_->Score(urg, eval_ids, [this](const core::Batch& batch) {
-        return Forward(*batch.inputs);
-      });
+  ag::NoGradScope no_grad;
+  std::vector<float> out = core::SigmoidRows(
+      Head(core::WholeCityTrunk(*this, urg))->value, eval_ids);
   inference_seconds_ = timer.Seconds();
   return out;
 }
@@ -130,11 +131,10 @@ template <typename Layer>
 std::unique_ptr<infer::Engine> GraphBaseline<Layer>::MakeEngine(
     const urg::UrbanRegionGraph& urg) const {
   UV_CHECK(img_reduce_ != nullptr);  // Train first.
-  const core::BatchInputs city = core::WholeCityInputs(urg);
-  ag::NoGradScope no_grad;
   return infer::MakeDenseTailEngine(
-      std::move(Trunk(city)->value), fuse_->w()->value, fuse_->b()->value,
-      kern::Activation::kRelu, head_->w()->value, head_->b()->value);
+      std::move(core::WholeCityTrunk(*this, urg)->value), fuse_->w()->value,
+      fuse_->b()->value, kern::Activation::kRelu, head_->w()->value,
+      head_->b()->value);
 }
 
 template class GraphBaseline<nn::GcnLayer>;

@@ -15,12 +15,13 @@ namespace uv::baselines {
 // The GCN and GAT baselines (paper Appendix I-A): image features linearly
 // reduced, one 2-layer graph network per modality on the URG, linear
 // multi-modal fusion, logistic head. `Layer` is nn::GcnLayer (GCN) or a
-// two-head nn::GatLayer (GAT: attention-based aggregation). Trains and
-// scores through a core::BatchPlan: the whole city as one batch by
-// default, neighborhood-sampled minibatches when
-// TrainOptions::batch_size > 0.
+// two-head nn::GatLayer (GAT: attention-based aggregation). Trains through
+// a core::BatchPlan: the whole city as one batch by default,
+// neighborhood-sampled minibatches when TrainOptions::batch_size > 0.
+// Scores, under either plan, take the trunk from the whole-city pass
+// (core::WholeCityTrunk).
 template <typename Layer>
-class GraphBaseline : public eval::Detector {
+class GraphBaseline : public eval::Detector, private core::LayeredTrunk {
  public:
   explicit GraphBaseline(const TrainOptions& options) : options_(options) {}
 
@@ -38,10 +39,9 @@ class GraphBaseline : public eval::Detector {
   }
   double LastInferenceSeconds() const override { return inference_seconds_; }
 
-  // Grad-free inference engine over this trained model (full-graph
-  // semantics): runs Trunk once over the whole city under an
-  // ag::NoGradScope, then serves the dense fuse+head tail per request,
-  // bit-identical to full-graph Score.
+  // Grad-free inference engine over this trained model: takes the trunk
+  // from the whole-city pass, then serves the dense fuse+head tail per
+  // request, bit-identical to Score.
   std::unique_ptr<infer::Engine> MakeEngine(
       const urg::UrbanRegionGraph& urg) const;
 
@@ -49,14 +49,19 @@ class GraphBaseline : public eval::Detector {
   static const char* Name();
   static std::unique_ptr<Layer> MakeLayer(int in_dim, int out_dim, Rng* rng);
 
-  // The two per-modality graph stacks, concatenated: the fuse layer's
-  // input.
-  ag::VarPtr Trunk(const core::BatchInputs& inputs) const;
-  ag::VarPtr Forward(const core::BatchInputs& inputs) const;
+  // The trunk (core::LayeredTrunk): the image reduction as the stem, then
+  // one layer of each per-modality graph stack per step. Trunk(inputs)
+  // concatenates the two stacks: the fuse layer's input.
+  core::TrunkRows Stem(const ag::VarPtr& poi,
+                       const ag::VarPtr& image) const override;
+  int num_layers() const override { return 2; }
+  core::TrunkRows LayerStep(int layer, const core::TrunkRows& in,
+                            const nn::GraphContext& ctx) const override;
+  // Fuse layer and logistic head over trunk rows: logits (rows x 1).
+  ag::VarPtr Head(const ag::VarPtr& trunk) const;
   std::vector<ag::VarPtr> Params() const;
 
   TrainOptions options_;
-  std::unique_ptr<core::BatchPlan> plan_;
   std::unique_ptr<nn::Linear> img_reduce_;
   std::unique_ptr<Layer> poi_g1_, poi_g2_, img_g1_, img_g2_;
   std::unique_ptr<nn::Linear> fuse_;

@@ -168,7 +168,7 @@ std::vector<float> MmreBaseline::Score(const urg::UrbanRegionGraph& urg,
   ag::VarPtr logits = head_->Forward(GatherConstRows(embeddings_, eval_ids));
   std::vector<int> all(eval_ids.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  auto out = SigmoidRows(logits->value, all);
+  auto out = core::SigmoidRows(logits->value, all);
   inference_seconds_ = timer.Seconds();
   return out;
 }

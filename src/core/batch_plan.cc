@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
+#include "autograd/ops.h"
 #include "obs/metrics_log.h"
 #include "obs/trace.h"
+#include "tensor/tensor_ops.h"
 #include "urg/neighbor_sampler.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -26,16 +29,116 @@ BatchInputs SubgraphInputs(const urg::UrbanRegionGraph& urg,
   return inputs;
 }
 
+// The seeds' full in-segments: SampleKHop at fanout 0 over one hop, so
+// every source that is not a seed joins after the seeds with a self loop
+// only.
+urg::SampledSubgraph OneHop(const urg::NeighborView& view,
+                            const std::vector<int>& seeds) {
+  urg::MinibatchConfig cfg;
+  cfg.fanout = 0;
+  cfg.hops = 1;
+  return urg::SampleKHop(view, seeds, cfg);
+}
+
+// Rows `ids` of a constant, as a constant.
+ag::VarPtr GatherConst(const ag::VarPtr& x, const std::vector<int>& ids) {
+  return ag::MakeConst(GatherRows(x->value, ids));
+}
+
+// Writes rows [0, ids.size()) of `part` to rows `ids` of *city.
+void ScatterRows(const Tensor& part, const std::vector<int>& ids,
+                 Tensor* city) {
+  const size_t row_bytes = sizeof(float) * static_cast<size_t>(part.cols());
+  for (size_t r = 0; r < ids.size(); ++r) {
+    std::memcpy(city->row(ids[r]), part.row(static_cast<int>(r)), row_bytes);
+  }
+}
+
 }  // namespace
 
 BatchInputs WholeCityInputs(const urg::UrbanRegionGraph& urg) {
   std::vector<int> all(static_cast<size_t>(urg.num_regions()));
   std::iota(all.begin(), all.end(), 0);
-  urg::MinibatchConfig cfg;
-  cfg.fanout = 0;
-  cfg.hops = 1;  // Every region is a seed: there is no frontier to open.
-  return SubgraphInputs(urg,
-                        urg::SampleKHop(urg::NeighborView(urg), all, cfg));
+  // Every region is a seed: the one hop leaves no halo.
+  return SubgraphInputs(urg, OneHop(urg::NeighborView(urg), all));
+}
+
+ag::VarPtr LayeredTrunk::Trunk(const BatchInputs& inputs) const {
+  obs::SpanGuard span("trunk", obs::SpanLevel::kFine);
+  TrunkRows rows = Stem(inputs.poi, inputs.image);
+  for (int l = 0; l < num_layers(); ++l) {
+    rows = LayerStep(l, rows, inputs.ctx);
+  }
+  return ag::ConcatCols(rows.poi, rows.image);
+}
+
+ag::VarPtr WholeCityTrunk(const LayeredTrunk& model,
+                          const urg::UrbanRegionGraph& urg) {
+  const urg::ShardedUrg& sharded = *urg.sharded;
+  obs::SpanGuard span("city_trunk", obs::SpanLevel::kFine, "shards",
+                      static_cast<int64_t>(sharded.shards.size()));
+  ag::NoGradScope no_grad;
+  const int n = urg.num_regions();
+  // Each shard's owned regions, in its local order.
+  std::vector<std::vector<int>> owned(sharded.shards.size());
+  for (size_t s = 0; s < owned.size(); ++s) {
+    const urg::UrgShard& shard = sharded.shards[s];
+    owned[s].resize(static_cast<size_t>(shard.num_owned));
+    for (int local = 0; local < shard.num_owned; ++local) {
+      owned[s][local] = shard.GlobalOf(sharded.grid, local);
+    }
+  }
+  // A lone shard owns every region in id order and has no halo, so its
+  // slice's rows are the city's rows as they stand.
+  const bool one_slice = owned.size() == 1;
+
+  // The city's rows from step(s), the rows of slice s whose first
+  // owned[s].size() rows are the shard's owned regions.
+  auto each_slice = [&](const auto& step) -> TrunkRows {
+    if (one_slice) return step(0);
+    Tensor poi, image;
+    for (size_t s = 0; s < owned.size(); ++s) {
+      const TrunkRows part = step(s);
+      if (s == 0) {
+        poi = Tensor::Uninit(n, part.poi->cols());
+        image = Tensor::Uninit(n, part.image->cols());
+      }
+      ScatterRows(part.poi->value, owned[s], &poi);
+      ScatterRows(part.image->value, owned[s], &image);
+    }
+    return TrunkRows{ag::MakeConst(std::move(poi)),
+                     ag::MakeConst(std::move(image))};
+  };
+
+  TrunkRows rows = each_slice([&](size_t s) {
+    Tensor poi, image;
+    urg.GatherPoiRows(owned[s], &poi);
+    urg.GatherImageRows(owned[s], &image);
+    return model.Stem(ag::MakeConst(std::move(poi)),
+                      ag::MakeConst(std::move(image)));
+  });
+  const urg::NeighborView view(urg);
+  for (int l = 0; l < model.num_layers(); ++l) {
+    const TrunkRows in = std::move(rows);
+    rows = each_slice([&](size_t s) {
+      const urg::SampledSubgraph sg = OneHop(view, owned[s]);
+      const TrunkRows local =
+          one_slice ? in
+                    : TrunkRows{GatherConst(in.poi, sg.nodes),
+                                GatherConst(in.image, sg.nodes)};
+      return model.LayerStep(l, local, urg::ContextFromSubgraph(sg));
+    });
+  }
+  return ag::ConcatCols(rows.poi, rows.image);
+}
+
+std::vector<float> SigmoidRows(const Tensor& logits,
+                               const std::vector<int>& ids) {
+  std::vector<float> out(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    out[i] = 1.0f / (1.0f + std::exp(-logits.at(ids[i], 0)));
+  }
+  return out;
 }
 
 const std::shared_ptr<const BatchInputs>& BatchPlan::WholeCity(
@@ -72,11 +175,11 @@ int BatchPlan::num_train_batches() const {
 }
 
 Batch BatchPlan::Sampled(const urg::UrbanRegionGraph& urg,
-                         const std::vector<int>& seeds, int fanout,
+                         const std::vector<int>& seeds,
                          uint64_t sample_seed) const {
   urg::MinibatchConfig cfg;
   cfg.batch_size = static_cast<int>(seeds.size());
-  cfg.fanout = fanout;
+  cfg.fanout = fanout_;
   cfg.hops = hops_;
   cfg.seed = sample_seed;
   Batch batch;
@@ -131,44 +234,10 @@ const Batch& BatchPlan::TrainBatch(const urg::UrbanRegionGraph& urg,
     seeds.push_back(order_[i].first);
     labels.push_back(order_[i].second);
   }
-  current_ = Sampled(urg, seeds, fanout_, urg::MixSeed(seed, epoch));
+  current_ = Sampled(urg, seeds, urg::MixSeed(seed, epoch));
   current_.labels = MakeLabelTensor(labels);
   current_.weights = weights(labels);
   return current_;
-}
-
-void BatchPlan::ForEachScoreBatch(
-    const urg::UrbanRegionGraph& urg, const std::vector<int>& ids,
-    const std::function<void(const Batch&, size_t begin)>& fn) {
-  ag::NoGradScope no_grad;
-  if (whole_city()) {
-    Batch batch;
-    batch.inputs = WholeCity(urg);
-    batch.rows = std::make_shared<const std::vector<int>>(ids);
-    batch.whole_city = true;
-    fn(batch, 0);
-    return;
-  }
-  constexpr size_t kChunk = 64;  // Bounds the fanout-unlimited closure.
-  for (size_t begin = 0; begin < ids.size(); begin += kChunk) {
-    const size_t end = std::min(ids.size(), begin + kChunk);
-    const std::vector<int> chunk(ids.begin() + begin, ids.begin() + end);
-    fn(Sampled(urg, chunk, /*fanout=*/0, /*sample_seed=*/0), begin);
-  }
-}
-
-std::vector<float> BatchPlan::Score(
-    const urg::UrbanRegionGraph& urg, const std::vector<int>& ids,
-    const std::function<ag::VarPtr(const Batch&)>& logits) {
-  std::vector<float> out(ids.size());
-  ForEachScoreBatch(urg, ids, [&](const Batch& batch, size_t begin) {
-    const ag::VarPtr z = logits(batch);
-    const std::vector<int>& rows = *batch.rows;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      out[begin + i] = 1.0f / (1.0f + std::exp(-z->value.at(rows[i], 0)));
-    }
-  });
-  return out;
 }
 
 Tensor MakeLabelTensor(const std::vector<int>& labels) {

@@ -25,33 +25,30 @@ struct BatchInputs {
   ag::VarPtr image;  // (nodes x d_img) constant.
 };
 
-// One batch of a BatchPlan: forward inputs plus the rows of the forward
-// output the batch is about — the loss rows of a training batch (with
-// their labels and BCE weights), or the rows of the requested ids of a
-// scoring batch.
+// One training batch of a BatchPlan: forward inputs plus the loss rows of
+// the forward output, with their labels and BCE weights.
 struct Batch {
   std::shared_ptr<const BatchInputs> inputs;
   std::shared_ptr<const std::vector<int>> rows;
-  Tensor labels;   // (rows x 1), training batches only.
-  Tensor weights;  // (rows x 1), training batches only.
+  Tensor labels;   // (rows x 1).
+  Tensor weights;  // (rows x 1).
   bool whole_city = false;
 };
 
-// The one execution path of every graph model: full-graph training and
-// scoring are the whole-city batch of the minibatch loop.
+// The one training path of every graph model: full-graph training is the
+// whole-city batch of the minibatch loop. Exact passes over the whole city
+// (the freeze sweep, scoring, engine builds) do not go through a plan:
+// they run WholeCityTrunk below.
 //
 // batch_size <= 0 plans the whole city as a single batch, built once by
-// WholeCityInputs and kept for training, scoring and the quality baseline.
-// Training uses it with the train ids (in the caller's order) as loss
-// rows; scoring reads the requested ids' rows from it.
+// WholeCityInputs and kept across epochs and stages, with the train ids
+// (in the caller's order) as loss rows.
 //
 // batch_size > 0 plans sampled batches: each epoch reshuffles the train
 // set from ascending-id order with Rng(MixSeed(seed ^ 0xba7c4, epoch)),
 // cuts it into batches of batch_size seeds, and samples each batch's k-hop
 // subgraph with `fanout` in-neighbors per node under MixSeed(seed, epoch);
-// the seed rows are the loss rows. Scoring cuts the ids into chunks of 64
-// seeds sampled at fanout 0: every in-neighbor is kept, so each seed's
-// message-passing output equals the whole-city one bit for bit.
+// the seed rows are the loss rows.
 //
 // Methods take the URG explicitly; it must be the graph the plan's train
 // set indexes. Only the whole-city inputs outlive a call.
@@ -82,25 +79,10 @@ class BatchPlan {
   const Batch& TrainBatch(const urg::UrbanRegionGraph& urg, uint64_t seed,
                           int epoch, int batch);
 
-  // Exact scoring: calls fn(batch, begin) with batches whose rows are
-  // ids[begin, begin + batch.rows->size()), in order, under an
-  // ag::NoGradScope: scoring never runs Backward, so the forwards fn
-  // builds keep no graph.
-  void ForEachScoreBatch(
-      const urg::UrbanRegionGraph& urg, const std::vector<int>& ids,
-      const std::function<void(const Batch&, size_t begin)>& fn);
-
-  // Sigmoid probabilities of `ids`, in order, given each scoring batch's
-  // (nodes x 1) logit column.
-  std::vector<float> Score(
-      const urg::UrbanRegionGraph& urg, const std::vector<int>& ids,
-      const std::function<ag::VarPtr(const Batch&)>& logits);
-
  private:
   // A sampled batch around `seeds` (local rows [0, seeds) are its rows).
   Batch Sampled(const urg::UrbanRegionGraph& urg,
-                const std::vector<int>& seeds, int fanout,
-                uint64_t sample_seed) const;
+                const std::vector<int>& seeds, uint64_t sample_seed) const;
 
   int batch_size_;
   int fanout_;
@@ -122,9 +104,57 @@ class BatchPlan {
 // The whole city as forward inputs: SampleKHop over every region in id
 // order at fanout 0 — every in-segment kept, so the context is the URG's
 // adjacency with its GCN norms — plus every region's feature rows, on any
-// shard count. BatchPlan::WholeCity keeps one; the whole-city passes that
-// run without a plan (the inference engines, MMRE, ImGAGN) build their own.
+// shard count. BatchPlan::WholeCity keeps one for whole-city training;
+// MMRE and ImGAGN build their own.
 BatchInputs WholeCityInputs(const urg::UrbanRegionGraph& urg);
+
+// A trunk's rows between two of its layers: one POI-stream and one
+// image-stream matrix with a row per region.
+struct TrunkRows {
+  ag::VarPtr poi;
+  ag::VarPtr image;
+};
+
+// A graph model's representation trunk as a row-wise stem plus graph
+// layers. The trunk is ConcatCols(poi, image) after the last layer. Stem
+// row r depends only on region r's feature rows, and row r of LayerStep's
+// output only on the input rows of r's in-segment in `ctx`. Training
+// (Trunk) and the whole-city pass (WholeCityTrunk) run the same calls.
+class LayeredTrunk {
+ public:
+  // Row-wise over feature rows: POI (rows x d_poi), image (rows x d_img).
+  virtual TrunkRows Stem(const ag::VarPtr& poi,
+                         const ag::VarPtr& image) const = 0;
+  virtual int num_layers() const = 0;
+  // Graph layer `layer` (0-based) over ctx's nodes.
+  virtual TrunkRows LayerStep(int layer, const TrunkRows& in,
+                              const nn::GraphContext& ctx) const = 0;
+
+  // The trunk over one batch's (sub)graph: Stem, then every LayerStep.
+  ag::VarPtr Trunk(const BatchInputs& inputs) const;
+
+ protected:
+  ~LayeredTrunk() = default;  // Models are never deleted through it.
+};
+
+// The exact whole-city trunk of `model` as a constant (N x width, row i =
+// region i), computed grad-free layer by layer over the URG's shards
+// (GraphSAGE's layer-wise full-neighbourhood inference). The stem runs
+// over each shard's owned regions, so each region's features are gathered
+// (and each lazy tile rendered and encoded) once. Each graph layer then
+// runs, shard by shard, on the owned regions' 1-hop fanout-0 SampleKHop
+// subgraph, with rows gathered from the previous layer's N-row matrices,
+// and keeps the owned rows. Cost O(L * E); peak memory is one shard's
+// subgraph plus two layers' N-row matrices, so the shard count sets the
+// slice size. Every row equals the whole-city batch's Trunk row bit for
+// bit, on any shard count. The one-shard URG is one slice with no halo:
+// no row is gathered or scattered.
+ag::VarPtr WholeCityTrunk(const LayeredTrunk& model,
+                          const urg::UrbanRegionGraph& urg);
+
+// Sigmoid probabilities of the given rows of a logit column (N x 1).
+std::vector<float> SigmoidRows(const Tensor& logits,
+                               const std::vector<int>& ids);
 
 // Per-sample BCE weights implementing pos_weight: positives weigh
 // pos_weight, or num_neg/num_pos when pos_weight <= 0 (shared by every

@@ -47,10 +47,10 @@ struct CmsfConfig {
 
   // Neighborhood-sampled minibatch training (paper-scale cities): > 0
   // trains both stages on per-batch 2-hop subgraphs instead of the
-  // whole-city batch (core::BatchPlan). Under minibatches the GSCM cluster
-  // representations are aggregated from the batch's regions only (a
-  // documented approximation); the frozen stage-one assignment is still
-  // computed exactly over every region with fanout-unlimited chunks.
+  // whole-city batch (core::BatchPlan). In a training batch the GSCM
+  // cluster representations are aggregated from the batch's regions only
+  // (a documented approximation); the frozen stage-one assignment and
+  // every score come from the exact whole-city pass (core::WholeCityTrunk).
   int batch_size = 0;
   int fanout = 16;  // Sampled in-neighbors per node; 0 keeps them all.
 };

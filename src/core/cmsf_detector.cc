@@ -91,8 +91,7 @@ std::vector<float> CmsfDetector::Score(const urg::UrbanRegionGraph& urg,
   WallTimer timer;
   const CmsfModel::FrozenAssignment* frozen =
       config_.use_hierarchy ? &frozen_ : nullptr;
-  std::vector<float> scores =
-      PredictCmsf(*model_, urg, plan_.get(), frozen, eval_ids);
+  std::vector<float> scores = PredictCmsf(*model_, urg, frozen, eval_ids);
   inference_seconds_ = timer.Seconds();
   return scores;
 }
@@ -100,23 +99,17 @@ std::vector<float> CmsfDetector::Score(const urg::UrbanRegionGraph& urg,
 void CmsfDetector::EnsureBaseline(const urg::UrbanRegionGraph& urg) {
   if (!baseline_.empty() || !model_) return;
   // The baseline observes exactly what serving engines observe: the
-  // grad-free trunk over the whole city (engine workspaces gather rows of
-  // this matrix) and the whole-city predicted scores, which are
-  // bit-identical to the engine's by the inference-engine contract. The
-  // whole-city batch is used even for minibatch-trained detectors — the
-  // baseline is a property of the model over the whole training city, not
-  // of how training happened to be batched.
-  ag::NoGradScope no_grad;
-  BatchPlan whole_city_plan(/*batch_size=*/0, /*fanout=*/0,
-                            config_.maga_layers);
-  BatchPlan* plan = plan_->whole_city() ? plan_.get() : &whole_city_plan;
-  const ag::VarPtr trunk = model_->Trunk(*plan->WholeCity(urg));
+  // whole-city trunk (engine workspaces gather rows of this matrix) and the
+  // whole-city predicted scores, which are bit-identical to the engine's by
+  // the inference-engine contract. Both come from the one whole-city pass,
+  // however training happened to be batched.
+  const ag::VarPtr trunk = WholeCityTrunk(*model_, urg);
   const CmsfModel::FrozenAssignment* frozen =
       config_.use_hierarchy ? &frozen_ : nullptr;
   std::vector<int> all_ids(static_cast<size_t>(urg.num_regions()));
   std::iota(all_ids.begin(), all_ids.end(), 0);
   const std::vector<float> scores =
-      PredictCmsf(*model_, urg, plan, frozen, all_ids);
+      PredictCmsf(*model_, trunk, frozen, all_ids);
   // Empty after LoadModel: the training ids and labels belong to whatever
   // run produced the checkpoint.
   const std::vector<int>& train_ids = plan_->train_ids();

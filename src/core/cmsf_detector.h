@@ -15,8 +15,9 @@ namespace uv::core {
 // eval::Detector adapter for CMSF and its Fig. 5(a) ablation variants.
 // Constructed per fold; Train runs both stages (Algorithms 1 and 2)
 // through one BatchPlan: the whole city as one batch when
-// CmsfConfig::batch_size <= 0 (kept for Score and the quality baseline),
-// neighborhood-sampled minibatches otherwise.
+// CmsfConfig::batch_size <= 0, neighborhood-sampled minibatches otherwise.
+// Score and the quality baseline take the trunk from the whole-city pass
+// (WholeCityTrunk) under either plan, so they equal the engine's scores.
 class CmsfDetector : public eval::Detector {
  public:
   CmsfDetector(const CmsfConfig& config, std::string name = "CMSF")
@@ -44,9 +45,9 @@ class CmsfDetector : public eval::Detector {
   // Persists the trained model as a v2 UVCK checkpoint: all parameters
   // plus the frozen stage-one assignment, the serialized config, a
   // fingerprint of the URG the model was trained on, and the training-time
-  // quality baseline (built on first save from the grad-free trunk over
-  // the full graph — the same representation serving engines observe — and
-  // cached thereafter, so save -> load -> save stays byte-identical).
+  // quality baseline (built on first save from the whole-city pass — the
+  // same representation serving engines observe — and cached thereafter,
+  // so save -> load -> save stays byte-identical).
   Status SaveModel(const urg::UrbanRegionGraph& urg, const std::string& path);
   // Restores a saved checkpoint: validates version / model name / URG
   // fingerprint, adopts the checkpoint's config and quality baseline, and

@@ -1,6 +1,7 @@
 #include "core/cmsf_model.h"
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "autograd/ops.h"
@@ -91,36 +92,31 @@ CmsfModel::CmsfModel(const CmsfConfig& config, int poi_dim, int image_dim,
   }
 }
 
-ag::VarPtr CmsfModel::Trunk(const BatchInputs& inputs) const {
-  obs::SpanGuard span("trunk", obs::SpanLevel::kFine);
-  ag::VarPtr p = inputs.poi;
-  ag::VarPtr i =
-      image_reduce_->Forward(inputs.image, kern::Activation::kRelu);
+TrunkRows CmsfModel::Stem(const ag::VarPtr& poi,
+                          const ag::VarPtr& image) const {
+  return {poi, image_reduce_->Forward(image, kern::Activation::kRelu)};
+}
+
+TrunkRows CmsfModel::LayerStep(int layer, const TrunkRows& in,
+                               const nn::GraphContext& ctx) const {
+  obs::SpanGuard span("maga_layer", obs::SpanLevel::kFine, "layer", layer);
   if (config_.use_maga) {
-    int64_t l = 0;
-    for (const auto& layer : maga_) {
-      obs::SpanGuard layer_span("maga_layer", obs::SpanLevel::kFine, "layer",
-                                l++);
-      auto out = layer.Forward(p, i, inputs.ctx);
-      p = out.p;
-      i = out.i;
-    }
-  } else {
-    for (size_t l = 0; l < gat_p_.size(); ++l) {
-      obs::SpanGuard layer_span("maga_layer", obs::SpanLevel::kFine, "layer",
-                                static_cast<int64_t>(l));
-      p = ag::Relu(gat_p_[l].Forward(p, inputs.ctx));
-      i = ag::Relu(gat_i_[l].Forward(i, inputs.ctx));
-    }
+    auto out = maga_[layer].Forward(in.poi, in.image, ctx);
+    return {out.p, out.i};
   }
-  return ag::ConcatCols(p, i);
+  return {ag::Relu(gat_p_[layer].Forward(in.poi, ctx)),
+          ag::Relu(gat_i_[layer].Forward(in.image, ctx))};
 }
 
 CmsfModel::ForwardResult CmsfModel::Forward(
     const BatchInputs& inputs, const FrozenAssignment* frozen) const {
   obs::SpanGuard span("forward", obs::SpanLevel::kCoarse);
+  return Head(Trunk(inputs), frozen);
+}
+
+CmsfModel::ForwardResult CmsfModel::Head(
+    ag::VarPtr fused, const FrozenAssignment* frozen) const {
   ForwardResult result;
-  ag::VarPtr fused = Trunk(inputs);
   if (config_.use_hierarchy) {
     obs::SpanGuard gscm_span("gscm", obs::SpanLevel::kFine);
     nn::Gscm::Output g =
@@ -132,7 +128,7 @@ CmsfModel::ForwardResult CmsfModel::Forward(
     result.hard_assignment = std::move(g.hard_assignment);
     result.cluster_repr = g.cluster_repr;
   } else {
-    result.region_repr = fused;
+    result.region_repr = std::move(fused);
   }
   {
     obs::SpanGuard cls_span("classifier", obs::SpanLevel::kFine);
@@ -204,39 +200,37 @@ MasterTrainResult TrainMaster(CmsfModel* model,
 
   // Freeze the learned membership only when something downstream consumes
   // it (the slave stage / gated inference): the sweep touches every region,
-  // which paper-scale gate-less runs cannot afford. Assignment rows only
-  // depend on a region's own trunk output, so every exact scoring batch
-  // reproduces the whole-city rows bit for bit.
+  // which paper-scale gate-less runs cannot afford.
   if (cfg.use_hierarchy && cfg.use_gate) {
-    obs::SpanGuard freeze_span("freeze_assignment", obs::SpanLevel::kCoarse);
-    const int n = urg.num_regions();
-    const int k = cfg.num_clusters;
-    CmsfModel::FrozenAssignment& frozen = result.frozen;
-    frozen.soft = Tensor::Uninit(n, k);
-    frozen.hard.assign(n, 0);
-    std::vector<int> all_ids(static_cast<size_t>(n));
-    std::iota(all_ids.begin(), all_ids.end(), 0);
-    plan->ForEachScoreBatch(urg, all_ids, [&](const Batch& batch,
-                                              size_t begin) {
-      auto fwd = model->Forward(*batch.inputs, nullptr);
-      const std::vector<int>& rows = *batch.rows;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const int id = static_cast<int>(begin + i);
-        std::memcpy(frozen.soft.row(id), fwd.assignment->value.row(rows[i]),
-                    sizeof(float) * static_cast<size_t>(k));
-        frozen.hard[id] = fwd.hard_assignment[rows[i]];
-      }
-    });
-    // Pseudo labels from the labels of *training* regions only (test
-    // labels stay unseen).
-    std::vector<int> full_labels(n, -1);
-    for (size_t i = 0; i < plan->train_ids().size(); ++i) {
-      full_labels[plan->train_ids()[i]] = plan->train_labels()[i];
-    }
-    frozen.pseudo_labels =
-        nn::ComputeClusterPseudoLabels(frozen.hard, full_labels, k);
+    result.frozen = FreezeAssignment(*model, urg, plan->train_ids(),
+                                     plan->train_labels());
   }
   return result;
+}
+
+CmsfModel::FrozenAssignment FreezeAssignment(
+    const CmsfModel& model, const urg::UrbanRegionGraph& urg,
+    const std::vector<int>& train_ids, const std::vector<int>& train_labels) {
+  obs::SpanGuard span("freeze_assignment", obs::SpanLevel::kCoarse);
+  UV_CHECK(model.gscm() != nullptr);
+  UV_CHECK_EQ(train_ids.size(), train_labels.size());
+  CmsfModel::FrozenAssignment frozen;
+  {
+    ag::NoGradScope no_grad;
+    nn::Gscm::Assignment assignment =
+        model.gscm()->Assign(WholeCityTrunk(model, urg));
+    frozen.soft = std::move(assignment.soft->value);
+    frozen.hard = std::move(assignment.hard);
+  }
+  // Pseudo labels from the labels of *training* regions only (test labels
+  // stay unseen).
+  std::vector<int> full_labels(static_cast<size_t>(urg.num_regions()), -1);
+  for (size_t i = 0; i < train_ids.size(); ++i) {
+    full_labels[train_ids[i]] = train_labels[i];
+  }
+  frozen.pseudo_labels = nn::ComputeClusterPseudoLabels(
+      frozen.hard, full_labels, model.config().num_clusters);
+  return frozen;
 }
 
 void SlavePuClusters(const Batch& batch,
@@ -304,20 +298,32 @@ SlaveTrainResult TrainSlave(CmsfModel* model,
 }
 
 std::vector<float> PredictCmsf(const CmsfModel& model,
-                               const urg::UrbanRegionGraph& urg,
-                               BatchPlan* plan,
+                               const ag::VarPtr& city_trunk,
                                const CmsfModel::FrozenAssignment* frozen,
                                const std::vector<int>& eval_ids) {
-  obs::SpanGuard span("inference", obs::SpanLevel::kCoarse);
   const CmsfConfig& cfg = model.config();
   const bool use_slave =
       cfg.use_hierarchy && cfg.use_gate && frozen != nullptr;
-  return plan->Score(urg, eval_ids, [&](const Batch& batch) {
-    CmsfModel::FrozenAssignment slice;
-    auto fwd = model.Forward(
-        *batch.inputs, use_slave ? PinFrozen(batch, *frozen, &slice) : nullptr);
-    return use_slave ? model.SlaveLogits(fwd, nullptr) : fwd.master_logits;
-  });
+  ag::NoGradScope no_grad;
+  CmsfModel::ForwardResult fwd =
+      model.Head(city_trunk, use_slave ? frozen : nullptr);
+  if (!use_slave) return SigmoidRows(fwd.master_logits->value, eval_ids);
+  // After GSCM's cluster sums the gate is row-wise, and its per-row filter
+  // is the head's main cost: run it on the requested rows only.
+  const auto rows = std::make_shared<const std::vector<int>>(eval_ids);
+  fwd.region_repr = ag::GatherRows(fwd.region_repr, rows);
+  fwd.assignment = ag::GatherRows(fwd.assignment, rows);
+  std::vector<int> order(eval_ids.size());
+  std::iota(order.begin(), order.end(), 0);
+  return SigmoidRows(model.SlaveLogits(fwd, nullptr)->value, order);
+}
+
+std::vector<float> PredictCmsf(const CmsfModel& model,
+                               const urg::UrbanRegionGraph& urg,
+                               const CmsfModel::FrozenAssignment* frozen,
+                               const std::vector<int>& eval_ids) {
+  obs::SpanGuard span("inference", obs::SpanLevel::kCoarse);
+  return PredictCmsf(model, WholeCityTrunk(model, urg), frozen, eval_ids);
 }
 
 }  // namespace uv::core

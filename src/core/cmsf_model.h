@@ -16,8 +16,10 @@ namespace uv::core {
 
 // The Contextual Master-Slave Framework (paper Section V): a hierarchical
 // GNN master model (MAGA + GSCM + MLP classifier) trained in stage one, and
-// the MS-Gate slave derivation trained in stage two.
-class CmsfModel {
+// the MS-Gate slave derivation trained in stage two. Its representation
+// trunk is a LayeredTrunk: the image reduction as the stem, then one MAGA
+// layer (CMSF-M: one pair of per-modality GAT layers) per graph layer.
+class CmsfModel : public LayeredTrunk {
  public:
   CmsfModel(const CmsfConfig& config, int poi_dim, int image_dim, Rng* rng);
 
@@ -39,6 +41,10 @@ class CmsfModel {
   };
   ForwardResult Forward(const BatchInputs& inputs,
                         const FrozenAssignment* frozen) const;
+  // What Forward runs after the trunk: GSCM and the classifier over trunk
+  // rows `fused`. The cluster sums run over every row of `fused`, so a
+  // whole-city trunk (WholeCityTrunk) gives the paper's eq. 10.
+  ForwardResult Head(ag::VarPtr fused, const FrozenAssignment* frozen) const;
 
   // Slave-path logits (eq. 22) given a master forward result; requires the
   // hierarchy and gate to be enabled.
@@ -58,11 +64,15 @@ class CmsfModel {
   int gscm_in_dim() const { return gscm_in_dim_; }
   int classifier_in() const { return classifier_in_; }
 
-  // Representation trunk shared by all variants: returns x^ (the fused
-  // multi-modal representation entering GSCM). Forward runs it first; the
-  // inference engine and the quality baseline run it alone, under an
-  // ag::NoGradScope, over the whole city.
-  ag::VarPtr Trunk(const BatchInputs& inputs) const;
+  // The trunk's parts (LayeredTrunk). Trunk(inputs) returns x^, the fused
+  // multi-modal representation entering GSCM; Forward runs it first, and
+  // the freeze sweep, PredictCmsf, the inference engine and the quality
+  // baseline take it from WholeCityTrunk.
+  TrunkRows Stem(const ag::VarPtr& poi,
+                 const ag::VarPtr& image) const override;
+  int num_layers() const override { return config_.maga_layers; }
+  TrunkRows LayerStep(int layer, const TrunkRows& in,
+                      const nn::GraphContext& ctx) const override;
 
  private:
   CmsfConfig config_;
@@ -79,16 +89,16 @@ class CmsfModel {
   std::unique_ptr<nn::MsGate> gate_;
 };
 
-// Every stage runs over a BatchPlan (core/batch_plan.h) whose train set
-// is the labeled training regions: the whole city as one batch, or
-// neighborhood-sampled minibatches. The plan's whole-city batch is built
-// once and reused by every stage.
+// Both training stages run over a BatchPlan (core/batch_plan.h) whose
+// train set is the labeled training regions: the whole city as one batch,
+// built once and reused by both stages, or neighborhood-sampled
+// minibatches. The freeze sweep and PredictCmsf run the whole-city pass
+// (WholeCityTrunk) under either plan.
 
 // Stage-one training (Algorithm 1): optimizes the master model with BCE on
 // the plan's loss rows. When the gate will consume it, the learned
-// membership is then frozen over every region through the plan's exact
-// scoring batches, with pseudo labels (eq. 16) from the training labels
-// only; gate-less variants skip that sweep and return an empty
+// membership is then frozen over every region by FreezeAssignment with the
+// plan's train set; gate-less variants skip that sweep and return an empty
 // assignment. Also reports mean seconds per epoch.
 struct MasterTrainResult {
   CmsfModel::FrozenAssignment frozen;
@@ -101,6 +111,14 @@ struct MasterTrainResult {
 MasterTrainResult TrainMaster(CmsfModel* model,
                               const urg::UrbanRegionGraph& urg,
                               BatchPlan* plan);
+
+// The end-of-stage-one freeze sweep: GSCM's assignment alone (Gscm::Assign,
+// eq. 9) over the whole-city trunk (WholeCityTrunk), so no cluster tail,
+// region representation or classifier output is built, with pseudo labels
+// (eq. 16) from the given training labels only. Requires the hierarchy.
+CmsfModel::FrozenAssignment FreezeAssignment(
+    const CmsfModel& model, const urg::UrbanRegionGraph& urg,
+    const std::vector<int>& train_ids, const std::vector<int>& train_labels);
 
 // Stage-two training (Algorithm 2): optimizes theta_2 with the joint loss
 // L'_c + lambda * L_p, the GSCM membership of every batch node pinned to
@@ -125,12 +143,19 @@ void SlavePuClusters(const Batch& batch,
                      const CmsfModel::FrozenAssignment& frozen,
                      std::vector<int>* positive, std::vector<int>* unlabeled);
 
-// Inference (Section V-C): probabilities for eval_ids over the plan's
-// exact scoring batches, using the slave path when enabled, the master
-// path otherwise.
+// Inference (Section V-C): probabilities for eval_ids, using the slave
+// path when enabled, the master path otherwise, over the whole city's
+// trunk rows `city_trunk` (WholeCityTrunk), under an ag::NoGradScope. So
+// the GSCM cluster sums cover the whole city however the model was
+// trained, and the scores are the inference engine's. The row-wise gate
+// runs on the eval_ids rows only.
+std::vector<float> PredictCmsf(const CmsfModel& model,
+                               const ag::VarPtr& city_trunk,
+                               const CmsfModel::FrozenAssignment* frozen,
+                               const std::vector<int>& eval_ids);
+// The same, running WholeCityTrunk over `urg` first.
 std::vector<float> PredictCmsf(const CmsfModel& model,
                                const urg::UrbanRegionGraph& urg,
-                               BatchPlan* plan,
                                const CmsfModel::FrozenAssignment* frozen,
                                const std::vector<int>& eval_ids);
 

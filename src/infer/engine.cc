@@ -21,7 +21,7 @@ std::vector<float> Engine::Score(const std::vector<int>& ids) {
 namespace {
 
 // The final probability uses the plain one-branch sigmoid because that is
-// what PredictCmsf and baselines::SigmoidRows apply to logits — NOT the
+// what core::SigmoidRows applies to every detector's logits — NOT the
 // two-branch SigmoidScalar (which matches ag::Sigmoid's interior uses, e.g.
 // the gate's context vector). The two forms can differ in the last bits for
 // large |z|, and bit-identity with the autograd Score path is the contract.
@@ -66,9 +66,10 @@ Tensor AggregatePairRaw(nn::AggKind agg, const Tensor& u, const Tensor& v,
   return u;
 }
 
-// Prepared CMSF serving state. Construction runs the model's forward once
-// over the whole city under an ag::NoGradScope; ScoreInto replays only the
-// row-wise tail on raw tensors:
+// Prepared CMSF serving state. Construction takes the trunk from the
+// whole-city pass and runs GSCM (and the gate's inclusion estimate) once
+// under an ag::NoGradScope; ScoreInto replays only the row-wise tail on raw
+// tensors:
 //   master: global context share (eq. 12-13), AGG, classifier MLP;
 //   slave:  + context vector (eq. 19), filter (eq. 20), gated MLP (eq. 21).
 class CmsfEngine final : public Engine {
@@ -76,7 +77,6 @@ class CmsfEngine final : public Engine {
   CmsfEngine(const core::CmsfModel& model,
              const core::CmsfModel::FrozenAssignment* frozen,
              const urg::UrbanRegionGraph& urg) {
-    const core::BatchInputs city = core::WholeCityInputs(urg);
     const core::CmsfConfig& cfg = model.config();
     use_hierarchy_ = cfg.use_hierarchy;
     // Mirrors PredictCmsf: the slave path needs the hierarchy, the gate,
@@ -84,7 +84,7 @@ class CmsfEngine final : public Engine {
     use_slave_ = cfg.use_hierarchy && cfg.use_gate && frozen != nullptr;
 
     ag::NoGradScope no_grad;
-    const ag::VarPtr trunk = model.Trunk(city);
+    const ag::VarPtr trunk = core::WholeCityTrunk(model, urg);
     num_regions_ = trunk->rows();
 
     if (use_hierarchy_) {

@@ -2,10 +2,12 @@
 #define UV_INFER_ENGINE_H_
 
 // Grad-free batched inference engines. An Engine is built once from a
-// trained model ("Prepare"): it runs the model's own layer forwards once
-// over the whole city under an ag::NoGradScope, where every op returns a
-// constant node and no graph is kept, and caches every globally-coupled
-// intermediate (trunk representations, cluster state) as plain tensors.
+// trained model ("Prepare"): it takes the model's trunk from the
+// whole-city pass (core::WholeCityTrunk, the model's own layer forwards
+// run layer by layer over the URG's shards), runs the globally-coupled
+// rest under an ag::NoGradScope, where every op returns a constant node
+// and no graph is kept, and caches every globally-coupled intermediate
+// (trunk representations, cluster state) as plain tensors.
 // Each scoring request then evaluates only the per-row tail for the
 // requested region ids on raw tensors over reusable pooled workspaces. The
 // tail never calls a layer, so steady-state scoring performs ~0 heap
@@ -14,10 +16,11 @@
 // (GatedMlpForward), so no workspace holds n x P filter floats (P = 4,161
 // at the default widths).
 //
-// Scores are bit-identical to the detector's Score path: the build runs
-// the same layers, the tail evaluates the same shared forward kernels
-// (tensor/forward_ops.h), and every per-request operation is row-wise, so
-// results do not depend on how requests are batched.
+// Scores are bit-identical to the detector's Score path, whether the
+// detector trained on the whole city or on sampled minibatches: both take
+// the trunk from the same pass, the tail evaluates the same shared forward
+// kernels (tensor/forward_ops.h), and every per-request operation is
+// row-wise, so results do not depend on how requests are batched.
 
 #include <memory>
 #include <vector>
@@ -64,8 +67,8 @@ class Engine {
   obs::QualityMonitor* monitor_ = nullptr;
 };
 
-// Engine for a trained CmsfModel over the given URG (full-graph
-// semantics, matching a detector trained with batch_size == 0). Pass the
+// Engine for a trained CmsfModel over the given URG (whole-city
+// semantics, matching the detector's Score under either plan). Pass the
 // frozen stage-one assignment to serve the slave path (the config must
 // also enable hierarchy + gate, mirroring PredictCmsf); pass null to serve
 // the master path. The model and URG are only read during construction.

@@ -31,12 +31,18 @@ Gscm::Gscm(const Options& options, Rng* rng) : options_(options) {
   }
 }
 
-Gscm::Output Gscm::Forward(const ag::VarPtr& x) const {
+Gscm::Assignment Gscm::Assign(const ag::VarPtr& x) const {
   UV_CHECK_EQ(x->cols(), options_.in_dim);
   ag::VarPtr logits = ag::MatMul(x, w_b_);
-  ag::VarPtr soft = ag::RowSoftmax(logits, options_.temperature);
-  std::vector<int> hard = RowArgmax(logits->value);
-  return Finish(x, std::move(soft), std::move(hard));
+  Assignment out;
+  out.soft = ag::RowSoftmax(logits, options_.temperature);
+  out.hard = RowArgmax(logits->value);
+  return out;
+}
+
+Gscm::Output Gscm::Forward(const ag::VarPtr& x) const {
+  Assignment a = Assign(x);
+  return Finish(x, std::move(a.soft), std::move(a.hard));
 }
 
 Gscm::Output Gscm::ForwardFrozen(const ag::VarPtr& x,

@@ -23,6 +23,16 @@ class Gscm {
 
   Gscm(const Options& options, Rng* rng);
 
+  struct Assignment {
+    ag::VarPtr soft;        // B (N x K).
+    std::vector<int> hard;  // argmax row of B (the binarized B~).
+  };
+
+  // Eq. 9 alone: B = softmax(x W_B / tau) and its row argmax. Row r depends
+  // only on row r of x, so the freeze sweep runs it over the whole city's
+  // trunk rows without the cluster tail.
+  Assignment Assign(const ag::VarPtr& x) const;
+
   struct Output {
     ag::VarPtr assignment;             // Soft B (N x K).
     std::vector<int> hard_assignment;  // argmax row of B (the binarized B~).
@@ -30,7 +40,8 @@ class Gscm {
     ag::VarPtr region_repr;            // x~' (N x out_width()).
   };
 
-  // Master-stage forward: the assignment is computed from x and trainable.
+  // Master-stage forward: the assignment is computed from x (Assign) and
+  // trainable.
   Output Forward(const ag::VarPtr& x) const;
 
   // Slave-stage forward: region->cluster membership is frozen to the values

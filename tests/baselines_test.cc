@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "baselines/registry.h"
+#include "core/batch_plan.h"
 #include "eval/metrics.h"
 #include "eval/splits.h"
 #include "test_helpers.h"
@@ -123,7 +124,7 @@ TEST_F(BaselinesTest, CommonHelpers) {
   EXPECT_FALSE(rows->requires_grad);
 
   Tensor logits(3, 1, {0.0f, 100.0f, -100.0f});
-  auto probs = SigmoidRows(logits, {0, 1, 2});
+  auto probs = core::SigmoidRows(logits, {0, 1, 2});
   EXPECT_NEAR(probs[0], 0.5f, 1e-6f);
   EXPECT_NEAR(probs[1], 1.0f, 1e-6f);
   EXPECT_NEAR(probs[2], 0.0f, 1e-6f);

@@ -155,7 +155,7 @@ TEST_F(CmsfTest, TrainingStepAfterPredictHasGradients) {
   BatchPlan plan = TrainPlan(config);
   const MasterTrainResult master = TrainMaster(&model, *urg_, &plan);
   const std::vector<float> scores =
-      PredictCmsf(model, *urg_, &plan, &master.frozen, fold_->test_ids);
+      PredictCmsf(model, *urg_, &master.frozen, fold_->test_ids);
   ASSERT_EQ(scores.size(), fold_->test_ids.size());
   EXPECT_TRUE(ag::GradEnabled());
 

@@ -20,6 +20,7 @@
 #include "features/image_encoder.h"
 #include "features/poi_features.h"
 #include "graph/road_network.h"
+#include "infer/engine.h"
 #include "nn/graph_context.h"
 #include "obs/metrics.h"
 #include "synth/city.h"
@@ -411,25 +412,84 @@ TEST(GridTest, RegionCountIsInt64) {
 
 TEST(ParityTest, MasterPredictionsExactWithoutHierarchy) {
   auto city = TinyCity();
-  const UrbanRegionGraph urg = OneShard(city);
   core::CmsfConfig cfg;
   cfg.use_hierarchy = false;
   cfg.use_gate = false;
   Rng rng(3);
-  const core::CmsfModel model(cfg, urg.PoiDim(), urg.ImageDim(), &rng);
+  const UrbanRegionGraph one_shard = OneShard(city);
+  const core::CmsfModel model(cfg, one_shard.PoiDim(), one_shard.ImageDim(),
+                              &rng);
 
   std::vector<int> eval_ids;
-  for (int i = 0; i < urg.num_regions(); i += 7) eval_ids.push_back(i);
-  core::BatchPlan whole_city(/*batch_size=*/0, /*fanout=*/0, cfg.maga_layers);
-  core::BatchPlan sampled(/*batch_size=*/64, /*fanout=*/4, cfg.maga_layers);
-  const auto full =
-      core::PredictCmsf(model, urg, &whole_city, nullptr, eval_ids);
-  const auto chunked =
-      core::PredictCmsf(model, urg, &sampled, nullptr, eval_ids);
-  ASSERT_EQ(full.size(), chunked.size());
-  for (size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(full[i], chunked[i]) << "eval id " << eval_ids[i];
+  for (int i = 0; i < one_shard.num_regions(); i += 7) eval_ids.push_back(i);
+  // The reference: the whole-city batch's forward, which whole-city
+  // training runs.
+  std::vector<float> want;
+  {
+    ag::NoGradScope no_grad;
+    const auto fwd = model.Forward(core::WholeCityInputs(one_shard), nullptr);
+    want = core::SigmoidRows(fwd.master_logits->value, eval_ids);
   }
+  for (const UrbanRegionGraph& urg : EveryShardCount(city)) {
+    const auto got = core::PredictCmsf(model, urg, nullptr, eval_ids);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << urg.sharded->shards.size()
+                                 << " shards, eval id " << eval_ids[i];
+    }
+  }
+}
+
+// The whole-city pass is the whole-city batch's trunk, row for row, on any
+// shard count, for the MAGA trunk and CMSF-M's per-modality GAT stacks.
+TEST(WholeCityTrunkTest, EqualsWholeCityBatchOnEveryShardCount) {
+  auto city = TinyCity();
+  const UrbanRegionGraph one_shard = OneShard(city);
+  for (const bool use_maga : {true, false}) {
+    core::CmsfConfig cfg;
+    cfg.use_maga = use_maga;
+    Rng rng(4);
+    const core::CmsfModel model(cfg, one_shard.PoiDim(),
+                                one_shard.ImageDim(), &rng);
+    Tensor want;
+    {
+      ag::NoGradScope no_grad;
+      want = model.Trunk(core::WholeCityInputs(one_shard))->value;
+    }
+    for (const UrbanRegionGraph& urg : EveryShardCount(city)) {
+      EXPECT_TRUE(SameBytes(core::WholeCityTrunk(model, urg)->value, want))
+          << "use_maga " << use_maga << ", "
+          << urg.sharded->shards.size() << " shards";
+    }
+  }
+}
+
+// The pass holds one shard's subgraph plus two layers' N-row matrices; the
+// whole-city batch holds every region's inputs and every layer's
+// intermediates at once.
+TEST(WholeCityTrunkTest, PoolPeakBelowWholeCityBatch) {
+  auto city = TinyCity();
+  const UrbanRegionGraph urg = Sharded(city, 4);
+  core::CmsfConfig cfg;
+  Rng rng(3);
+  const core::CmsfModel model(cfg, urg.PoiDim(), urg.ImageDim(), &rng);
+  // Peak growth of the pool's live bytes over a second run of `fn`; the
+  // first run fills per-thread scratch that outlives it.
+  auto peak_growth = [](const auto& fn) {
+    fn();
+    BufferPool::ResetPeak();
+    const uint64_t base = BufferPool::Stats().pool_bytes;
+    fn();
+    return BufferPool::Stats().pool_bytes_peak - base;
+  };
+  const uint64_t pass =
+      peak_growth([&] { (void)core::WholeCityTrunk(model, urg); });
+  const uint64_t batch = peak_growth([&] {
+    ag::NoGradScope no_grad;
+    (void)model.Trunk(core::WholeCityInputs(urg));
+  });
+  EXPECT_GT(pass, 0u);
+  EXPECT_LT(pass, batch);
 }
 
 // The one-batch premise: the whole-city batch (SampleKHop over every region
@@ -578,6 +638,136 @@ std::vector<int> LabelsOf(const UrbanRegionGraph& urg,
   std::vector<int> labels;
   for (const int id : ids) labels.push_back(urg.labels[id]);
   return labels;
+}
+
+// A gated CMSF trained on sampled minibatches scores the whole city's
+// values: GSCM's cluster sums cover every region, not a chunk's closure, so
+// Score equals the engine byte for byte and an id scores the same alone as
+// among others.
+TEST(CmsfMinibatchTest, ScoresEqualEngineAndSingleIdCalls) {
+  auto city = TinyCity();
+  const UrbanRegionGraph urg = Sharded(city, 2);
+  core::CmsfConfig cfg;
+  cfg.master_epochs = 2;
+  cfg.slave_epochs = 1;
+  cfg.batch_size = 64;
+  cfg.fanout = 4;
+  cfg.num_clusters = 10;
+  const std::vector<int> labeled = urg.LabeledIds();
+  core::CmsfDetector detector(cfg);
+  detector.Train(urg, labeled, LabelsOf(urg, labeled));
+
+  std::vector<int> ids;
+  for (int id = 0; id < urg.num_regions(); id += 7) ids.push_back(id);
+  const std::vector<float> scores = detector.Score(urg, ids);
+  const std::vector<float> served =
+      infer::MakeCmsfEngine(*detector.model(), &detector.frozen(), urg)
+          ->Score(ids);
+  ASSERT_EQ(scores.size(), ids.size());
+  ASSERT_EQ(served.size(), ids.size());
+  EXPECT_EQ(0, std::memcmp(scores.data(), served.data(),
+                           sizeof(float) * ids.size()));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const std::vector<float> alone = detector.Score(urg, {ids[i]});
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(0, std::memcmp(&alone[0], &scores[i], sizeof(float)))
+        << "id " << ids[i];
+  }
+}
+
+// Scores do not depend on the training plan's batching. With no training
+// epoch, two detectors that differ only in their plan hold the same
+// parameters, so their scores match byte for byte, GSCM variants included.
+TEST(ParityTest, SampledAndWholeCityPlansScoreTheSame) {
+  auto city = TinyCity();
+  const UrbanRegionGraph urg = Sharded(city, 2);
+  const std::vector<int> labeled = urg.LabeledIds();
+  const std::vector<int> labels = LabelsOf(urg, labeled);
+  std::vector<int> all(static_cast<size_t>(urg.num_regions()));
+  std::iota(all.begin(), all.end(), 0);
+  core::CmsfConfig cfg;
+  cfg.slave_epochs = 0;
+  cfg.num_clusters = 10;
+  for (const char* name :
+       {"CMSF", "CMSF-M", "CMSF-G", "CMSF-H", "GCN", "GAT"}) {
+    baselines::TrainOptions options;
+    options.epochs = 0;
+    options.fanout = 4;
+    auto whole_city = baselines::MakeDetector(name, options, cfg);
+    options.batch_size = 64;
+    auto sampled = baselines::MakeDetector(name, options, cfg);
+    whole_city->Train(urg, labeled, labels);
+    sampled->Train(urg, labeled, labels);
+    const std::vector<float> want = whole_city->Score(urg, all);
+    const std::vector<float> got = sampled->Score(urg, all);
+    ASSERT_EQ(got.size(), all.size()) << name;
+    ASSERT_EQ(want.size(), all.size()) << name;
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             sizeof(float) * all.size()))
+        << name;
+  }
+}
+
+// The freeze sweep before the whole-city pass, kept as the test's
+// reference: 64-seed, fanout-0, 2-hop SampleKHop chunks through
+// CmsfModel::Forward, keeping each chunk's seed rows of the assignment.
+core::CmsfModel::FrozenAssignment ChunkedFreezeSweep(
+    const core::CmsfModel& model, const UrbanRegionGraph& urg) {
+  ag::NoGradScope no_grad;
+  const int n = urg.num_regions();
+  const int k = model.config().num_clusters;
+  core::CmsfModel::FrozenAssignment ref;
+  ref.soft = Tensor(n, k);
+  ref.hard.assign(static_cast<size_t>(n), -1);
+  MinibatchConfig cfg;
+  cfg.fanout = 0;
+  cfg.hops = 2;
+  const NeighborView view(urg);
+  for (int begin = 0; begin < n; begin += 64) {
+    std::vector<int> chunk(static_cast<size_t>(std::min(n, begin + 64) -
+                                               begin));
+    std::iota(chunk.begin(), chunk.end(), begin);
+    const SampledSubgraph sg = SampleKHop(view, chunk, cfg);
+    const SubgraphFeatures features = GatherSubgraphFeatures(urg, sg);
+    core::BatchInputs inputs;
+    inputs.ctx = ContextFromSubgraph(sg);
+    inputs.poi = features.poi;
+    inputs.image = features.image;
+    inputs.nodes = sg.nodes;
+    const auto fwd = model.Forward(inputs, nullptr);
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      std::memcpy(ref.soft.row(chunk[i]),
+                  fwd.assignment->value.row(static_cast<int>(i)),
+                  sizeof(float) * static_cast<size_t>(k));
+      ref.hard[chunk[i]] = fwd.hard_assignment[i];
+    }
+  }
+  return ref;
+}
+
+// TrainMaster freezes GSCM's assignment alone over the whole-city pass; the
+// soft and hard tensors are the chunked sweep's bytes on any shard count.
+TEST(FreezeTest, FrozenAssignmentEqualsChunkedSweep) {
+  auto city = TinyCity();
+  core::CmsfConfig cfg;
+  cfg.master_epochs = 2;
+  cfg.batch_size = 64;
+  cfg.fanout = 4;
+  cfg.num_clusters = 10;
+  for (const int shards : {1, 2, 4}) {
+    const UrbanRegionGraph urg = Sharded(city, shards);
+    const std::vector<int> labeled = urg.LabeledIds();
+    Rng rng(cfg.seed);
+    core::CmsfModel model(cfg, urg.PoiDim(), urg.ImageDim(), &rng);
+    core::BatchPlan plan(cfg.batch_size, cfg.fanout, cfg.maga_layers);
+    plan.SetTrainSet(labeled, LabelsOf(urg, labeled), cfg.pos_weight);
+    const core::MasterTrainResult result =
+        core::TrainMaster(&model, urg, &plan);
+    const core::CmsfModel::FrozenAssignment ref =
+        ChunkedFreezeSweep(model, urg);
+    EXPECT_TRUE(SameBytes(result.frozen.soft, ref.soft)) << shards;
+    EXPECT_EQ(result.frozen.hard, ref.hard) << shards;
+  }
 }
 
 // A checkpoint of a model trained on a sharded URG: save -> load -> save is

@@ -308,6 +308,11 @@ CITY_SCALE_KINDS = {
         "mem.pool_peak_delta": "info",
         "batches_per_epoch": "info",
     },
+    "freeze": {
+        "regions_per_sec": "higher",
+        "mem.pool_bytes_peak": "lower",
+        "mem.pool_peak_delta": "info",
+    },
 }
 
 
