@@ -15,6 +15,7 @@
 #include "baselines/registry.h"
 #include "core/cmsf_config.h"
 #include "eval/runner.h"
+#include "eval/splits.h"
 #include "obs/report.h"
 #include "synth/city.h"
 #include "urg/urban_region_graph.h"
@@ -22,13 +23,26 @@
 
 namespace uv::bench {
 
-// Knobs shared by every table/figure benchmark, overridable via environment
-// variables so one run can trade fidelity for wall-clock:
+// The value of `flag` at argv[*i], given as "--flag=V" or as "--flag V"
+// (which advances *i past V); nullptr when argv[*i] is another argument.
+// A flag with no value yields "".
+inline const char* FlagValue(int argc, char** argv, int* i, const char* flag) {
+  const size_t len = std::strlen(flag);
+  if (std::strncmp(argv[*i], flag, len) != 0) return nullptr;
+  if (argv[*i][len] == '=') return argv[*i] + len + 1;
+  if (argv[*i][len] != '\0') return nullptr;
+  return *i + 1 < argc ? argv[++*i] : "";
+}
+
+// Knobs shared by the paper legs (bench_suite --paper) and the bench
+// binaries, overridable via environment variables so one run can trade
+// fidelity for wall-clock:
 //   UV_BENCH_SCALE   city size as a fraction of the paper's region counts
 //                    (default 0.015; 1.0 approximates Table I magnitudes)
 //   UV_BENCH_EPOCHS  training epochs per stage-one/baseline (default 70)
 //   UV_BENCH_RUNS    repeated random runs (paper: 5; default 1)
-//   UV_BENCH_FOLDS   cross-validation folds (paper: 3; default 3)
+//   UV_BENCH_FOLDS   cross-validation folds (paper: 3; default 3, and 2 for
+//                    the Fig. 5 and Fig. 6 sweeps)
 //   UV_BENCH_SEED    master seed (default 2023)
 //   UV_BENCH_REPEATS timed repeats per ledger benchmark (default 5)
 //   UV_BENCH_WARMUP  untimed warmup executions before the repeats (default 1)
@@ -70,18 +84,11 @@ struct BenchConfig {
   // left alone (each binary parses its own flags, e.g. --out).
   static BenchConfig FromArgs(int argc, char** argv) {
     BenchConfig config = FromEnv();
-    auto value_of = [&](int* i, const char* flag) -> const char* {
-      const size_t flag_len = std::strlen(flag);
-      if (std::strncmp(argv[*i], flag, flag_len) != 0) return nullptr;
-      if (argv[*i][flag_len] == '=') return argv[*i] + flag_len + 1;
-      if (argv[*i][flag_len] == '\0' && *i + 1 < argc) return argv[++*i];
-      return nullptr;
-    };
     for (int i = 1; i < argc; ++i) {
-      if (const char* v = value_of(&i, "--repeats")) {
-        config.repeats = atoi(v);
-      } else if (const char* v = value_of(&i, "--warmup")) {
-        config.warmup = atoi(v);
+      if (const char* v = FlagValue(argc, argv, &i, "--repeats")) {
+        if (*v != '\0') config.repeats = atoi(v);
+      } else if (const char* v = FlagValue(argc, argv, &i, "--warmup")) {
+        if (*v != '\0') config.warmup = atoi(v);
       }
     }
     if (config.repeats < 1) config.repeats = 1;
@@ -90,8 +97,9 @@ struct BenchConfig {
   }
 };
 
-// Builds the ledger for one bench binary with the shared config echoed in,
-// repeat/warmup defaults applied, and the suite named after the binary.
+// Builds the ledger for one bench binary or paper leg with the shared
+// config echoed in, repeat/warmup defaults applied, and the suite named
+// after the binary or leg.
 inline obs::Report MakeReport(const std::string& suite,
                               const BenchConfig& bench) {
   obs::Report report(suite);
@@ -106,23 +114,22 @@ inline obs::Report MakeReport(const std::string& suite,
   return report;
 }
 
-// Resolves where a bench binary writes its ledger: --out/-o flag, then
-// UV_BENCH_OUT, then the per-binary default (BENCH_<suite>.json). A
-// trailing --out/-o without a value exits 2 rather than falling back to
-// the default, which from the repo root is the committed baseline.
+// Resolves where a bench binary writes its ledger: the first --out/-o
+// flag, then UV_BENCH_OUT, then the per-binary default (BENCH_<suite>.json).
+// An --out/-o without a value exits 2 rather than falling back to the
+// default, which from the repo root is the committed baseline.
 inline std::string LedgerPath(const std::string& default_path, int argc = 0,
                               char** argv = nullptr) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 || std::strcmp(argv[i], "-o") == 0) {
-      if (i + 1 == argc) {
-        std::fprintf(stderr, "%s needs a file argument\n", argv[i]);
+    for (const char* flag : {"--out", "-o"}) {
+      const char* v = FlagValue(argc, argv, &i, flag);
+      if (v == nullptr) continue;
+      if (*v == '\0') {
+        std::fprintf(stderr, "%s needs a file argument\n", flag);
         std::exit(2);
       }
-      return argv[i + 1];
+      return v;
     }
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) return argv[i] + 6;
   }
   if (const char* v = std::getenv("UV_BENCH_OUT")) return v;
   return default_path;
@@ -134,25 +141,6 @@ inline void WriteLedger(const obs::Report& report, const std::string& path) {
   if (report.WriteFile(path)) {
     std::fprintf(stderr, "wrote %s\n", path.c_str());
   }
-}
-
-inline const std::vector<std::string>& CityNames() {
-  static const std::vector<std::string>* names =
-      new std::vector<std::string>{"Fuzhou", "Shenzhen", "Beijing"};
-  return *names;
-}
-
-// The sensitivity/ablation figures default to the two cheaper cities to
-// bound single-core wall-clock; set UV_BENCH_ALL_CITIES=1 to sweep all
-// three as in the paper.
-inline const std::vector<std::string>& AblationCityNames() {
-  static const std::vector<std::string>* names = [] {
-    if (std::getenv("UV_BENCH_ALL_CITIES") != nullptr) {
-      return new std::vector<std::string>{"Fuzhou", "Shenzhen", "Beijing"};
-    }
-    return new std::vector<std::string>{"Fuzhou", "Shenzhen"};
-  }();
-  return *names;
 }
 
 inline synth::CityConfig CityPreset(const std::string& name,
@@ -201,9 +189,8 @@ inline urg::UrbanRegionGraph BuildCityUrg(const std::string& name,
 }
 
 inline eval::DetectorFactory MakeFactory(const std::string& method,
-                                         const std::string& city,
+                                         const core::CmsfConfig& cmsf,
                                          const BenchConfig& bench) {
-  core::CmsfConfig cmsf = CmsfPreset(city, bench);
   return [method, cmsf, bench](uint64_t seed) {
     baselines::TrainOptions options;
     options.epochs = bench.epochs;
@@ -218,12 +205,35 @@ inline eval::DetectorFactory MakeFactory(const std::string& method,
   };
 }
 
+inline eval::DetectorFactory MakeFactory(const std::string& method,
+                                         const std::string& city,
+                                         const BenchConfig& bench) {
+  return MakeFactory(method, CmsfPreset(city, bench), bench);
+}
+
 inline eval::RunnerOptions MakeRunnerOptions(const BenchConfig& bench) {
   eval::RunnerOptions options;
   options.num_folds = bench.folds;
   options.num_runs = bench.runs;
   options.seed = bench.seed;
   return options;
+}
+
+// The training half of block fold 0 of the paper's 3-fold split (10x10
+// blocks), drawn with `seed`: what the single-model benches train on.
+struct TrainSet {
+  std::vector<int> ids;
+  std::vector<int> labels;
+};
+
+inline TrainSet Fold0TrainSet(const urg::UrbanRegionGraph& urg,
+                              uint64_t seed) {
+  Rng rng(seed);
+  TrainSet train;
+  train.ids =
+      eval::BlockKFold(urg.grid, urg.LabeledIds(), 3, 10, &rng)[0].train_ids;
+  for (int id : train.ids) train.labels.push_back(urg.labels[id]);
+  return train;
 }
 
 inline void PrintBenchHeader(const char* title, const BenchConfig& bench) {

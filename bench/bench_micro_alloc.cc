@@ -12,7 +12,6 @@
 #include <new>
 
 #include "bench_common.h"
-#include "eval/splits.h"
 #include "util/buffer_pool.h"
 
 namespace {
@@ -93,12 +92,7 @@ int main(int argc, char** argv) {
   auto report = uv::bench::MakeReport("micro_alloc", bench);
 
   auto urg = uv::bench::BuildCityUrg("Fuzhou", bench);
-  uv::Rng rng(bench.seed);
-  auto folds = uv::eval::BlockKFold(urg.grid, urg.LabeledIds(), 3, 10, &rng);
-  std::vector<int> train_labels(folds[0].train_ids.size());
-  for (size_t i = 0; i < train_labels.size(); ++i) {
-    train_labels[i] = urg.labels[folds[0].train_ids[i]];
-  }
+  const uv::bench::TrainSet train = uv::bench::Fold0TrainSet(urg, bench.seed);
   auto factory = uv::bench::MakeFactory("CMSF", "Fuzhou", bench);
 
   // Trains twice per mode: the first pass warms the pool and the
@@ -107,7 +101,7 @@ int main(int argc, char** argv) {
     uv::BufferPool::SetEnabled(pool_on);
     {
       auto warmup = factory(bench.seed);
-      warmup->Train(urg, folds[0].train_ids, train_labels);
+      warmup->Train(urg, train.ids, train.labels);
     }
     uv::BufferPool::ResetStats();
     g_allocs.store(0);
@@ -116,7 +110,7 @@ int main(int argc, char** argv) {
     g_counting.store(true);
     {
       auto detector = factory(bench.seed);
-      detector->Train(urg, folds[0].train_ids, train_labels);
+      detector->Train(urg, train.ids, train.labels);
     }
     g_counting.store(false);
     struct Result {

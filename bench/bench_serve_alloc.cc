@@ -16,7 +16,6 @@
 
 #include "bench_common.h"
 #include "core/cmsf_detector.h"
-#include "eval/splits.h"
 #include "infer/engine.h"
 
 namespace {
@@ -95,18 +94,13 @@ int main(int argc, char** argv) {
   auto report = uv::bench::MakeReport("serve_alloc", bench);
 
   auto urg = uv::bench::BuildCityUrg("Fuzhou", bench);
-  uv::Rng rng(bench.seed);
-  auto folds = uv::eval::BlockKFold(urg.grid, urg.LabeledIds(), 3, 10, &rng);
-  std::vector<int> train_labels(folds[0].train_ids.size());
-  for (size_t i = 0; i < train_labels.size(); ++i) {
-    train_labels[i] = urg.labels[folds[0].train_ids[i]];
-  }
+  const uv::bench::TrainSet train = uv::bench::Fold0TrainSet(urg, bench.seed);
 
   uv::core::CmsfConfig cfg = uv::bench::CmsfPreset("Fuzhou", bench);
   cfg.master_epochs = bench.epochs;
   cfg.slave_epochs = std::min(cfg.slave_epochs, 5);
   uv::core::CmsfDetector detector(cfg);
-  detector.Train(urg, folds[0].train_ids, train_labels);
+  detector.Train(urg, train.ids, train.labels);
   auto engine =
       uv::infer::MakeCmsfEngine(*detector.model(), &detector.frozen(), urg);
 

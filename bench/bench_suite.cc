@@ -1,21 +1,27 @@
-// Unified benchmark driver: runs the micro kernel suite (and optionally a
-// small end-to-end eval leg) under the standard measurement protocol —
+// Unified benchmark driver: runs the micro kernel suite, the serving leg
+// and the paper-scale legs under the standard measurement protocol —
 // warmup + N timed repeats with obs::ResetAll() isolation between repeats —
 // and writes one canonical perf ledger (default BENCH_core.json) through
 // obs::Report. The committed BENCH_core.json at the repo root is the
-// regression baseline: CI re-runs `bench_suite --micro` and gates the fresh
-// ledger with tools/bench_diff.py.
+// regression baseline: CI re-runs `bench_suite --micro --serve` and gates
+// the fresh ledger with tools/bench_diff.py.
 //
-//   bench_suite --micro [--eval] [--repeats N] [--warmup N] [--out FILE]
+//   bench_suite [--micro] [--serve] [--serve-monitor] [--city-scale TAG]...
+//               [--repeats N] [--warmup N] [--out FILE]
+//   bench_suite --paper NAME [--out FILE]
 //
-// UV_BENCH_REPEATS / UV_BENCH_WARMUP / UV_BENCH_OUT are the env fallbacks;
-// UV_BENCH_SCALE etc. shape the --eval leg (see bench_common.h).
+// --paper runs one table or figure of the paper's evaluation (paper.h)
+// alone and writes BENCH_<NAME>.json by default. UV_BENCH_REPEATS /
+// UV_BENCH_WARMUP / UV_BENCH_OUT are the env fallbacks; UV_BENCH_SCALE etc.
+// shape the paper legs (see bench_common.h).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,7 +29,6 @@
 #include "bench_common.h"
 #include "core/cmsf_detector.h"
 #include "core/cmsf_model.h"
-#include "eval/splits.h"
 #include "features/image_encoder.h"
 #include "graph/csr_graph.h"
 #include "graph/grid.h"
@@ -33,6 +38,7 @@
 #include "nn/linear.h"
 #include "nn/ms_gate.h"
 #include "obs/quality.h"
+#include "paper.h"
 #include "tensor/tensor_ops.h"
 #include "urg/neighbor_sampler.h"
 #include "util/buffer_pool.h"
@@ -214,19 +220,6 @@ void RunMicroSuite(uv::obs::Report* report) {
   }
 }
 
-// Optional end-to-end leg: one small cross-validated GCN run, recorded via
-// the same AppendRunStats path the table benches use.
-void RunEvalSuite(uv::obs::Report* report, uv::bench::BenchConfig bench) {
-  bench.epochs = std::min(bench.epochs, 20);
-  bench.runs = 1;
-  const std::string city = "Fuzhou";
-  auto urg = uv::bench::BuildCityUrg(city, bench);
-  const auto stats = uv::eval::RunCrossValidation(
-      urg, uv::bench::MakeFactory("GCN", city, bench),
-      uv::bench::MakeRunnerOptions(bench));
-  uv::eval::AppendRunStats(report, "eval/cross_validation_gcn_fuzhou", stats);
-}
-
 // Paper-scale leg: builds one city-scale preset ("93k" / "175k" / "354k",
 // generate_images = false) through the sharded URG + lazy feature store
 // path and records the five gated entries of the city_scale.* family:
@@ -244,11 +237,7 @@ void RunCityScaleSuite(uv::obs::Report* report,
                        const uv::bench::BenchConfig& bench,
                        const std::string& tag) {
   uv::synth::CityConfig config;
-  if (!uv::synth::CityScalePreset(tag, bench.seed, &config)) {
-    std::fprintf(stderr, "unknown --city-scale tag '%s' (93k|175k|354k)\n",
-                 tag.c_str());
-    std::exit(2);
-  }
+  uv::synth::CityScalePreset(tag, bench.seed, &config);  // main() checked tag.
   constexpr int kBatch = 256;
   constexpr int kFanout = 16;
   std::printf("--- city_scale %s: %d x %d = %d regions ---\n", tag.c_str(),
@@ -424,20 +413,14 @@ void RunServeSuite(uv::obs::Report* report,
   const int n = urg.num_regions();
   std::printf("--- serve: quickstart city, %d regions ---\n", n);
 
-  uv::Rng rng(7);
-  const auto folds =
-      uv::eval::BlockKFold(urg.grid, urg.LabeledIds(), 3, 10, &rng);
-  std::vector<int> train_labels(folds[0].train_ids.size());
-  for (size_t i = 0; i < train_labels.size(); ++i) {
-    train_labels[i] = urg.labels[folds[0].train_ids[i]];
-  }
+  const uv::bench::TrainSet train = uv::bench::Fold0TrainSet(urg, 7);
   uv::core::CmsfConfig cmsf;
   cmsf.num_clusters = 30;
   cmsf.master_epochs = std::min(bench.epochs, 40);
   cmsf.slave_epochs = 10;
   cmsf.seed = bench.seed;
   uv::core::CmsfDetector detector(cmsf);
-  detector.Train(urg, folds[0].train_ids, train_labels);
+  detector.Train(urg, train.ids, train.labels);
 
   std::vector<int> all_ids(n);
   for (int id = 0; id < n; ++id) all_ids[id] = id;
@@ -579,20 +562,14 @@ void RunServeMonitor(const uv::bench::BenchConfig& bench) {
   const int n = urg.num_regions();
   std::printf("--- serve-monitor: quickstart city, %d regions ---\n", n);
 
-  uv::Rng rng(7);
-  const auto folds =
-      uv::eval::BlockKFold(urg.grid, urg.LabeledIds(), 3, 10, &rng);
-  std::vector<int> train_labels(folds[0].train_ids.size());
-  for (size_t i = 0; i < train_labels.size(); ++i) {
-    train_labels[i] = urg.labels[folds[0].train_ids[i]];
-  }
+  const uv::bench::TrainSet train = uv::bench::Fold0TrainSet(urg, 7);
   uv::core::CmsfConfig cmsf;
   cmsf.num_clusters = 30;
   cmsf.master_epochs = std::min(bench.epochs, 10);
   cmsf.slave_epochs = 5;
   cmsf.seed = bench.seed;
   uv::core::CmsfDetector detector(cmsf);
-  detector.Train(urg, folds[0].train_ids, train_labels);
+  detector.Train(urg, train.ids, train.labels);
   auto engine = uv::infer::MakeCmsfEngine(*detector.model(),
                                           &detector.frozen(), urg);
 
@@ -655,34 +632,88 @@ void RunServeMonitor(const uv::bench::BenchConfig& bench) {
   }
 }
 
+// Prints why the command line was rejected and the usage; returns exit
+// code 2.
+int Usage(const std::string& why) {
+  if (!why.empty()) std::fprintf(stderr, "bench_suite: %s\n", why.c_str());
+  std::string names;
+  for (const auto& name : uv::bench::PaperLegNames()) {
+    names += (names.empty() ? "" : ", ") + name;
+  }
+  std::fprintf(stderr,
+               "usage: bench_suite [--micro] [--serve] [--serve-monitor] "
+               "[--city-scale TAG]... [--repeats N] [--warmup N] "
+               "[--out FILE]\n"
+               "       bench_suite --paper NAME [--out FILE]\n"
+               "       TAG in {93k, 175k, 354k}; repeatable\n"
+               "       NAME in {%s}\n",
+               names.c_str());
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool micro = false, eval = false, serve = false, serve_monitor = false;
-  std::vector<std::string> city_scales;
+  bool micro = false, serve = false, serve_monitor = false;
+  std::vector<std::string> city_scales, papers;
+  // Every leg is resolved before any runs, so a bad argument exits 2 at
+  // once and writes no ledger instead of failing after minutes of
+  // measurement.
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) micro = true;
-    if (std::strcmp(argv[i], "--eval") == 0) eval = true;
-    if (std::strcmp(argv[i], "--serve") == 0) serve = true;
-    if (std::strcmp(argv[i], "--serve-monitor") == 0) serve_monitor = true;
-    if (std::strncmp(argv[i], "--city-scale=", 13) == 0) {
-      city_scales.emplace_back(argv[i] + 13);
-    } else if (std::strcmp(argv[i], "--city-scale") == 0 && i + 1 < argc) {
-      city_scales.emplace_back(argv[++i]);
+    const std::string arg = argv[i];
+    if (arg == "--micro") {
+      micro = true;
+      continue;
     }
+    if (arg == "--serve") {
+      serve = true;
+      continue;
+    }
+    if (arg == "--serve-monitor") {
+      serve_monitor = true;
+      continue;
+    }
+    std::string flag;
+    const char* value = nullptr;
+    for (const char* f :
+         {"--city-scale", "--paper", "--repeats", "--warmup", "--out", "-o"}) {
+      value = uv::bench::FlagValue(argc, argv, &i, f);
+      if (value != nullptr) {
+        flag = f;
+        break;
+      }
+    }
+    if (value == nullptr) return Usage("unknown argument '" + arg + "'");
+    if (*value == '\0') return Usage(flag + " needs a value");
+    if (flag == "--city-scale") {
+      uv::synth::CityConfig config;
+      if (!uv::synth::CityScalePreset(value, 0, &config)) {
+        return Usage("unknown --city-scale tag '" + std::string(value) + "'");
+      }
+      city_scales.emplace_back(value);
+    } else if (flag == "--paper") {
+      const auto& legs = uv::bench::PaperLegNames();
+      if (std::find(legs.begin(), legs.end(), value) == legs.end()) {
+        return Usage("unknown --paper leg '" + std::string(value) + "'");
+      }
+      papers.emplace_back(value);
+    }  // The rest are read by BenchConfig::FromArgs and LedgerPath.
   }
-  if (!micro && !eval && !serve && !serve_monitor && city_scales.empty()) {
-    std::fprintf(stderr,
-                 "usage: bench_suite --micro [--eval] [--serve] "
-                 "[--serve-monitor] [--city-scale TAG]... "
-                 "[--repeats N] [--warmup N] [--out FILE]\n"
-                 "       TAG in {93k, 175k, 354k}; repeatable\n");
-    return 2;
+  const bool core = micro || serve || !city_scales.empty();
+  if (!papers.empty() && (papers.size() > 1 || core || serve_monitor)) {
+    return Usage("--paper runs alone");
   }
+  if (!core && !serve_monitor && papers.empty()) return Usage("");
 
   const auto bench = uv::bench::BenchConfig::FromArgs(argc, argv);
-  // Resolved before any suite runs, so a bad --out fails fast instead of
-  // after minutes of measurement.
+  if (!papers.empty()) {
+    // A paper leg has its own ledger, never BENCH_core.json by default.
+    const std::string ledger_path = uv::bench::LedgerPath(
+        "BENCH_" + papers[0] + ".json", argc, argv);
+    uv::bench::WriteLedger(uv::bench::RunPaperLeg(papers[0], bench),
+                           ledger_path);
+    return 0;
+  }
   const std::string ledger_path =
       uv::bench::LedgerPath("BENCH_core.json", argc, argv);
   auto report = uv::bench::MakeReport("core", bench);
@@ -690,15 +721,12 @@ int main(int argc, char** argv) {
               bench.repeats);
 
   if (micro) RunMicroSuite(&report);
-  if (eval) RunEvalSuite(&report, bench);
   if (serve) RunServeSuite(&report, bench);
   if (serve_monitor) RunServeMonitor(bench);
   for (const auto& tag : city_scales) RunCityScaleSuite(&report, bench, tag);
 
   // The monitor demo records no benchmarks; running it alone must not
   // clobber an existing ledger with an empty one.
-  if (micro || eval || serve || !city_scales.empty()) {
-    uv::bench::WriteLedger(report, ledger_path);
-  }
+  if (core) uv::bench::WriteLedger(report, ledger_path);
   return 0;
 }

@@ -190,7 +190,15 @@ void AppendRunStats(obs::Report* report, const std::string& name,
   b.AddRepeat(stats.wall_seconds);
   b.AddMetric("auc_mean", stats.auc.mean, obs::Direction::kHigherIsBetter);
   b.AddMetric("auc_std", stats.auc.std);
+  b.AddMetric("recall3_mean", stats.recall3.mean,
+              obs::Direction::kHigherIsBetter);
+  b.AddMetric("precision3_mean", stats.precision3.mean,
+              obs::Direction::kHigherIsBetter);
   b.AddMetric("f13_mean", stats.f13.mean, obs::Direction::kHigherIsBetter);
+  b.AddMetric("recall5_mean", stats.recall5.mean,
+              obs::Direction::kHigherIsBetter);
+  b.AddMetric("precision5_mean", stats.precision5.mean,
+              obs::Direction::kHigherIsBetter);
   b.AddMetric("f15_mean", stats.f15.mean, obs::Direction::kHigherIsBetter);
   b.AddMetric("wall_seconds", stats.wall_seconds,
               obs::Direction::kLowerIsBetter);

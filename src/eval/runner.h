@@ -68,10 +68,11 @@ RunStats RunCrossValidation(const urg::UrbanRegionGraph& urg,
                             const RunnerOptions& options);
 
 // Serializes one RunStats into the named benchmark entry of a perf ledger:
-// quality metrics (AUC/F1, direction "higher"), timing metrics (wall,
-// per-epoch, inference — direction "lower"), and the pool-counter deltas as
-// informational values. This is the single path every bench binary and the
-// --json flag of the example runners use, so ledgers stay schema-uniform.
+// quality metrics (AUC, Recall/Precision/F1 at p = 3 and 5; direction
+// "higher"), timing metrics (wall, per-epoch, inference; direction
+// "lower"), and the pool-counter deltas as informational values. This is
+// the single path every bench leg and the --json flag of the example
+// runners use, so ledgers stay schema-uniform.
 void AppendRunStats(obs::Report* report, const std::string& name,
                     const RunStats& stats);
 

@@ -209,38 +209,7 @@ std::string RenderJsonExport(const RegistrySnapshot& snap, uint64_t ts_us) {
   w.BeginObject();
   w.Key("schema").String("uv-metrics-export-v1");
   w.Key("ts_us").UInt(ts_us);
-  w.Key("counters").BeginObject();
-  for (const auto& [name, value] : snap.counters) w.Key(name).UInt(value);
-  w.EndObject();
-  w.Key("gauges").BeginObject();
-  for (const auto& [name, value] : snap.gauges) w.Key(name).Int(value);
-  w.EndObject();
-  w.Key("histograms").BeginObject();
-  for (const auto& h : snap.histograms) {
-    w.Key(h.name).BeginObject();
-    w.Key("count").UInt(h.count);
-    w.Key("sum").UInt(h.sum);
-    w.Key("p50").Double(h.p50);
-    w.Key("p95").Double(h.p95);
-    w.Key("p99").Double(h.p99);
-    w.Key("buckets").BeginArray();
-    for (uint64_t b : h.buckets) w.UInt(b);
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndObject();
-  w.Key("windowed").BeginObject();
-  for (const auto& win : snap.windowed) {
-    w.Key(win.name).BeginObject();
-    w.Key("window_us").UInt(win.window_us);
-    w.Key("count").UInt(win.count);
-    w.Key("sum").UInt(win.sum);
-    w.Key("p50").Double(win.p50);
-    w.Key("p95").Double(win.p95);
-    w.Key("p99").Double(win.p99);
-    w.EndObject();
-  }
-  w.EndObject();
+  WriteSnapshotJson(snap, &w);
   w.EndObject();
   return w.Take();
 }

@@ -1,12 +1,12 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
+#include "obs/report.h"
 #include "obs/windowed.h"
 
 namespace uv::obs {
@@ -159,76 +159,48 @@ RegistrySnapshot Registry::Snapshot() const {
 }
 
 std::string Registry::ToJson() const {
-  const RegistrySnapshot snap = Snapshot();
-  std::string out = "{\"counters\":{";
-  char buf[96];
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) out += ',';
-    first = false;
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(value));
-    out += '"';
-    out += name;
-    out += "\":";
-    out += buf;
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    if (!first) out += ',';
-    first = false;
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-    out += '"';
-    out += name;
-    out += "\":";
-    out += buf;
-  }
-  out += "},\"histograms\":{";
-  first = true;
+  JsonWriter w;
+  w.BeginObject();
+  WriteSnapshotJson(Snapshot(), &w);
+  w.EndObject();
+  return w.Take();
+}
+
+void WriteSnapshotJson(const RegistrySnapshot& snap, JsonWriter* w) {
+  w->Key("counters").BeginObject();
+  for (const auto& [name, value] : snap.counters) w->Key(name).UInt(value);
+  w->EndObject();
+  w->Key("gauges").BeginObject();
+  for (const auto& [name, value] : snap.gauges) w->Key(name).Int(value);
+  w->EndObject();
+  // Percentiles are bucket lower bounds, whole numbers that the shortest
+  // round-trip form prints as integers.
+  w->Key("histograms").BeginObject();
   for (const auto& h : snap.histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += h.name;
-    out += "\":{";
-    std::snprintf(buf, sizeof(buf), "\"count\":%llu,\"sum\":%llu",
-                  static_cast<unsigned long long>(h.count),
-                  static_cast<unsigned long long>(h.sum));
-    out += buf;
-    std::snprintf(buf, sizeof(buf), ",\"p50\":%.0f,\"p95\":%.0f,\"p99\":%.0f",
-                  h.p50, h.p95, h.p99);
-    out += buf;
-    out += ",\"buckets\":[";
-    for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-      if (b > 0) out += ',';
-      std::snprintf(buf, sizeof(buf), "%llu",
-                    static_cast<unsigned long long>(h.buckets[b]));
-      out += buf;
-    }
-    out += "]}";
+    w->Key(h.name).BeginObject();
+    w->Key("count").UInt(h.count);
+    w->Key("sum").UInt(h.sum);
+    w->Key("p50").Double(h.p50);
+    w->Key("p95").Double(h.p95);
+    w->Key("p99").Double(h.p99);
+    w->Key("buckets").BeginArray();
+    for (uint64_t b : h.buckets) w->UInt(b);
+    w->EndArray();
+    w->EndObject();
   }
-  out += "},\"windowed\":{";
-  first = true;
-  for (const auto& w : snap.windowed) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += w.name;
-    out += "\":{";
-    std::snprintf(buf, sizeof(buf),
-                  "\"window_us\":%llu,\"count\":%llu,\"sum\":%llu",
-                  static_cast<unsigned long long>(w.window_us),
-                  static_cast<unsigned long long>(w.count),
-                  static_cast<unsigned long long>(w.sum));
-    out += buf;
-    std::snprintf(buf, sizeof(buf), ",\"p50\":%.0f,\"p95\":%.0f,\"p99\":%.0f",
-                  w.p50, w.p95, w.p99);
-    out += buf;
-    out += '}';
+  w->EndObject();
+  w->Key("windowed").BeginObject();
+  for (const auto& win : snap.windowed) {
+    w->Key(win.name).BeginObject();
+    w->Key("window_us").UInt(win.window_us);
+    w->Key("count").UInt(win.count);
+    w->Key("sum").UInt(win.sum);
+    w->Key("p50").Double(win.p50);
+    w->Key("p95").Double(win.p95);
+    w->Key("p99").Double(win.p99);
+    w->EndObject();
   }
-  out += "}}";
-  return out;
+  w->EndObject();
 }
 
 void Registry::ResetAll() {

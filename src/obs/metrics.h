@@ -143,6 +143,7 @@ class Histogram {
 // ---------------------------------------------------------------------------
 
 class Clock;
+class JsonWriter;
 class WindowedHistogram;
 
 struct HistogramSnapshot {
@@ -198,6 +199,7 @@ class Registry {
   // Snapshot rendered as one JSON object:
   //   {"counters":{...},"gauges":{...},"histograms":{name:{...}},
   //    "windowed":{name:{...}}}
+  // through WriteSnapshotJson, like the JSON export.
   std::string ToJson() const;
 
   // Zeroes every registered metric (tests/benchmarks).
@@ -208,6 +210,11 @@ class Registry {
   struct Impl;
   Impl* const impl_;
 };
+
+// Writes the snapshot's four sections ("counters", "gauges", "histograms",
+// "windowed") as keys of the JSON object open in `w`: the one renderer
+// behind Registry::ToJson and RenderJsonExport (obs/exporter.h).
+void WriteSnapshotJson(const RegistrySnapshot& snap, JsonWriter* w);
 
 }  // namespace uv::obs
 

@@ -37,6 +37,8 @@ struct UrgOptions {
 
   // Column-standardize both feature blocks.
   bool standardize_features = true;
+
+  bool operator==(const UrgOptions&) const = default;
 };
 
 // One rectangular district of the URG: the regions of a ShardSpec tile

@@ -386,6 +386,42 @@ TEST(ExporterRenderTest, JsonExportCarriesSchemaAndSections) {
   EXPECT_NE(json.find("\"histograms\":{}"), std::string::npos);
 }
 
+// Registry::ToJson and the JSON export render one snapshot through the same
+// section writer: their four sections match byte for byte, and every
+// percentile (a bucket lower bound) prints as the integer "%.0f" gave.
+TEST(ExporterRenderTest, RegistryJsonAndExportShareSections) {
+  Registry& reg = Registry::Global();
+  reg.ResetAll();
+  reg.GetCounter("same.counter").Inc(7);
+  reg.GetGauge("same.gauge").Set(-2);
+  Histogram& h = reg.GetHistogram("same.hist");
+  h.Record(3);
+  h.Record(uint64_t{1} << 40);  // The open last bucket: lower bound 2^26.
+  static FakeClock clock;       // The registry keeps the pointer.
+  reg.GetWindowed("same.window", 1000, &clock).Record(5000);
+
+  const RegistrySnapshot snap = reg.Snapshot();
+  const std::string registry = reg.ToJson();
+  const std::string exported = RenderJsonExport(snap, /*ts_us=*/42);
+  ASSERT_GE(registry.size(), 2u);
+  const std::string sections = registry.substr(1, registry.size() - 2);
+  EXPECT_EQ(registry.substr(0, 13), "{\"counters\":{");
+  EXPECT_EQ(exported,
+            "{\"schema\":\"uv-metrics-export-v1\",\"ts_us\":42," + sections +
+                "}");
+  EXPECT_NE(sections.find("\"same.counter\":7"), std::string::npos);
+  EXPECT_NE(sections.find("\"same.gauge\":-2"), std::string::npos);
+  EXPECT_NE(sections.find("\"same.hist\":{\"count\":2,\"sum\":1099511627779,"
+                          "\"p50\":67108864,\"p95\":67108864,"
+                          "\"p99\":67108864,\"buckets\":[0,0,1,"),
+            std::string::npos);
+  EXPECT_NE(sections.find("\"same.window\":{\"window_us\":1000,\"count\":1,"
+                          "\"sum\":5000,\"p50\":4096,\"p95\":4096,"
+                          "\"p99\":4096}"),
+            std::string::npos);
+  reg.ResetAll();
+}
+
 TEST(ExporterTest, ExportNowWritesBothFiles) {
   Registry& reg = Registry::Global();
   reg.GetCounter("telemetry.export_probe").Inc(5);
