@@ -40,6 +40,7 @@
 #include "obs/quality.h"
 #include "paper.h"
 #include "tensor/tensor_ops.h"
+#include "urg/feature_store.h"
 #include "urg/neighbor_sampler.h"
 #include "util/buffer_pool.h"
 #include "util/rng.h"
@@ -222,17 +223,20 @@ void RunMicroSuite(uv::obs::Report* report) {
 
 // Paper-scale leg: builds one city-scale preset ("93k" / "175k" / "354k",
 // generate_images = false) through the sharded URG + lazy feature store
-// path and records the five gated entries of the city_scale.* family:
+// path and records the six gated entries of the city_scale.* family:
 //   city_scale.urg_build_<tag>       regions_per_sec, peak pool bytes
+//   city_scale.encode_<tag>          every region's tile rendered and
+//                                    encoded once into an N-row table,
+//                                    tiles_per_sec, peak pool bytes
 //   city_scale.sampler_<tag>         subgraphs_per_sec
 //   city_scale.train_step_cmsf_<tag> per-batch master step, peak pool bytes
 //   city_scale.freeze_<tag>          gated CMSF's freeze sweep (whole-city
 //                                    pass + GSCM assignment), peak pool bytes
 //   city_scale.train_step_gcn_<tag>  per-batch GCN step, peak pool bytes
-// Each train-step and freeze closure resets the pool high-water mark
-// first, so mem.pool_peak_delta isolates its transient footprint — for a
-// train step the number that must stay flat from 93k to 354k at fixed
-// batch / fanout.
+// Each encode, train-step and freeze closure resets the pool high-water
+// mark first, so mem.pool_peak_delta isolates its transient footprint —
+// for a train step the number that must stay flat from 93k to 354k at
+// fixed batch / fanout.
 void RunCityScaleSuite(uv::obs::Report* report,
                        const uv::bench::BenchConfig& bench,
                        const std::string& tag) {
@@ -245,6 +249,11 @@ void RunCityScaleSuite(uv::obs::Report* report,
   auto city = std::make_shared<const uv::synth::City>(
       uv::synth::GenerateCity(config));
   const int n = config.num_regions();
+
+  // Train steps are the expensive closures (one full minibatch epoch per
+  // repeat); cap their repeats so a --repeats 5 micro run does not spend an
+  // hour here. The whole-city encode and the freeze sweep share the cap.
+  const int step_repeats = std::min(bench.repeats, 2);
 
   uv::urg::UrbanRegionGraph urg;
   {
@@ -261,6 +270,36 @@ void RunCityScaleSuite(uv::obs::Report* report,
                 uv::obs::Direction::kLowerIsBetter);
     e.AddMetric("num_regions", static_cast<double>(n));
     e.AddMetric("num_edges", static_cast<double>(urg.num_edges));
+  }
+
+  {
+    // The pass a resident image table needs at URG build: every region's
+    // tile rendered and encoded once, one 256-tile encoder chunk at a time,
+    // into an N-row table.
+    const uv::urg::UrgOptions urg_options;
+    uv::features::ConvEncoder::Options enc;
+    enc.image_size = config.image_size;
+    enc.out_dim = urg_options.image_feature_dim;
+    enc.seed = urg_options.encoder_seed;
+    const uv::features::ConvEncoder encoder(enc);
+    std::vector<int> ids(n);
+    for (int i = 0; i < n; ++i) ids[i] = i;
+    uint64_t peak_delta = 0, peak = 0;
+    auto& e = report->RunTimed("city_scale.encode_" + tag, /*warmup=*/0,
+                               step_repeats, [&] {
+      uv::BufferPool::ResetPeak();
+      const uint64_t base = uv::BufferPool::Stats().pool_bytes;
+      uv::Tensor table;
+      uv::urg::RenderAndEncodeTiles(*city, encoder, ids, &table);
+      peak = uv::BufferPool::Stats().pool_bytes_peak;
+      peak_delta = peak > base ? peak - base : 0;
+    });
+    const double secs = e.Stats().p50;
+    e.AddMetric("tiles_per_sec", secs > 0.0 ? n / secs : 0.0,
+                uv::obs::Direction::kHigherIsBetter);
+    e.AddMetric("mem.pool_bytes_peak", static_cast<double>(peak),
+                uv::obs::Direction::kLowerIsBetter);
+    e.AddMetric("mem.pool_peak_delta", static_cast<double>(peak_delta));
   }
 
   {
@@ -297,11 +336,6 @@ void RunCityScaleSuite(uv::obs::Report* report,
   }
   const int bs = std::min<int>(kBatch, static_cast<int>(train_ids.size()));
   const int num_batches = (static_cast<int>(train_ids.size()) + bs - 1) / bs;
-
-  // Train steps are the expensive closures (one full minibatch epoch per
-  // repeat); cap their repeats so a --repeats 5 micro run does not spend an
-  // hour here.
-  const int step_repeats = std::min(bench.repeats, 2);
 
   {
     uv::core::CmsfConfig cfg;

@@ -51,17 +51,21 @@ VarPtr Conv2d(const VarPtr& x, const VarPtr& w, const VarPtr& b,
 
   const int n = x->rows();
   Tensor out = Tensor::Uninit(n, spec.out_channels * oh * ow);
-  obs::SpanGuard fwd_span("conv2d_fwd", obs::SpanLevel::kFine, "batch", n);
+  // Packed on every call: an optimizer step changes w and b in place.
+  Tensor packed;
+  PackConv2dWeights(w->value, b->value, &packed);
   // Each image is independent and writes its own output row. The
-  // workspace persists per worker thread across chunks and steps (Im2Col
-  // and the beta=0 Gemm overwrite every element, so reuse is deterministic
-  // and allocation-free in steady state).
+  // workspace persists per worker thread across chunks and steps; the
+  // kernel overwrites every output element, so reuse is deterministic and
+  // allocation-free while the geometry stays the same. One span per chunk,
+  // on the thread that runs it, so its self time is the kernel's.
   ParallelFor(0, n, kConvImageGrain, [&](int64_t i0, int64_t i1) {
+    obs::SpanGuard span("conv2d_fwd", obs::SpanLevel::kFine, "batch",
+                        i1 - i0);
     thread_local Conv2dWorkspace ws;
     for (int64_t i = i0; i < i1; ++i) {
-      Conv2dForwardImage(x->value.row(static_cast<int>(i)), spec, w->value,
-                         b->value, /*relu=*/false, &ws,
-                         out.row(static_cast<int>(i)));
+      Conv2dForwardImage(x->value.row(static_cast<int>(i)), spec, packed,
+                         /*relu=*/false, &ws, out.row(static_cast<int>(i)));
     }
   });
 
@@ -122,10 +126,8 @@ VarPtr Conv2d(const VarPtr& x, const VarPtr& w, const VarPtr& b,
                 gb_part->at(0, c) += acc;
               }
             }
-            if (gw_part != nullptr || gx != nullptr) {
-              Im2Col(xv->value.row(static_cast<int>(i)), spec, &col);
-            }
             if (gw_part != nullptr) {
+              Im2Col(xv->value.row(static_cast<int>(i)), spec, &col);
               Gemm(false, true, 1.0f, gout, col, 1.0f, gw_part);
             }
             if (gx != nullptr) {

@@ -83,7 +83,11 @@ void CmsfDetector::Train(const urg::UrbanRegionGraph& urg,
   // and the slave stage "only needs very few iterations" (paper VI-G).
   train_epoch_seconds_ = master.seconds_per_epoch;
   epoch_seconds_ = std::move(master.epoch_seconds);
-  TrainSlave(model_.get(), urg, plan_.get(), frozen_);
+  const SlaveTrainResult slave =
+      TrainSlave(model_.get(), urg, plan_.get(), frozen_);
+  other_train_seconds_ =
+      master.freeze_seconds + std::accumulate(slave.epoch_seconds.begin(),
+                                              slave.epoch_seconds.end(), 0.0);
 }
 
 std::vector<float> CmsfDetector::Score(const urg::UrbanRegionGraph& urg,

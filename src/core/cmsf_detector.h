@@ -38,6 +38,8 @@ class CmsfDetector : public eval::Detector {
   std::vector<double> EpochSecondsHistory() const override {
     return epoch_seconds_;
   }
+  // The freeze sweep plus every slave epoch.
+  double OtherTrainSeconds() const override { return other_train_seconds_; }
 
   const CmsfModel* model() const { return model_.get(); }
   const CmsfModel::FrozenAssignment& frozen() const { return frozen_; }
@@ -79,6 +81,7 @@ class CmsfDetector : public eval::Detector {
   // Master-stage epochs only, matching train_epoch_seconds_ (Table III
   // quotes the master stage as the training time).
   std::vector<double> epoch_seconds_;
+  double other_train_seconds_ = 0.0;
 };
 
 }  // namespace uv::core

@@ -8,6 +8,7 @@
 #include "autograd/optimizer.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/timer.h"
 
 namespace uv::core {
 namespace {
@@ -202,8 +203,10 @@ MasterTrainResult TrainMaster(CmsfModel* model,
   // it (the slave stage / gated inference): the sweep touches every region,
   // which paper-scale gate-less runs cannot afford.
   if (cfg.use_hierarchy && cfg.use_gate) {
+    WallTimer timer;
     result.frozen = FreezeAssignment(*model, urg, plan->train_ids(),
                                      plan->train_labels());
+    result.freeze_seconds = timer.Seconds();
   }
   return result;
 }

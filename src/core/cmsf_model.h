@@ -107,6 +107,8 @@ struct MasterTrainResult {
   // Monotonic wall time of every epoch, in order; seconds_per_epoch is the
   // mean of these. Kept per epoch so callers can report p50/p95.
   std::vector<double> epoch_seconds;
+  // Wall time of the freeze sweep after the last epoch (0 when skipped).
+  double freeze_seconds = 0.0;
 };
 MasterTrainResult TrainMaster(CmsfModel* model,
                               const urg::UrbanRegionGraph& urg,

@@ -41,6 +41,10 @@ class Detector {
   // behind TrainSecondsPerEpoch). Detectors that don't track per-epoch
   // times return empty; callers must fall back to the mean.
   virtual std::vector<double> EpochSecondsHistory() const { return {}; }
+
+  // Timed training work that TrainSecondsPerEpoch does not average, such
+  // as CMSF's freeze sweep and slave stage; 0 for one-stage detectors.
+  virtual double OtherTrainSeconds() const { return 0.0; }
 };
 
 }  // namespace uv::eval

@@ -15,8 +15,9 @@ namespace uv::features {
 namespace {
 
 // Per-worker buffers of the encoder's image loop: one convolution
-// workspace per layer (their shapes differ, so a shared one would change
-// slab on every layer) and the two planes the stack alternates between.
+// workspace per layer (their shapes differ, so a shared one would be
+// re-derived on every layer) and the two planes the stack alternates
+// between.
 struct EncodeScratch {
   std::array<Conv2dWorkspace, 3> conv;
   Tensor act;     // A convolution's output; layer 1's is the largest.
@@ -40,6 +41,7 @@ ConvEncoder::ConvEncoder(const Options& options) : options_(options) {
     // He-style init keeps activation magnitudes stable through the stack.
     layer.w.RandomNormal(&rng, std::sqrt(2.0f / (in_c * 9)));
     layer.b = Tensor(1, out_c);
+    PackConv2dWeights(layer.w, layer.b, &layer.packed);
     in_c = out_c;
     side /= 2;
   }
@@ -57,32 +59,33 @@ Tensor ConvEncoder::Encode(const Tensor& images) const {
   for (int begin = 0; begin < n; begin += options_.batch_size) {
     const int rows = std::min(n - begin, options_.batch_size);
     flat.ResizeUninit(rows, proj_.rows());
-    {
-      obs::SpanGuard span("conv2d_fwd", obs::SpanLevel::kFine, "batch", rows);
-      ParallelFor(0, rows, kConvImageGrain, [&](int64_t i0, int64_t i1) {
-        thread_local EncodeScratch scratch;
-        scratch.act.ResizeUninit(
-            1, first.out_channels * first.out_h() * first.out_w());
-        scratch.pooled.ResizeUninit(1, layers_[1].spec.in_channels *
-                                           layers_[1].spec.in_h *
-                                           layers_[1].spec.in_w);
-        for (int64_t i = i0; i < i1; ++i) {
-          const int r = static_cast<int>(i);
-          const float* in = images.row(begin + r);
-          for (size_t l = 0; l < layers_.size(); ++l) {
-            const Layer& layer = layers_[l];
-            const Conv2dSpec& s = layer.spec;
-            float* pooled =
-                l + 1 < layers_.size() ? scratch.pooled.data() : flat.row(r);
-            Conv2dForwardImage(in, s, layer.w, layer.b, /*relu=*/true,
-                               &scratch.conv[l], scratch.act.data());
-            MaxPool2dImage(scratch.act.data(), s.out_channels, s.out_h(),
-                           s.out_w(), 2, 2, pooled, nullptr);
-            in = pooled;
-          }
+    ParallelFor(0, rows, kConvImageGrain, [&](int64_t i0, int64_t i1) {
+      // One span per chunk, on the thread that runs it, so the span's self
+      // time is the conv stack's own work, not the wait for the workers.
+      obs::SpanGuard span("conv2d_fwd", obs::SpanLevel::kFine, "batch",
+                          i1 - i0);
+      thread_local EncodeScratch scratch;
+      scratch.act.ResizeUninit(
+          1, first.out_channels * first.out_h() * first.out_w());
+      scratch.pooled.ResizeUninit(1, layers_[1].spec.in_channels *
+                                         layers_[1].spec.in_h *
+                                         layers_[1].spec.in_w);
+      for (int64_t i = i0; i < i1; ++i) {
+        const int r = static_cast<int>(i);
+        const float* in = images.row(begin + r);
+        for (size_t l = 0; l < layers_.size(); ++l) {
+          const Layer& layer = layers_[l];
+          const Conv2dSpec& s = layer.spec;
+          float* pooled =
+              l + 1 < layers_.size() ? scratch.pooled.data() : flat.row(r);
+          Conv2dForwardImage(in, s, layer.packed, /*relu=*/true,
+                             &scratch.conv[l], scratch.act.data());
+          MaxPool2dImage(scratch.act.data(), s.out_channels, s.out_h(),
+                         s.out_w(), 2, 2, pooled, nullptr);
+          in = pooled;
         }
-      });
-    }
+      }
+    });
     projected.ResizeUninit(rows, options_.out_dim);
     Gemm(false, false, 1.0f, flat, proj_, 0.0f, &projected);
     std::memcpy(out.row(begin), projected.data(),

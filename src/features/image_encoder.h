@@ -33,11 +33,13 @@ class ConvEncoder {
   };
 
   // One conv3x3 -> relu -> maxpool2 stage: w is out_c x (in_c*9), b is
-  // 1 x out_c.
+  // 1 x out_c, and `packed` holds both as Conv2dForwardImage reads them
+  // (frozen, so packed once at construction).
   struct Layer {
     Conv2dSpec spec;
     Tensor w;
     Tensor b;
+    Tensor packed;
   };
 
   explicit ConvEncoder(const Options& options);

@@ -71,24 +71,88 @@ void Im2Col(const float* image, const Conv2dSpec& s, Tensor* col) {
   }
 }
 
-void Conv2dForwardImage(const float* image, const Conv2dSpec& spec,
-                        const Tensor& w, const Tensor& b, bool relu,
-                        Conv2dWorkspace* ws, float* out) {
-  const int plane = spec.out_h() * spec.out_w();
-  ws->col.ResizeUninit(spec.in_channels * spec.kernel * spec.kernel, plane);
-  ws->prod.ResizeUninit(spec.out_channels, plane);
-  Im2Col(image, spec, &ws->col);
-  Gemm(false, false, 1.0f, w, ws->col, 0.0f, &ws->prod);
-  for (int c = 0; c < spec.out_channels; ++c) {
-    const float bias = b[c];
-    const float* src = ws->prod.row(c);
-    float* dst = out + static_cast<size_t>(c) * plane;
-    if (relu) {
-      for (int p = 0; p < plane; ++p) dst[p] = ReluScalar(src[p] + bias);
-    } else {
-      for (int p = 0; p < plane; ++p) dst[p] = src[p] + bias;
+namespace {
+
+// Columns of the packed weights: out_c rounded up to whole vectors.
+int PackedConvCols(int out_channels) {
+  constexpr int kBlock = kern::kConvTile;
+  return (out_channels + kBlock - 1) / kBlock * kBlock;
+}
+
+// Sizes ws->padded for `s` and lists the offsets into it of every tap and
+// of every output pixel's window origin, the latter padded to whole
+// kConvTile tiles with offset 0.
+void PrepareConv2dWorkspace(const Conv2dSpec& s, Conv2dWorkspace* ws) {
+  const int hp = s.in_h + 2 * s.pad, wp = s.in_w + 2 * s.pad;
+  const int oh = s.out_h(), ow = s.out_w();
+  constexpr int kTile = kern::kConvTile;
+  ws->spec = s;
+  ws->padded.ResizeUninit(s.in_channels, hp * wp);
+  ws->tap_offsets.clear();
+  for (int c = 0; c < s.in_channels; ++c) {
+    for (int ky = 0; ky < s.kernel; ++ky) {
+      for (int kx = 0; kx < s.kernel; ++kx) {
+        ws->tap_offsets.push_back((c * hp + ky) * wp + kx);
+      }
     }
   }
+  ws->pixel_offsets.assign((oh * ow + kTile - 1) / kTile * kTile, 0);
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox) {
+      ws->pixel_offsets[oy * ow + ox] = (oy * wp + ox) * s.stride;
+    }
+  }
+}
+
+// Copies the CHW image into `padded` inside a `pad`-wide zero border.
+void PadImage(const float* image, const Conv2dSpec& s, float* padded) {
+  const int hp = s.in_h + 2 * s.pad, wp = s.in_w + 2 * s.pad;
+  for (int c = 0; c < s.in_channels; ++c) {
+    const float* plane = image + static_cast<size_t>(c) * s.in_h * s.in_w;
+    float* dst = padded + static_cast<size_t>(c) * hp * wp;
+    // Each row's right margin runs on into the next row's left margin.
+    std::fill(dst, dst + s.pad * wp + s.pad, 0.0f);
+    for (int y = 0; y < s.in_h; ++y) {
+      float* row = dst + (y + s.pad) * wp + s.pad;
+      std::memcpy(row, plane + y * s.in_w, sizeof(float) * s.in_w);
+      std::fill(row + s.in_w, row + s.in_w + 2 * s.pad, 0.0f);
+    }
+    std::fill(dst + (s.in_h + s.pad) * wp + s.pad, dst + hp * wp, 0.0f);
+  }
+}
+
+}  // namespace
+
+void PackConv2dWeights(const Tensor& w, const Tensor& b, Tensor* packed) {
+  const int out_c = w.rows(), taps = w.cols();
+  UV_CHECK_EQ(b.rows(), 1);
+  UV_CHECK_EQ(b.cols(), out_c);
+  *packed = Tensor(taps + 1, PackedConvCols(out_c));
+  for (int c = 0; c < out_c; ++c) {
+    for (int t = 0; t < taps; ++t) packed->at(t, c) = w.at(c, t);
+    packed->at(taps, c) = b[c];
+  }
+}
+
+void Conv2dForwardImage(const float* image, const Conv2dSpec& spec,
+                        const Tensor& packed, bool relu, Conv2dWorkspace* ws,
+                        float* out) {
+  const int taps = spec.in_channels * spec.kernel * spec.kernel;
+  UV_CHECK_EQ(packed.rows(), taps + 1);
+  UV_CHECK_EQ(packed.cols(), PackedConvCols(spec.out_channels));
+  if (ws->spec != spec) PrepareConv2dWorkspace(spec, ws);
+  PadImage(image, spec, ws->padded.data());
+  kern::ConvArgs args;
+  args.taps = taps;
+  args.pixels = spec.out_h() * spec.out_w();
+  args.out_channels = spec.out_channels;
+  args.image = ws->padded.data();
+  args.tap_offsets = ws->tap_offsets.data();
+  args.pixel_offsets = ws->pixel_offsets.data();
+  args.weights = packed.data();
+  args.relu = relu;
+  args.out = out;
+  kern::Active().conv2d(args);
 }
 
 namespace {

@@ -50,6 +50,7 @@ struct Conv2dSpec {
 
   int out_h() const { return (in_h + 2 * pad - kernel) / stride + 1; }
   int out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
+  bool operator==(const Conv2dSpec&) const = default;
 };
 
 // Images per parallel chunk in every per-image convolution and pooling
@@ -63,23 +64,32 @@ inline constexpr int64_t kConvImageGrain = 4;
 // the caller sizes: row (c, ky, kx) holds the pixel under that kernel tap
 // for every output position, 0 in the padding. The bounds test is hoisted
 // out of the pixel loop: each output row's in-range span is one copy
-// between zero-filled margins.
+// between zero-filled margins. Only ag::Conv2d's backward pass uses it;
+// the forward never builds the matrix.
 void Im2Col(const float* image, const Conv2dSpec& spec, Tensor* col);
 
-// Workspaces of Conv2dForwardImage; each worker thread keeps its own, so
-// steady-state calls allocate nothing.
+// w (out_c x in_c*k*k) and the channel bias b (1 x out_c) in the layout
+// Conv2dForwardImage reads (kern::ConvArgs::weights). Pack once per
+// forward call: the weights of a trained layer change between calls.
+void PackConv2dWeights(const Tensor& w, const Tensor& b, Tensor* packed);
+
+// Per-thread scratch of Conv2dForwardImage; steady-state calls with one
+// geometry allocate nothing.
 struct Conv2dWorkspace {
-  Tensor col;   // (in_c*k*k) x (oh*ow).
-  Tensor prod;  // out_c x (oh*ow).
+  Conv2dSpec spec;                 // The geometry the offsets are for.
+  Tensor padded;                   // The image inside a zero border.
+  std::vector<int> tap_offsets;    // Of tap (c, ky, kx) in `padded`.
+  std::vector<int> pixel_offsets;  // Of each output's window origin.
 };
 
 // One image's convolution: writes out_c*oh*ow floats (CHW) of
-// w * im2col(image) plus the channel bias b, then ReLU when `relu`. w is
-// out_c x (in_c*k*k) and b is 1 x out_c. The product is one
-// Gemm(false, false, 1, w, col, 0, &prod) per image.
+// w * im2col(image) plus the channel bias, then ReLU when `relu`, from
+// `packed` (PackConv2dWeights). One implicit-GEMM kernel serves every
+// kernel size, stride and padding; its outputs equal
+// Gemm(false, false, 1, w, im2col(image), 0, &prod) + bias bit for bit.
 void Conv2dForwardImage(const float* image, const Conv2dSpec& spec,
-                        const Tensor& w, const Tensor& b, bool relu,
-                        Conv2dWorkspace* ws, float* out);
+                        const Tensor& packed, bool relu, Conv2dWorkspace* ws,
+                        float* out);
 
 // One image's max pool: channels x h x w (CHW) in, channels x oh x ow out
 // with oh = (h - kernel) / stride + 1 (likewise ow). A window keeps its

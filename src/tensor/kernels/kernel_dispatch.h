@@ -45,6 +45,27 @@ struct GemmArgs {
   float leaky_slope = 0.0f;
 };
 
+// One image's convolution as an implicit GEMM: out = W * im2col(image) +
+// bias, with the im2col operand read in place from a zero-padded copy of
+// the image instead of being materialized. Tap t = (c, ky, kx) of output
+// pixel p reads image[pixel_offsets[p] + tap_offsets[t]].
+struct ConvArgs {
+  int taps = 0;          // K = in_channels * kernel * kernel.
+  int pixels = 0;        // out_h * out_w.
+  int out_channels = 0;
+  const float* image = nullptr;       // The zero-padded input planes.
+  const int* tap_offsets = nullptr;   // taps entries, (c, ky, kx) order.
+  // pixels rounded up to kConvTile entries; the padding entries
+  // point anywhere inside `image` and their results are never stored.
+  const int* pixel_offsets = nullptr;
+  // (taps + 1) x round_up(out_channels, kConvTile): row t holds
+  // tap t's weight for every output channel, the last row the bias, and
+  // the padding columns are zero.
+  const float* weights = nullptr;
+  bool relu = false;
+  float* out = nullptr;  // out_channels x pixels (CHW).
+};
+
 // The dispatch table. GEMM parallelizes internally (row panels over the
 // global thread pool); the elementwise/reduction entries are serial over
 // the range they are given — callers chunk them with ParallelFor so the
@@ -54,6 +75,9 @@ struct KernelDispatch {
 
   // Packed GEMM with fused epilogue (see GemmArgs).
   void (*gemm)(const GemmArgs& args);
+  // One image's convolution (see ConvArgs); serial, the caller owns the
+  // per-image parallel split.
+  void (*conv2d)(const ConvArgs& args);
 
   // y[i] += alpha * x[i].
   void (*axpy)(float alpha, const float* x, float* y, int64_t n);
@@ -106,6 +130,9 @@ inline constexpr int64_t kElementwiseGrain = 1 << 14;
 // loop is parallelized with.
 inline constexpr int kGemmKc = 256;
 inline constexpr int kGemmRowGrain = 32;
+// The convolution's register tile: kConvTile output pixels by one vector
+// of kConvTile output channels.
+inline constexpr int kConvTile = 8;
 
 }  // namespace uv::kern
 

@@ -451,11 +451,74 @@ struct Kernels {
     }
   }
 
+  // ------------------------------------------------------------------
+  // Implicit-GEMM convolution (see ConvArgs). Output channels run across
+  // the vector lanes and input pixels are broadcast from the padded image,
+  // so a register tile is kConvTile pixels by kL channels and no
+  // im2col matrix is written. Each output element gets the packed GEMM's
+  // arithmetic with A = W and B = im2col(image): per kGemmKc block of
+  // taps, ascending, one Fma chain from zero added into a sum that starts
+  // at zero; then the bias add and the optional ReLU. The padding pixels
+  // are the same zeros im2col writes, so every result equals the GEMM
+  // path's bit for bit on each backend.
+  // ------------------------------------------------------------------
+  static void Conv2d(const ConvArgs& g) {
+    static_assert(kL == kConvTile);
+    constexpr int kT = kConvTile;
+    const int64_t ldw = (g.out_channels + kL - 1) / kL * kL;
+    const V8 zero = V8::Zero();
+    for (int c0 = 0; c0 < g.out_channels; c0 += kL) {
+      const int cw = std::min(kL, g.out_channels - c0);
+      const float* wcol = g.weights + c0;
+      const V8 bias = V8::Load(wcol + g.taps * ldw);
+      for (int p0 = 0; p0 < g.pixels; p0 += kT) {
+        const float* px[kT];
+        V8 sum[kT];
+        for (int r = 0; r < kT; ++r) {
+          px[r] = g.image + g.pixel_offsets[p0 + r];
+          sum[r] = zero;
+        }
+        for (int t0 = 0; t0 < g.taps; t0 += kGemmKc) {
+          const int t1 = std::min(g.taps, t0 + kGemmKc);
+          V8 acc[kT];
+          for (int r = 0; r < kT; ++r) acc[r] = zero;
+          for (int t = t0; t < t1; ++t) {
+            const int off = g.tap_offsets[t];
+            const V8 w = V8::Load(wcol + t * ldw);
+            for (int r = 0; r < kT; ++r) {
+              acc[r] = V8::Fma(V8::Broadcast(px[r][off]), w, acc[r]);
+            }
+          }
+          for (int r = 0; r < kT; ++r) sum[r] = V8::Add(sum[r], acc[r]);
+        }
+        // Lanes are channels here and pixels in the CHW output, so the
+        // tile is transposed before it is stored.
+        for (int r = 0; r < kT; ++r) {
+          sum[r] = V8::Add(sum[r], bias);
+          if (g.relu) sum[r] = V8::Max(sum[r], zero);
+        }
+        V8::Transpose8(sum);
+        const int pw = std::min(kT, g.pixels - p0);
+        for (int c = 0; c < cw; ++c) {
+          float* dst = g.out + (c0 + c) * static_cast<int64_t>(g.pixels) + p0;
+          if (pw == kT) {
+            V8::Store(dst, sum[c]);
+          } else {
+            float part[kT];
+            V8::Store(part, sum[c]);
+            std::copy(part, part + pw, dst);
+          }
+        }
+      }
+    }
+  }
+
   // The dispatch table for this backend.
   static KernelDispatch Table(const char* name) {
     KernelDispatch t;
     t.name = name;
     t.gemm = &Kernels::Gemm;
+    t.conv2d = &Kernels::Conv2d;
     t.axpy = &Kernels::Axpy;
     t.mul = &Kernels::Mul;
     t.scale = &Kernels::Scale;

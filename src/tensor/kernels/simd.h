@@ -19,7 +19,7 @@ namespace uv::kern {
 //
 // Both types expose the same static-function surface:
 //   Zero, Broadcast, Load, Store, Add, Sub, Mul, Fma(a,b,c)=a*b+c, Max,
-//   ReduceSum, ReduceMax, kLanes.
+//   ReduceSum, ReduceMax, Transpose8, kLanes.
 // ReduceSum uses the same fixed pairwise tree in both backends
 // ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) so that a lane-for-lane identical
 // vector reduces to a bit-identical scalar regardless of backend.
@@ -85,6 +85,16 @@ struct ScalarF32x8 {
     for (int i = 1; i < kLanes; ++i) m = a.v[i] > m ? a.v[i] : m;
     return m;
   }
+  // Transposes the 8 x 8 block whose rows are rows[0..7], in place.
+  static void Transpose8(ScalarF32x8* rows) {
+    for (int i = 0; i < kLanes; ++i) {
+      for (int j = i + 1; j < kLanes; ++j) {
+        const float t = rows[i].v[j];
+        rows[i].v[j] = rows[j].v[i];
+        rows[j].v[i] = t;
+      }
+    }
+  }
 };
 
 #if defined(UV_SIMD_HAS_AVX2_TU)
@@ -136,6 +146,25 @@ struct Avx2F32x8 {
     m = _mm_max_ps(m, _mm_movehl_ps(m, m));
     m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 0x1));
     return _mm_cvtss_f32(m);
+  }
+  static void Transpose8(Avx2F32x8* rows) {
+    // Interleave pairs of rows, then pairs of pairs within each 128-bit
+    // half, then swap the halves: row i ends up holding column i.
+    __m256 t[8], s[8];
+    for (int i = 0; i < 8; i += 2) {
+      t[i] = _mm256_unpacklo_ps(rows[i].v, rows[i + 1].v);
+      t[i + 1] = _mm256_unpackhi_ps(rows[i].v, rows[i + 1].v);
+    }
+    for (int i = 0; i < 8; i += 4) {
+      s[i] = _mm256_shuffle_ps(t[i], t[i + 2], 0x44);
+      s[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], 0xEE);
+      s[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+      s[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xEE);
+    }
+    for (int i = 0; i < 4; ++i) {
+      rows[i].v = _mm256_permute2f128_ps(s[i], s[i + 4], 0x20);
+      rows[i + 4].v = _mm256_permute2f128_ps(s[i], s[i + 4], 0x31);
+    }
   }
 };
 #endif  // UV_SIMD_HAS_AVX2_TU

@@ -42,6 +42,42 @@ void ResidentFeatureStore::GatherImage(const std::vector<int>& ids,
   GatherRowsInto(image_, ids, out);
 }
 
+void RenderAndEncodeTiles(const synth::City& city,
+                          const features::ConvEncoder& encoder,
+                          const std::vector<int>& ids, Tensor* out) {
+  const int s = city.config.image_size;
+  const int count = static_cast<int>(ids.size());
+  const int chunk = encoder.batch_size();
+  out->ResizeUninit(count, encoder.out_dim());
+  auto& tiles_rendered =
+      obs::Registry::Global().GetCounter("synth.tiles_rendered");
+  // A plain local, NOT thread_local: the render lambda below runs on pool
+  // workers, and a lambda body never captures a thread_local — each worker
+  // would resolve its own (empty) instance. The slab comes from
+  // BufferPool, so a fresh tensor per call is allocation-free in steady
+  // state anyway.
+  Tensor tiles;
+  for (int begin = 0; begin < count; begin += chunk) {
+    const int rows = std::min(chunk, count - begin);
+    tiles.ResizeUninit(rows, 3 * s * s);
+    {
+      obs::SpanGuard span("render_tiles", obs::SpanLevel::kFine, "tiles",
+                          rows);
+      ParallelFor(0, rows, 16, [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          city.RenderRegionTile(ids[begin + r],
+                                tiles.row(static_cast<int>(r)));
+        }
+        tiles_rendered.Inc(static_cast<uint64_t>(r1 - r0));
+      });
+    }
+    obs::SpanGuard span("encode_tiles", obs::SpanLevel::kFine, "tiles", rows);
+    const Tensor encoded = encoder.Encode(tiles);
+    std::memcpy(out->row(begin), encoded.data(),
+                sizeof(float) * static_cast<size_t>(encoded.size()));
+  }
+}
+
 LazyFeatureStore::LazyFeatureStore(std::shared_ptr<const synth::City> city,
                                    Tensor poi_features,
                                    const Options& options)
@@ -74,9 +110,7 @@ LazyFeatureStore::LazyFeatureStore(std::shared_ptr<const synth::City> city,
       ids[i] = static_cast<int>(static_cast<int64_t>(i) * n / sample);
     }
     Tensor encoded;
-    encoded.ResizeUninit(sample, dim);
-    // Temporarily mark stats as identity so EncodeRegions is a no-op map.
-    EncodeRegions(ids, &encoded);
+    RenderAndEncodeTiles(*city_, encoder_, ids, &encoded);
     const Tensor mean = ColumnMean(encoded);
     const Tensor std = ColumnStd(encoded, mean);
     for (int c = 0; c < dim; ++c) {
@@ -84,7 +118,6 @@ LazyFeatureStore::LazyFeatureStore(std::shared_ptr<const synth::City> city,
       // Same floor as StandardizeColumnsInPlace: quiet columns divide by 1.
       col_std_.at(0, c) = std.at(0, c) > 1e-6f ? std.at(0, c) : 1.0f;
     }
-    // Re-encoding from here on applies (x - mean) / std.
   }
 
   const int rows = std::max(1, options_.cache_rows);
@@ -103,42 +136,12 @@ void LazyFeatureStore::GatherPoi(const std::vector<int>& ids, Tensor* out) {
 
 void LazyFeatureStore::EncodeRegions(const std::vector<int>& ids,
                                      Tensor* out) {
-  const int s = city_->config.image_size;
+  RenderAndEncodeTiles(*city_, encoder_, ids, out);
   const int dim = encoder_.out_dim();
-  const int count = static_cast<int>(ids.size());
-  const int chunk = encoder_.batch_size();
-  auto& tiles_rendered =
-      obs::Registry::Global().GetCounter("synth.tiles_rendered");
-  // One encoder chunk of tiles at a time, so the transient is bounded by
-  // the chunk whatever the number of ids; rows match a single whole-batch
-  // encode because the encoder is row-independent. A plain local, NOT
-  // thread_local: the render lambda below runs on pool workers, and a
-  // lambda body never captures a thread_local — each worker would resolve
-  // its own (empty) instance. The slab comes from BufferPool, so a fresh
-  // tensor per call is allocation-free in steady state anyway.
-  Tensor tiles;
-  for (int begin = 0; begin < count; begin += chunk) {
-    const int rows = std::min(chunk, count - begin);
-    tiles.ResizeUninit(rows, 3 * s * s);
-    {
-      obs::SpanGuard span("render_tiles", obs::SpanLevel::kFine, "tiles",
-                          rows);
-      ParallelFor(0, rows, 16, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          city_->RenderRegionTile(ids[begin + r],
-                                  tiles.row(static_cast<int>(r)));
-        }
-        tiles_rendered.Inc(static_cast<uint64_t>(r1 - r0));
-      });
-    }
-    obs::SpanGuard span("encode_tiles", obs::SpanLevel::kFine, "tiles", rows);
-    const Tensor encoded = encoder_.Encode(tiles);
-    for (int i = 0; i < rows; ++i) {
-      const float* in = encoded.row(i);
-      float* dst = out->row(begin + i);
-      for (int c = 0; c < dim; ++c) {
-        dst[c] = (in[c] - col_mean_.at(0, c)) / col_std_.at(0, c);
-      }
+  for (int i = 0; i < out->rows(); ++i) {
+    float* row = out->row(i);
+    for (int c = 0; c < dim; ++c) {
+      row[c] = (row[c] - col_mean_.at(0, c)) / col_std_.at(0, c);
     }
   }
 }
@@ -163,7 +166,6 @@ void LazyFeatureStore::GatherImage(const std::vector<int>& ids, Tensor* out) {
   thread_local Tensor fresh;
   if (!missing.empty()) {
     cache_misses_ += missing.size();
-    fresh.ResizeUninit(static_cast<int>(missing.size()), dim);
     EncodeRegions(missing, &fresh);
   }
 

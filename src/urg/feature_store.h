@@ -54,6 +54,15 @@ class ResidentFeatureStore : public FeatureStore {
   Tensor image_;
 };
 
+// Renders the tiles of `ids` from the city's per-region streams and
+// encodes them into consecutive rows of `out` (resized to ids.size() x
+// encoder.out_dim()), one encoder chunk at a time, so the tile transient is
+// bounded by the chunk whatever the number of ids. The rows equal one
+// whole-batch encode because the encoder is row-independent.
+void RenderAndEncodeTiles(const synth::City& city,
+                          const features::ConvEncoder& encoder,
+                          const std::vector<int>& ids, Tensor* out);
+
 // Render-on-demand feature store for paper-scale cities: POI features are
 // resident (their radius components need whole-city BFS anyway, and 64
 // floats/region is ~90 MB at 354k — cheap), while tile images — the 12x
@@ -94,8 +103,8 @@ class LazyFeatureStore : public FeatureStore {
   uint64_t cache_misses() const { return cache_misses_; }
 
  private:
-  // Renders + encodes `ids` into consecutive rows of `out` (caller sizes
-  // it), applying the precomputed column standardization.
+  // Renders + encodes `ids` into consecutive rows of `out`, applying the
+  // precomputed column standardization.
   void EncodeRegions(const std::vector<int>& ids, Tensor* out);
 
   std::shared_ptr<const synth::City> city_;

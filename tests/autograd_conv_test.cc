@@ -113,27 +113,29 @@ INSTANTIATE_TEST_SUITE_P(Geometry, Conv2dForwardTest,
                                             ::testing::Values(0, 1),
                                             ::testing::Values(1, 3)));
 
-// (stride, pad, out_channels, kernel, in_h, in_w): the Conv2dForwardTest
-// grid plus kernels 1 and 5, pad 2 and a non-square input.
-class Conv2dRawForwardTest
-    : public ::testing::TestWithParam<
-          std::tuple<int, int, int, int, std::tuple<int, int>>> {};
+// (stride, pad, out_channels, kernel, (in_h, in_w)).
+using RawForwardParam = std::tuple<int, int, int, int, std::tuple<int, int>>;
 
-TEST_P(Conv2dRawForwardTest, MatchesReferenceIm2ColBitForBit) {
-  const auto [stride, pad, out_c, kernel, shape] = GetParam();
+// Im2Col, Conv2dForwardImage (with and without ReLU) and ag::Conv2d
+// against the reference im2col and one Gemm plus the bias, bit for bit.
+void ExpectRawForwardMatchesReference(int in_channels,
+                                      const RawForwardParam& param) {
+  const auto [stride, pad, out_c, kernel, shape] = param;
   const auto [in_h, in_w] = shape;
-  const Conv2dSpec s{2, in_h, in_w, out_c, kernel, stride, pad};
+  const Conv2dSpec s{in_channels, in_h, in_w, out_c, kernel, stride, pad};
   if (s.out_h() <= 0 || s.out_w() <= 0) GTEST_SKIP();
-  const int patch = 2 * kernel * kernel;
+  const int patch = in_channels * kernel * kernel;
   const int plane = s.out_h() * s.out_w();
   const int out_cols = out_c * plane;
-  const Tensor x = RandomTensor(3, 2 * in_h * in_w, 31);
+  const Tensor x = RandomTensor(3, in_channels * in_h * in_w, 31);
   const Tensor w = RandomTensor(out_c, patch, 32);
   const Tensor b = RandomTensor(1, out_c, 33);
 
   Tensor ref_col(patch, plane);
   Tensor col(patch, plane);
   Tensor prod(out_c, plane);
+  Tensor packed;
+  PackConv2dWeights(w, b, &packed);
   Conv2dWorkspace ws;
   std::vector<float> expected(out_cols), expected_relu(out_cols);
   std::vector<float> got(out_cols), got_relu(out_cols);
@@ -153,8 +155,9 @@ TEST_P(Conv2dRawForwardTest, MatchesReferenceIm2ColBitForBit) {
         expected_relu[c * plane + p] = v > 0.0f ? v : 0.0f;
       }
     }
-    Conv2dForwardImage(x.row(img), s, w, b, /*relu=*/false, &ws, got.data());
-    Conv2dForwardImage(x.row(img), s, w, b, /*relu=*/true, &ws,
+    Conv2dForwardImage(x.row(img), s, packed, /*relu=*/false, &ws,
+                       got.data());
+    Conv2dForwardImage(x.row(img), s, packed, /*relu=*/true, &ws,
                        got_relu.data());
     EXPECT_TRUE(SameBytes(got.data(), expected.data(), out_cols))
         << "image " << img;
@@ -165,10 +168,39 @@ TEST_P(Conv2dRawForwardTest, MatchesReferenceIm2ColBitForBit) {
   }
 }
 
+// Two input channels: the Conv2dForwardTest grid plus kernels 1 and 5,
+// pad 2, a non-square input, and output-channel counts that fill whole
+// vectors (8, 32) or leave a vector tail (1, 3, 17).
+class Conv2dRawForwardTest : public ::testing::TestWithParam<RawForwardParam> {
+};
+
+TEST_P(Conv2dRawForwardTest, MatchesReferenceIm2ColBitForBit) {
+  ExpectRawForwardMatchesReference(2, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometry, Conv2dRawForwardTest,
     ::testing::Combine(::testing::Values(1, 2), ::testing::Values(0, 1, 2),
-                       ::testing::Values(1, 3), ::testing::Values(1, 3, 5),
+                       ::testing::Values(1, 3, 8, 17, 32),
+                       ::testing::Values(1, 3, 5),
+                       ::testing::Values(std::make_tuple(6, 6),
+                                         std::make_tuple(5, 7))));
+
+// 32 input channels: K = 288 (3x3, MUVFCN's third layer) or 800 (5x5)
+// taps exceed one kGemmKc block, so every output sums two or four blocks.
+class Conv2dRawForwardKBlocksTest
+    : public ::testing::TestWithParam<RawForwardParam> {};
+
+TEST_P(Conv2dRawForwardKBlocksTest, MatchesReferenceIm2ColBitForBit) {
+  static_assert(32 * 3 * 3 > kern::kGemmKc);
+  ExpectRawForwardMatchesReference(32, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, Conv2dRawForwardKBlocksTest,
+    ::testing::Combine(::testing::Values(1, 2), ::testing::Values(0, 1, 2),
+                       ::testing::Values(1, 8, 17, 32),
+                       ::testing::Values(3, 5),
                        ::testing::Values(std::make_tuple(6, 6),
                                          std::make_tuple(5, 7))));
 

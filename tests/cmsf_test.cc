@@ -221,6 +221,13 @@ TEST_F(CmsfTest, VariantsTrainAndScore) {
     auto scores = detector.Score(*urg_, fold_->test_ids);
     EXPECT_EQ(scores.size(), fold_->test_ids.size()) << name;
     EXPECT_GT(detector.NumParameters(), 0) << name;
+    // Only a gated variant runs the freeze sweep and the slave epochs that
+    // Table III adds to its summed training time.
+    if (config.use_gate) {
+      EXPECT_GT(detector.OtherTrainSeconds(), 0.0) << name;
+    } else {
+      EXPECT_EQ(detector.OtherTrainSeconds(), 0.0) << name;
+    }
   }
 }
 

@@ -292,6 +292,11 @@ CITY_SCALE_KINDS = {
         "num_regions": "info",
         "num_edges": "info",
     },
+    "encode": {
+        "tiles_per_sec": "higher",
+        "mem.pool_bytes_peak": "lower",
+        "mem.pool_peak_delta": "info",
+    },
     "sampler": {
         "subgraphs_per_sec": "higher",
         "edges_per_subgraph": "info",
