@@ -1,0 +1,237 @@
+// bench_suite --alloc: counts heap allocations by interposing the global
+// operator new/delete for the whole bench_suite binary. Counting is off
+// except inside CountAllocs, where it covers every thread. Two gates:
+//   - a CMSF training step with the BufferPool on must make at least 10x
+//     fewer heap allocations than one with it off (UV_POOL=0 semantics);
+//   - after a warmup pass that sizes the engine's pooled workspaces, a
+//     steady-state request to the pool-on detector's engine must make at
+//     most 5 heap allocations, at every probed request size.
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "baselines/registry.h"
+#include "infer/engine.h"
+#include "legs.h"
+#include "util/buffer_pool.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
+
+void CountAlloc(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  }
+}
+
+void* AllocOrThrow(std::size_t n) {
+  CountAlloc(n);
+  if (void* p = std::malloc(n > 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* AllocAligned(std::size_t n, std::size_t align) {
+  CountAlloc(n);
+  void* p = nullptr;
+  if (posix_memalign(&p, align, n > 0 ? n : align) != 0) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+struct AllocCount {
+  uint64_t allocs;
+  uint64_t bytes;
+};
+
+// Heap allocations (and their bytes) that fn() makes, on any thread.
+template <typename Fn>
+AllocCount CountAllocs(Fn&& fn) {
+  g_allocs.store(0);
+  g_alloc_bytes.store(0);
+  g_counting.store(true);
+  fn();
+  g_counting.store(false);
+  return {g_allocs.load(), g_alloc_bytes.load()};
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return AllocOrThrow(n); }
+void* operator new[](std::size_t n) { return AllocOrThrow(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return AllocAligned(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return AllocAligned(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  CountAlloc(n);
+  return std::malloc(n > 0 ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  CountAlloc(n);
+  return std::malloc(n > 0 ? n : 1);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace uv::bench {
+
+obs::Report RunAllocLeg(BenchConfig bench, bool* passed) {
+  constexpr double kMinReduction = 10.0;
+  constexpr double kMaxAllocsPerRequest = 5.0;
+  bench.epochs = std::min(bench.epochs, 10);
+  PrintBenchHeader("Micro: heap allocations per CMSF training step", bench);
+  obs::Report report = MakeReport("alloc", bench);
+
+  const urg::UrbanRegionGraph urg = BuildCityUrg("Fuzhou", bench);
+  const TrainSet train = Fold0TrainSet(urg, bench.seed);
+  const eval::DetectorFactory factory = MakeFactory("CMSF", "Fuzhou", bench);
+
+  // Trains twice per mode: the first pass warms the pool and the
+  // per-thread kernel workspaces, the second is the measured steady state.
+  // The measured detector outlives its count, so the pool-on one can be
+  // served; the pool-off one is freed before the pool comes on.
+  struct Step {
+    double allocs_per_step;
+    double bytes_per_step;
+    MemStatsSnapshot pool;
+  };
+  std::unique_ptr<eval::Detector> detector;
+  auto measure = [&](bool pool_on) {
+    detector.reset();
+    BufferPool::SetEnabled(pool_on);
+    factory(bench.seed)->Train(urg, train.ids, train.labels);
+    BufferPool::ResetStats();
+    const AllocCount count = CountAllocs([&] {
+      detector = factory(bench.seed);
+      detector->Train(urg, train.ids, train.labels);
+    });
+    return Step{static_cast<double>(count.allocs) / bench.epochs,
+                static_cast<double>(count.bytes) / bench.epochs,
+                BufferPool::Stats()};
+  };
+  const Step off = measure(false);
+  const Step on = measure(true);
+
+  const double ratio =
+      on.allocs_per_step > 0.0 ? off.allocs_per_step / on.allocs_per_step
+                               : 0.0;
+  for (const auto& [name, step] : {std::pair{"pool_off", &off},
+                                   std::pair{"pool_on", &on}}) {
+    auto& entry = report.Bench(name);
+    entry.AddMetric("allocs_per_step", step->allocs_per_step,
+                    obs::Direction::kLowerIsBetter);
+    entry.AddMetric("bytes_per_step", step->bytes_per_step,
+                    obs::Direction::kLowerIsBetter);
+    entry.AddMetric("pool_acquires",
+                    static_cast<double>(step->pool.acquires));
+    entry.AddMetric("pool_hits", static_cast<double>(step->pool.hits));
+    entry.AddMetric("pool_heap_allocs",
+                    static_cast<double>(step->pool.heap_allocs));
+  }
+  report.Bench("pool_on").AddMetric("reduction", ratio,
+                                    obs::Direction::kHigherIsBetter);
+  std::printf("pool off: %.1f heap allocs/step (%.1f KB/step)\n",
+              off.allocs_per_step, off.bytes_per_step / 1024.0);
+  std::printf("pool on : %.1f heap allocs/step (%.1f KB/step)\n",
+              on.allocs_per_step, on.bytes_per_step / 1024.0);
+  std::printf("reduction: %.1fx (target >= 10x)\n", ratio);
+  std::printf(
+      "pool-on acquire hit rate: %llu/%llu (%.1f%%), heap allocs %llu\n",
+      static_cast<unsigned long long>(on.pool.hits),
+      static_cast<unsigned long long>(on.pool.acquires),
+      on.pool.acquires > 0 ? 100.0 * static_cast<double>(on.pool.hits) /
+                                 static_cast<double>(on.pool.acquires)
+                           : 0.0,
+      static_cast<unsigned long long>(on.pool.heap_allocs));
+  const bool steps_pass = ratio >= kMinReduction;
+  if (steps_pass) {
+    std::printf("PASS\n");
+  } else {
+    std::fprintf(stderr,
+                 "FAIL: pooled hot path must cut heap allocations per step "
+                 "by >= 10x (got %.1fx)\n",
+                 ratio);
+  }
+
+  std::printf(
+      "\n=== Micro: heap allocations per grad-free inference request ===\n");
+  const std::unique_ptr<infer::Engine> engine =
+      baselines::MakeEngine(*detector, urg);
+  const int n = engine->num_regions();
+  constexpr int kRequests = 512;
+  bool requests_pass = true;
+  for (const int request_size : {1, 8, 64}) {
+    std::vector<int> ids(request_size);
+    std::vector<float> out(request_size);
+    auto run_requests = [&] {
+      for (int r = 0; r < kRequests; ++r) {
+        for (int i = 0; i < request_size; ++i) {
+          ids[i] = (r * request_size + i) % n;
+        }
+        engine->ScoreInto(ids.data(), request_size, out.data());
+      }
+    };
+    // Warmup pass: sizes the pooled workspaces and any lazily-created
+    // per-thread kernel scratch for this request shape.
+    run_requests();
+    const AllocCount count = CountAllocs(run_requests);
+    const double allocs_per_request =
+        static_cast<double>(count.allocs) / kRequests;
+    const double bytes_per_request =
+        static_cast<double>(count.bytes) / kRequests;
+    auto& entry =
+        report.Bench("engine_request_" + std::to_string(request_size));
+    entry.AddMetric("allocs_per_request", allocs_per_request,
+                    obs::Direction::kLowerIsBetter);
+    entry.AddMetric("bytes_per_request", bytes_per_request,
+                    obs::Direction::kLowerIsBetter);
+    std::printf("request_size %2d: %.3f heap allocs/request (%.1f B/request)\n",
+                request_size, allocs_per_request, bytes_per_request);
+    if (allocs_per_request > kMaxAllocsPerRequest) requests_pass = false;
+  }
+  if (requests_pass) {
+    std::printf("PASS (target <= %.0f allocs/request)\n",
+                kMaxAllocsPerRequest);
+  } else {
+    std::fprintf(stderr,
+                 "FAIL: steady-state engine scoring must stay <= %.0f heap "
+                 "allocs/request\n",
+                 kMaxAllocsPerRequest);
+  }
+  *passed = steps_pass && requests_pass;
+  return report;
+}
+
+}  // namespace uv::bench

@@ -34,9 +34,8 @@ inline const char* FlagValue(int argc, char** argv, int* i, const char* flag) {
   return *i + 1 < argc ? argv[++*i] : "";
 }
 
-// Knobs shared by the paper legs (bench_suite --paper) and the bench
-// binaries, overridable via environment variables so one run can trade
-// fidelity for wall-clock:
+// Knobs shared by bench_suite's legs, overridable via environment
+// variables so one run can trade fidelity for wall-clock:
 //   UV_BENCH_SCALE   city size as a fraction of the paper's region counts
 //                    (default 0.015; 1.0 approximates Table I magnitudes)
 //   UV_BENCH_EPOCHS  training epochs per stage-one/baseline (default 70)
@@ -81,7 +80,7 @@ struct BenchConfig {
   }
 
   // Environment first, then CLI flags override. Unrecognized arguments are
-  // left alone (each binary parses its own flags, e.g. --out).
+  // left alone (bench_suite parses its own flags, e.g. --out).
   static BenchConfig FromArgs(int argc, char** argv) {
     BenchConfig config = FromEnv();
     for (int i = 1; i < argc; ++i) {
@@ -97,9 +96,8 @@ struct BenchConfig {
   }
 };
 
-// Builds the ledger for one bench binary or paper leg with the shared
-// config echoed in, repeat/warmup defaults applied, and the suite named
-// after the binary or leg.
+// Builds the ledger for one bench_suite leg with the shared config echoed
+// in, repeat/warmup defaults applied, and the suite named after the leg.
 inline obs::Report MakeReport(const std::string& suite,
                               const BenchConfig& bench) {
   obs::Report report(suite);
@@ -114,8 +112,8 @@ inline obs::Report MakeReport(const std::string& suite,
   return report;
 }
 
-// Resolves where a bench binary writes its ledger: the first --out/-o
-// flag, then UV_BENCH_OUT, then the per-binary default (BENCH_<suite>.json).
+// Resolves where a leg writes its ledger: the first --out/-o flag, then
+// UV_BENCH_OUT, then the leg's default (BENCH_<suite>.json).
 // An --out/-o without a value exits 2 rather than falling back to the
 // default, which from the repo root is the committed baseline.
 inline std::string LedgerPath(const std::string& default_path, int argc = 0,
@@ -236,6 +234,14 @@ inline TrainSet Fold0TrainSet(const urg::UrbanRegionGraph& urg,
   return train;
 }
 
+// A rows x cols tensor of N(0, 1) draws from Rng(seed).
+inline Tensor RandomTensor(int rows, int cols, uint64_t seed) {
+  Rng rng(seed);
+  Tensor t(rows, cols);
+  t.RandomNormal(&rng, 1.0f);
+  return t;
+}
+
 inline void PrintBenchHeader(const char* title, const BenchConfig& bench) {
   std::printf("=== %s ===\n", title);
   std::printf(
@@ -247,8 +253,8 @@ inline void PrintBenchHeader(const char* title, const BenchConfig& bench) {
 
 // Returns a closure running the fused edge-softmax + neighbor-sum pair,
 // forward and backward, over a 20k-segment CSR (4-11 edges per segment)
-// whose edge e reads source row e: bench_suite's segment_fwd_bwd_20k and
-// bench_scaling_threads' graph_segment_fwd_bwd time it. The index arrays
+// whose edge e reads source row e: the micro suite's segment_fwd_bwd_20k
+// and the --scaling leg's graph_segment_fwd_bwd time it. The index arrays
 // live in the closure, so the memoized inverse index is reused across
 // repeats.
 inline std::function<void()> SegmentFwdBwd(uint64_t seed) {

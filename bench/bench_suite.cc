@@ -8,12 +8,14 @@
 //
 //   bench_suite [--micro] [--serve] [--serve-monitor] [--city-scale TAG]...
 //               [--repeats N] [--warmup N] [--out FILE]
-//   bench_suite --paper NAME [--out FILE]
+//   bench_suite (--paper NAME | --alloc | --scaling) [--out FILE]
 //
-// --paper runs one table or figure of the paper's evaluation (paper.h)
-// alone and writes BENCH_<NAME>.json by default. UV_BENCH_REPEATS /
-// UV_BENCH_WARMUP / UV_BENCH_OUT are the env fallbacks; UV_BENCH_SCALE etc.
-// shape the paper legs (see bench_common.h).
+// --paper runs one table or figure of the paper's evaluation, --alloc the
+// heap-allocation gates and --scaling the thread sweep (legs.h). Each runs
+// alone and writes BENCH_<NAME>.json, BENCH_alloc.json or
+// BENCH_scaling.json by default; a failed gate exits 1 after the ledger is
+// written. UV_BENCH_REPEATS / UV_BENCH_WARMUP / UV_BENCH_OUT are the env
+// fallbacks; UV_BENCH_SCALE etc. shape the legs (see bench_common.h).
 
 #include <algorithm>
 #include <atomic>
@@ -34,11 +36,11 @@
 #include "graph/grid.h"
 #include "infer/engine.h"
 #include "infer/server.h"
+#include "legs.h"
 #include "nn/graph_context.h"
 #include "nn/linear.h"
 #include "nn/ms_gate.h"
 #include "obs/quality.h"
-#include "paper.h"
 #include "tensor/tensor_ops.h"
 #include "urg/feature_store.h"
 #include "urg/neighbor_sampler.h"
@@ -47,12 +49,7 @@
 
 namespace {
 
-uv::Tensor RandomTensor(int r, int c, uint64_t seed) {
-  uv::Rng rng(seed);
-  uv::Tensor t(r, c);
-  t.RandomNormal(&rng, 1.0f);
-  return t;
-}
+using uv::bench::RandomTensor;
 
 uv::nn::GraphContext GridContext(int side) {
   uv::graph::GridSpec grid{side, side, 128.0};
@@ -678,7 +675,8 @@ int Usage(const std::string& why) {
                "usage: bench_suite [--micro] [--serve] [--serve-monitor] "
                "[--city-scale TAG]... [--repeats N] [--warmup N] "
                "[--out FILE]\n"
-               "       bench_suite --paper NAME [--out FILE]\n"
+               "       bench_suite (--paper NAME | --alloc | --scaling) "
+               "[--out FILE]\n"
                "       TAG in {93k, 175k, 354k}; repeatable\n"
                "       NAME in {%s}\n",
                names.c_str());
@@ -689,7 +687,10 @@ int Usage(const std::string& why) {
 
 int main(int argc, char** argv) {
   bool micro = false, serve = false, serve_monitor = false;
-  std::vector<std::string> city_scales, papers;
+  std::vector<std::string> city_scales;
+  // The legs that run alone, by ledger name: a paper leg's NAME, "alloc"
+  // or "scaling".
+  std::vector<std::string> alone;
   // Every leg is resolved before any runs, so a bad argument exits 2 at
   // once and writes no ledger instead of failing after minutes of
   // measurement.
@@ -705,6 +706,10 @@ int main(int argc, char** argv) {
     }
     if (arg == "--serve-monitor") {
       serve_monitor = true;
+      continue;
+    }
+    if (arg == "--alloc" || arg == "--scaling") {
+      alone.push_back(arg.substr(2));
       continue;
     }
     std::string flag;
@@ -730,23 +735,29 @@ int main(int argc, char** argv) {
       if (std::find(legs.begin(), legs.end(), value) == legs.end()) {
         return Usage("unknown --paper leg '" + std::string(value) + "'");
       }
-      papers.emplace_back(value);
+      alone.emplace_back(value);
     }  // The rest are read by BenchConfig::FromArgs and LedgerPath.
   }
   const bool core = micro || serve || !city_scales.empty();
-  if (!papers.empty() && (papers.size() > 1 || core || serve_monitor)) {
-    return Usage("--paper runs alone");
+  if (!alone.empty() && (alone.size() > 1 || core || serve_monitor)) {
+    return Usage("--paper, --alloc and --scaling each run alone");
   }
-  if (!core && !serve_monitor && papers.empty()) return Usage("");
+  if (!core && !serve_monitor && alone.empty()) return Usage("");
 
   const auto bench = uv::bench::BenchConfig::FromArgs(argc, argv);
-  if (!papers.empty()) {
-    // A paper leg has its own ledger, never BENCH_core.json by default.
-    const std::string ledger_path = uv::bench::LedgerPath(
-        "BENCH_" + papers[0] + ".json", argc, argv);
-    uv::bench::WriteLedger(uv::bench::RunPaperLeg(papers[0], bench),
-                           ledger_path);
-    return 0;
+  if (!alone.empty()) {
+    // A leg that runs alone has its own ledger, never BENCH_core.json by
+    // default, and writes it even when its gate fails.
+    const std::string& leg = alone[0];
+    const std::string ledger_path =
+        uv::bench::LedgerPath("BENCH_" + leg + ".json", argc, argv);
+    bool passed = true;
+    const uv::obs::Report report =
+        leg == "alloc"     ? uv::bench::RunAllocLeg(bench, &passed)
+        : leg == "scaling" ? uv::bench::RunScalingLeg(bench, &passed)
+                           : uv::bench::RunPaperLeg(leg, bench);
+    uv::bench::WriteLedger(report, ledger_path);
+    return passed ? 0 : 1;
   }
   const std::string ledger_path =
       uv::bench::LedgerPath("BENCH_core.json", argc, argv);

@@ -5,7 +5,7 @@
 // cities are synthetic stand-ins at UV_BENCH_SCALE of the paper's sizes;
 // the paper's numbers are printed alongside where the tables carry them.
 
-#include "paper.h"
+#include "legs.h"
 
 #include <algorithm>
 #include <cmath>

@@ -26,10 +26,6 @@ struct TrainOptions {
   int fanout = 16;  // Sampled in-neighbors per node; 0 keeps them all.
 };
 
-// Copies the given rows of a feature matrix into a constant variable.
-ag::VarPtr GatherConstRows(const Tensor& features,
-                           const std::vector<int>& ids);
-
 // Total scalar parameter count.
 int64_t CountParams(const std::vector<ag::VarPtr>& params);
 

@@ -4,6 +4,7 @@
 
 #include "autograd/ops.h"
 #include "core/batch_plan.h"
+#include "tensor/tensor_ops.h"
 #include "util/timer.h"
 
 namespace uv::baselines {
@@ -148,7 +149,7 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
   const Tensor labels = core::MakeLabelTensor(train_labels);
   const Tensor weights =
       core::MakeBceWeights(train_labels, options_.pos_weight);
-  ag::VarPtr train_embed = GatherConstRows(embeddings_, train_ids);
+  ag::VarPtr train_embed = ag::MakeConst(GatherRows(embeddings_, train_ids));
   ag::AdamOptimizer head_opt(head_->Params(), aopt);
   core::TrainLoopBatched(
       &head_opt, options_.epochs, options_.lr_decay_per_epoch,
@@ -165,7 +166,8 @@ std::vector<float> MmreBaseline::Score(const urg::UrbanRegionGraph& urg,
   (void)urg;
   WallTimer timer;
   // Embeddings are precomputed; inference is just the logistic head.
-  ag::VarPtr logits = head_->Forward(GatherConstRows(embeddings_, eval_ids));
+  ag::VarPtr logits =
+      head_->Forward(ag::MakeConst(GatherRows(embeddings_, eval_ids)));
   std::vector<int> all(eval_ids.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
   auto out = core::SigmoidRows(logits->value, all);

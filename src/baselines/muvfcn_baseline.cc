@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/batch_plan.h"
+#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -75,7 +76,7 @@ void MuvfcnBaseline::Train(const urg::UrbanRegionGraph& urg,
         const Tensor labels = core::MakeLabelTensor(pick_labels);
         const Tensor weights =
             core::MakeBceWeights(pick_labels, options_.pos_weight);
-        ag::VarPtr tiles = GatherConstRows(images, pick_ids);
+        ag::VarPtr tiles = ag::MakeConst(GatherRows(images, pick_ids));
         return ag::BceWithLogits(ForwardTiles(tiles), labels, &weights);
       }, &epoch_history_, "MUVFCN");
 }
@@ -88,7 +89,8 @@ std::vector<float> MuvfcnBaseline::Score(const urg::UrbanRegionGraph& urg,
   for (size_t begin = 0; begin < eval_ids.size(); begin += kBatch) {
     const size_t end = std::min(eval_ids.size(), begin + kBatch);
     std::vector<int> chunk(eval_ids.begin() + begin, eval_ids.begin() + end);
-    ag::VarPtr logits = ForwardTiles(GatherConstRows(*urg.images, chunk));
+    ag::VarPtr logits =
+        ForwardTiles(ag::MakeConst(GatherRows(*urg.images, chunk)));
     for (int i = 0; i < logits->rows(); ++i) {
       out.push_back(1.0f / (1.0f + std::exp(-logits->value.at(i, 0))));
     }

@@ -4,6 +4,7 @@
 
 #include "core/batch_plan.h"
 #include "features/image_encoder.h"
+#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -90,7 +91,7 @@ void UvLensBaseline::Train(const urg::UrbanRegionGraph& urg,
         const Tensor labels = core::MakeLabelTensor(pick_labels);
         const Tensor weights =
             core::MakeBceWeights(pick_labels, options_.pos_weight);
-        ag::VarPtr tiles = GatherConstRows(equalized_, pick_ids);
+        ag::VarPtr tiles = ag::MakeConst(GatherRows(equalized_, pick_ids));
         return ag::BceWithLogits(ForwardTiles(tiles), labels, &weights);
       }, &epoch_history_, "UVLens");
 }
@@ -104,7 +105,8 @@ std::vector<float> UvLensBaseline::Score(const urg::UrbanRegionGraph& urg,
   for (size_t begin = 0; begin < eval_ids.size(); begin += kBatch) {
     const size_t end = std::min(eval_ids.size(), begin + kBatch);
     std::vector<int> chunk(eval_ids.begin() + begin, eval_ids.begin() + end);
-    ag::VarPtr logits = ForwardTiles(GatherConstRows(equalized_, chunk));
+    ag::VarPtr logits =
+        ForwardTiles(ag::MakeConst(GatherRows(equalized_, chunk)));
     for (int i = 0; i < logits->rows(); ++i) {
       out.push_back(1.0f / (1.0f + std::exp(-logits->value.at(i, 0))));
     }

@@ -36,8 +36,12 @@ struct MeanStd {
 };
 MeanStd Aggregate(const std::vector<double>& values);
 
-// Nearest-rank percentile (p in [0, 100]) of the given samples; takes a
-// copy so callers keep their ordering. Returns 0 on an empty input.
+// Percentile (p in [0, 100]) of the given samples: the sorted sample at
+// index floor(p * n / 100), clamped to the last. This is not nearest-rank
+// (obs::ComputeRobustStats is): p50 of an even-sized sample is the upper
+// median, and p95 of 20 samples is the maximum. cmsfbench reports setup_s
+// and latency_ms_p50 through it, so the definition stays. Takes a copy so
+// callers keep their ordering. Returns 0 on an empty input.
 double Percentile(std::vector<double> values, double p);
 
 }  // namespace uv::eval

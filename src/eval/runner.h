@@ -43,8 +43,9 @@ struct RunStats {
   double summed_job_seconds = 0.0;
   // Parameter count of one detector (identical across folds; counted once).
   int64_t num_parameters = 0;
-  // Nearest-rank percentiles of per-epoch wall times pooled over every
-  // (run, fold) detector that reports an epoch history (0 when none do).
+  // Percentiles (eval::Percentile) of per-epoch wall times pooled over
+  // every (run, fold) detector that reports an epoch history (0 when none
+  // do).
   double epoch_seconds_p50 = 0.0;
   double epoch_seconds_p95 = 0.0;
   // BufferPool activity during this cross-validation (delta of the global

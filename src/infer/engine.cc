@@ -1,7 +1,6 @@
 #include "infer/engine.h"
 
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "nn/gscm.h"
@@ -26,17 +25,6 @@ namespace {
 // the gate's context vector). The two forms can differ in the last bits for
 // large |z|, and bit-identity with the autograd Score path is the contract.
 inline float PlainSigmoid(float z) { return 1.0f / (1.0f + std::exp(-z)); }
-
-// Copies the selected rows of `src` into `dst` (resized to n x src.cols()).
-// ResizeUninit reuses the workspace slab at steady state.
-void GatherRowsInto(const Tensor& src, const int* ids, int n, Tensor* dst) {
-  const int d = src.cols();
-  dst->ResizeUninit(n, d);
-  for (int r = 0; r < n; ++r) {
-    std::memcpy(dst->row(r), src.row(ids[r]),
-                sizeof(float) * static_cast<size_t>(d));
-  }
-}
 
 // nn::AggregatePair's value on raw tensors, step for step through the same
 // kernels, so the request tail never calls a layer. The query may be null
@@ -125,10 +113,6 @@ class CmsfEngine final : public Engine {
 
   void ScoreInto(const int* ids, int n, float* out) override {
     if (n <= 0) return;
-    for (int r = 0; r < n; ++r) {
-      UV_CHECK_GE(ids[r], 0);
-      UV_CHECK_LT(ids[r], num_regions_);
-    }
     GatherRowsInto(trunk_, ids, n, &x_);
 
     const Tensor* region = &x_;
@@ -212,10 +196,6 @@ class DenseTailEngine final : public Engine {
 
   void ScoreInto(const int* ids, int n, float* out) override {
     if (n <= 0) return;
-    for (int r = 0; r < n; ++r) {
-      UV_CHECK_GE(ids[r], 0);
-      UV_CHECK_LT(ids[r], features_.rows());
-    }
     GatherRowsInto(features_, ids, n, &x_);
     hidden_.ResizeUninit(n, w1_.cols());
     GemmBiasAct(false, false, 1.0f, x_, w1_, 0.0f, &hidden_, &b1_, act1_);

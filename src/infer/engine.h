@@ -11,7 +11,7 @@
 // Each scoring request then evaluates only the per-row tail for the
 // requested region ids on raw tensors over reusable pooled workspaces. The
 // tail never calls a layer, so steady-state scoring performs ~0 heap
-// allocations per request (gated by bench_serve_alloc). The slave tail
+// allocations per request (gated by bench_suite --alloc). The slave tail
 // derives the gate's per-region filter one tile of rows at a time
 // (GatedMlpForward), so no workspace holds n x P filter floats (P = 4,161
 // at the default widths).

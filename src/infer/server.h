@@ -184,8 +184,8 @@ class ScoringServer {
   Engine* const shadow_;
   const uint64_t shadow_threshold_;  // Precomputed from shadow_sample.
 
-  // Registry metrics, resolved once here: Get* takes a std::string and the
-  // admission path must stay allocation-free (bench_serve_alloc gates it).
+  // Registry metrics, resolved once here: Get* takes a std::string, and the
+  // admission path must not allocate per request.
   obs::Counter& requests_total_;
   obs::Counter& regions_total_;
   obs::Gauge& queue_depth_;

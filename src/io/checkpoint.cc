@@ -15,23 +15,6 @@ constexpr char kMagic[4] = {'U', 'V', 'C', 'K'};
 // header, not a real checkpoint.
 constexpr int32_t kMaxBlobBytes = 1 << 20;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-template <typename T>
-bool WritePod(std::FILE* f, const T& value) {
-  return std::fwrite(&value, sizeof(T), 1, f) == 1;
-}
-
-template <typename T>
-bool ReadPod(std::FILE* f, T* value) {
-  return std::fread(value, sizeof(T), 1, f) == 1;
-}
-
 void HashBytes(const void* data, size_t n, uint64_t* h) {
   const auto* p = static_cast<const uint8_t*>(data);
   for (size_t i = 0; i < n; ++i) {

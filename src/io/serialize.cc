@@ -3,19 +3,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 namespace uv::io {
 namespace {
 
 constexpr char kMagic[4] = {'U', 'V', 'T', '1'};
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 }  // namespace
 
@@ -27,25 +19,45 @@ int64_t BytesRemaining(std::FILE* f) {
   return static_cast<int64_t>(end) - static_cast<int64_t>(pos);
 }
 
-Status WriteTensorList(std::FILE* f, const std::string& path,
-                       const std::vector<Tensor>& tensors) {
-  if (std::fwrite(kMagic, 1, 4, f) != 4) {
+Status WriteTensorRecord(std::FILE* f, const std::string& path,
+                         const Tensor& t) {
+  const size_t n = static_cast<size_t>(t.size());
+  if (!WritePod<int32_t>(f, t.rows()) || !WritePod<int32_t>(f, t.cols()) ||
+      (n > 0 && std::fwrite(t.data(), sizeof(float), n, f) != n)) {
     return Status::IoError("write failed: " + path);
   }
-  const int32_t count = static_cast<int32_t>(tensors.size());
-  if (std::fwrite(&count, sizeof(count), 1, f) != 1) {
+  return Status::Ok();
+}
+
+Status ReadTensorRecord(std::FILE* f, const std::string& path, Tensor* t) {
+  int32_t rows = 0, cols = 0;
+  if (!ReadPod(f, &rows) || !ReadPod(f, &cols) || rows < 0 || cols < 0) {
+    return Status::IoError("bad tensor header in " + path);
+  }
+  const int64_t n = static_cast<int64_t>(rows) * static_cast<int64_t>(cols);
+  // Shape must fit both the int32 element count Tensor uses and the bytes
+  // actually left in the stream.
+  if (n > BytesRemaining(f) / static_cast<int64_t>(sizeof(float)) ||
+      n > INT32_MAX) {
+    return Status::IoError("bad tensor header in " + path);
+  }
+  *t = Tensor::Uninit(rows, cols);
+  if (n > 0 && std::fread(t->data(), sizeof(float), static_cast<size_t>(n),
+                          f) != static_cast<size_t>(n)) {
+    return Status::IoError("truncated tensor data in " + path);
+  }
+  return Status::Ok();
+}
+
+Status WriteTensorList(std::FILE* f, const std::string& path,
+                       const std::vector<Tensor>& tensors) {
+  if (std::fwrite(kMagic, 1, 4, f) != 4 ||
+      !WritePod(f, static_cast<int32_t>(tensors.size()))) {
     return Status::IoError("write failed: " + path);
   }
   for (const Tensor& t : tensors) {
-    const int32_t rows = t.rows(), cols = t.cols();
-    if (std::fwrite(&rows, sizeof(rows), 1, f) != 1 ||
-        std::fwrite(&cols, sizeof(cols), 1, f) != 1) {
-      return Status::IoError("write failed: " + path);
-    }
-    const size_t n = static_cast<size_t>(t.size());
-    if (n > 0 && std::fwrite(t.data(), sizeof(float), n, f) != n) {
-      return Status::IoError("write failed: " + path);
-    }
+    Status written = WriteTensorRecord(f, path, t);
+    if (!written.ok()) return written;
   }
   return Status::Ok();
 }
@@ -58,42 +70,20 @@ StatusOr<std::vector<Tensor>> ReadTensorList(std::FILE* f,
     return Status::IoError("bad magic in " + path);
   }
   int32_t count = 0;
-  if (std::fread(&count, sizeof(count), 1, f) != 1 || count < 0) {
+  if (!ReadPod(f, &count) || count < 0) {
     return Status::IoError("bad tensor count in " + path);
   }
-  int64_t remaining = BytesRemaining(f);
+  const int64_t remaining = BytesRemaining(f);
   if (remaining < 0) return Status::IoError("cannot size " + path);
   // Every tensor costs at least its 8-byte header, so a count the file
-  // cannot possibly hold is rejected before the vector reserve below.
+  // cannot possibly hold is rejected before it sizes the vector below.
   if (static_cast<int64_t>(count) * 8 > remaining) {
     return Status::IoError("bad tensor count in " + path);
   }
-  std::vector<Tensor> tensors;
-  tensors.reserve(count);
-  for (int32_t i = 0; i < count; ++i) {
-    int32_t rows = 0, cols = 0;
-    if (std::fread(&rows, sizeof(rows), 1, f) != 1 ||
-        std::fread(&cols, sizeof(cols), 1, f) != 1 || rows < 0 ||
-        cols < 0) {
-      return Status::IoError("bad tensor header in " + path);
-    }
-    remaining -= 8;
-    const int64_t n =
-        static_cast<int64_t>(rows) * static_cast<int64_t>(cols);
-    // Shape must fit both the int32 element count Tensor uses and the
-    // bytes actually left in the stream.
-    if (n > remaining / static_cast<int64_t>(sizeof(float)) ||
-        n > INT32_MAX) {
-      return Status::IoError("bad tensor header in " + path);
-    }
-    Tensor t = Tensor::Uninit(rows, cols);
-    if (n > 0 && std::fread(t.data(), sizeof(float),
-                            static_cast<size_t>(n),
-                            f) != static_cast<size_t>(n)) {
-      return Status::IoError("truncated tensor data in " + path);
-    }
-    remaining -= n * static_cast<int64_t>(sizeof(float));
-    tensors.push_back(std::move(t));
+  std::vector<Tensor> tensors(count);
+  for (Tensor& t : tensors) {
+    Status read = ReadTensorRecord(f, path, &t);
+    if (!read.ok()) return read;
   }
   return tensors;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,10 +31,38 @@ Status WriteTensorList(std::FILE* f, const std::string& path,
 StatusOr<std::vector<Tensor>> ReadTensorList(std::FILE* f,
                                              const std::string& path);
 
+// One UVT1 tensor record: i32 rows, i32 cols, then rows * cols floats. The
+// reader rejects a negative shape, or one that Tensor's int32 element
+// count or the bytes left in the stream cannot hold, before allocating.
+// The UVG1 graph file embeds its feature and tile tensors as records too.
+Status WriteTensorRecord(std::FILE* f, const std::string& path,
+                         const Tensor& t);
+Status ReadTensorRecord(std::FILE* f, const std::string& path, Tensor* t);
+
 // Bytes from the current position to the end of the stream (position
 // restored), or -1 if the stream cannot be sized. Readers check length
 // fields against it to reject a corrupt header before allocating.
 int64_t BytesRemaining(std::FILE* f);
+
+// A stream that fcloses itself, and one fixed-size field in native byte
+// order (false on a short write or read): the pieces every binary format
+// here is written and read with.
+struct FileCloser {
+  void operator()(std::FILE* f) const {
+    if (f != nullptr) std::fclose(f);
+  }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+template <typename T>
+bool WritePod(std::FILE* f, const T& value) {
+  return std::fwrite(&value, sizeof(T), 1, f) == 1;
+}
+
+template <typename T>
+bool ReadPod(std::FILE* f, T* value) {
+  return std::fread(value, sizeof(T), 1, f) == 1;
+}
 
 // Convenience wrappers over a parameter list. Loading requires the shapes
 // on disk to match the existing parameters exactly.

@@ -14,69 +14,23 @@ namespace {
 
 constexpr char kMagic[4] = {'U', 'V', 'G', '1'};
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-bool WriteI32(std::FILE* f, int32_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-bool WriteI64(std::FILE* f, int64_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-bool WriteF64(std::FILE* f, double v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
-bool ReadI32(std::FILE* f, int32_t* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
-bool ReadI64(std::FILE* f, int64_t* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
-bool ReadF64(std::FILE* f, double* v) {
-  return std::fread(v, sizeof(*v), 1, f) == 1;
-}
-
 bool WriteIntVector(std::FILE* f, const std::vector<int>& v) {
-  if (!WriteI64(f, static_cast<int64_t>(v.size()))) return false;
+  if (!WritePod(f, static_cast<int64_t>(v.size()))) return false;
   return v.empty() ||
          std::fwrite(v.data(), sizeof(int), v.size(), f) == v.size();
-}
-
-bool WriteTensor(std::FILE* f, const Tensor& t) {
-  if (!WriteI32(f, t.rows()) || !WriteI32(f, t.cols())) return false;
-  const size_t n = static_cast<size_t>(t.size());
-  return n == 0 || std::fwrite(t.data(), sizeof(float), n, f) == n;
 }
 
 // Length-prefixed fields. A length past the end of the file is corrupt and
 // must not size an allocation.
 bool ReadIntVector(std::FILE* f, std::vector<int>* v) {
   int64_t n = 0;
-  if (!ReadI64(f, &n) || n < 0 ||
+  if (!ReadPod(f, &n) || n < 0 ||
       n > BytesRemaining(f) / static_cast<int64_t>(sizeof(int))) {
     return false;
   }
   v->resize(n);
   return n == 0 ||
          std::fread(v->data(), sizeof(int), v->size(), f) == v->size();
-}
-
-bool ReadTensor(std::FILE* f, Tensor* t) {
-  int32_t rows = 0, cols = 0;
-  if (!ReadI32(f, &rows) || !ReadI32(f, &cols) || rows < 0 || cols < 0) {
-    return false;
-  }
-  const int64_t n = static_cast<int64_t>(rows) * cols;
-  if (n > BytesRemaining(f) / static_cast<int64_t>(sizeof(float))) {
-    return false;
-  }
-  *t = Tensor::Uninit(rows, cols);
-  return n == 0 || std::fread(t->data(), sizeof(float), static_cast<size_t>(n),
-                              f) == static_cast<size_t>(n);
 }
 
 }  // namespace
@@ -89,12 +43,13 @@ Status SaveUrg(const std::string& path, const urg::UrbanRegionGraph& urg) {
 
   bool ok = std::fwrite(kMagic, 1, 4, fp) == 4;
   // City metadata.
-  ok = ok && WriteI32(fp, static_cast<int32_t>(urg.city_name.size()));
+  ok = ok && WritePod(fp, static_cast<int32_t>(urg.city_name.size()));
   ok = ok && (urg.city_name.empty() ||
               std::fwrite(urg.city_name.data(), 1, urg.city_name.size(),
                           fp) == urg.city_name.size());
-  ok = ok && WriteI32(fp, urg.grid.height) && WriteI32(fp, urg.grid.width) &&
-       WriteF64(fp, urg.grid.cell_meters);
+  ok = ok && WritePod<int32_t>(fp, urg.grid.height) &&
+       WritePod<int32_t>(fp, urg.grid.width) &&
+       WritePod<double>(fp, urg.grid.cell_meters);
   // Adjacency (CSR by destination, global ids), the same for any shard
   // count.
   const urg::NeighborView view(urg);
@@ -111,18 +66,22 @@ Status SaveUrg(const std::string& path, const urg::UrbanRegionGraph& urg) {
   Tensor poi, image;
   urg.GatherPoiRows(ids, &poi);
   urg.GatherImageRows(ids, &image);
-  ok = ok && WriteTensor(fp, poi) && WriteTensor(fp, image);
+  ok = ok && WriteTensorRecord(fp, path, poi).ok() &&
+       WriteTensorRecord(fp, path, image).ok();
   // Labels + ground truth.
   ok = ok && WriteIntVector(fp, urg.labels);
   std::vector<int> is_uv(urg.is_uv.begin(), urg.is_uv.end());
   ok = ok && WriteIntVector(fp, is_uv);
   // Edge statistics.
-  ok = ok && WriteI64(fp, urg.num_spatial_edges) &&
-       WriteI64(fp, urg.num_road_edges) && WriteI64(fp, urg.num_edges);
+  ok = ok && WritePod<int64_t>(fp, urg.num_spatial_edges) &&
+       WritePod<int64_t>(fp, urg.num_road_edges) &&
+       WritePod<int64_t>(fp, urg.num_edges);
   // Raw tiles (optional).
-  ok = ok && WriteI32(fp, urg.image_size);
-  ok = ok && WriteI32(fp, urg.images != nullptr ? 1 : 0);
-  if (urg.images != nullptr) ok = ok && WriteTensor(fp, *urg.images);
+  ok = ok && WritePod<int32_t>(fp, urg.image_size);
+  ok = ok && WritePod<int32_t>(fp, urg.images != nullptr ? 1 : 0);
+  if (urg.images != nullptr) {
+    ok = ok && WriteTensorRecord(fp, path, *urg.images).ok();
+  }
   return ok ? Status::Ok() : Status::IoError("write failed: " + path);
 }
 
@@ -138,7 +97,7 @@ StatusOr<urg::UrbanRegionGraph> LoadUrg(const std::string& path) {
   }
   urg::UrbanRegionGraph urg;
   int32_t name_len = 0;
-  if (!ReadI32(fp, &name_len) || name_len < 0 || name_len > 4096) {
+  if (!ReadPod(fp, &name_len) || name_len < 0 || name_len > 4096) {
     return Status::IoError("bad header in " + path);
   }
   urg.city_name.resize(name_len);
@@ -146,8 +105,9 @@ StatusOr<urg::UrbanRegionGraph> LoadUrg(const std::string& path) {
                           static_cast<size_t>(name_len)) {
     return Status::IoError("truncated header in " + path);
   }
-  if (!ReadI32(fp, &urg.grid.height) || !ReadI32(fp, &urg.grid.width) ||
-      !ReadF64(fp, &urg.grid.cell_meters)) {
+  if (!ReadPod<int32_t>(fp, &urg.grid.height) ||
+      !ReadPod<int32_t>(fp, &urg.grid.width) ||
+      !ReadPod<double>(fp, &urg.grid.cell_meters)) {
     return Status::IoError("truncated grid in " + path);
   }
   if (urg.grid.height <= 0 || urg.grid.width <= 0 ||
@@ -164,14 +124,18 @@ StatusOr<urg::UrbanRegionGraph> LoadUrg(const std::string& path) {
   Tensor poi, image;
   int32_t has_images = 0;
   bool ok = ReadIntVector(fp, offsets.get()) &&
-            ReadIntVector(fp, neighbors.get()) && ReadTensor(fp, &poi) &&
-            ReadTensor(fp, &image) && ReadIntVector(fp, &urg.labels) &&
-            ReadIntVector(fp, &is_uv) && ReadI64(fp, &urg.num_spatial_edges) &&
-            ReadI64(fp, &urg.num_road_edges) && ReadI64(fp, &urg.num_edges) &&
-            ReadI32(fp, &urg.image_size) && ReadI32(fp, &has_images);
+            ReadIntVector(fp, neighbors.get()) &&
+            ReadTensorRecord(fp, path, &poi).ok() &&
+            ReadTensorRecord(fp, path, &image).ok() &&
+            ReadIntVector(fp, &urg.labels) && ReadIntVector(fp, &is_uv) &&
+            ReadPod<int64_t>(fp, &urg.num_spatial_edges) &&
+            ReadPod<int64_t>(fp, &urg.num_road_edges) &&
+            ReadPod<int64_t>(fp, &urg.num_edges) &&
+            ReadPod<int32_t>(fp, &urg.image_size) &&
+            ReadPod(fp, &has_images);
   if (ok && has_images == 1) {
     auto images = std::make_shared<Tensor>();
-    ok = ReadTensor(fp, images.get());
+    ok = ReadTensorRecord(fp, path, images.get()).ok();
     urg.images = std::move(images);
   }
   if (!ok) return Status::InvalidArgument("malformed payload in " + path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "obs/trace.h"
 #include "tensor/kernels/kernel_dispatch.h"
@@ -295,15 +296,19 @@ Tensor SliceCols(const Tensor& a, int col_begin, int col_end) {
 }
 
 Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
-  Tensor out = Tensor::Uninit(static_cast<int>(indices.size()), a.cols());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    const int src = indices[i];
-    UV_CHECK_GE(src, 0);
-    UV_CHECK_LT(src, a.rows());
-    std::copy(a.row(src), a.row(src) + a.cols(),
-              out.row(static_cast<int>(i)));
-  }
+  Tensor out;
+  GatherRowsInto(a, indices.data(), static_cast<int>(indices.size()), &out);
   return out;
+}
+
+void GatherRowsInto(const Tensor& a, const int* ids, int n, Tensor* out) {
+  out->ResizeUninit(n, a.cols());
+  for (int i = 0; i < n; ++i) {
+    UV_CHECK_GE(ids[i], 0);
+    UV_CHECK_LT(ids[i], a.rows());
+    std::memcpy(out->row(i), a.row(ids[i]),
+                sizeof(float) * static_cast<size_t>(a.cols()));
+  }
 }
 
 float MaxAbsDiff(const Tensor& a, const Tensor& b) {

@@ -73,6 +73,12 @@ Tensor SliceCols(const Tensor& a, int col_begin, int col_end);
 // Row gather: out[i] = a[indices[i]].
 Tensor GatherRows(const Tensor& a, const std::vector<int>& indices);
 
+// The same gather into a reused tensor: *out is resized to n x a.cols()
+// (ResizeUninit keeps its slab when the size class fits, so a workspace
+// gathers without pool traffic at steady state). Every id must index a row
+// of `a`.
+void GatherRowsInto(const Tensor& a, const int* ids, int n, Tensor* out);
+
 // Max absolute elementwise difference between two same-shaped tensors.
 float MaxAbsDiff(const Tensor& a, const Tensor& b);
 

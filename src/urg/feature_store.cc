@@ -10,21 +10,6 @@
 #include "util/thread_pool.h"
 
 namespace uv::urg {
-namespace {
-
-void GatherRowsInto(const Tensor& src, const std::vector<int>& ids,
-                    Tensor* out) {
-  out->ResizeUninit(static_cast<int>(ids.size()), src.cols());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const int id = ids[i];
-    UV_CHECK_GE(id, 0);
-    UV_CHECK_LT(id, src.rows());
-    std::memcpy(out->row(static_cast<int>(i)), src.row(id),
-                sizeof(float) * static_cast<size_t>(src.cols()));
-  }
-}
-
-}  // namespace
 
 ResidentFeatureStore::ResidentFeatureStore(Tensor poi_features,
                                            Tensor image_features)
@@ -34,12 +19,12 @@ ResidentFeatureStore::ResidentFeatureStore(Tensor poi_features,
 
 void ResidentFeatureStore::GatherPoi(const std::vector<int>& ids,
                                      Tensor* out) {
-  GatherRowsInto(poi_, ids, out);
+  GatherRowsInto(poi_, ids.data(), static_cast<int>(ids.size()), out);
 }
 
 void ResidentFeatureStore::GatherImage(const std::vector<int>& ids,
                                        Tensor* out) {
-  GatherRowsInto(image_, ids, out);
+  GatherRowsInto(image_, ids.data(), static_cast<int>(ids.size()), out);
 }
 
 void RenderAndEncodeTiles(const synth::City& city,
@@ -78,21 +63,16 @@ void RenderAndEncodeTiles(const synth::City& city,
   }
 }
 
-LazyFeatureStore::LazyFeatureStore(std::shared_ptr<const synth::City> city,
-                                   Tensor poi_features,
-                                   const Options& options)
+LazyFeatureStore::LazyFeatureStore(
+    std::shared_ptr<const synth::City> city, Tensor poi_features,
+    const features::ConvEncoder::Options& encoder, bool standardize,
+    const Options& options)
     : city_(std::move(city)),
       poi_(std::move(poi_features)),
-      options_(options),
-      encoder_([&] {
-        features::ConvEncoder::Options enc;
-        enc.image_size = city_->config.image_size;
-        enc.out_dim = options.image_feature_dim;
-        enc.seed = options.encoder_seed;
-        return features::ConvEncoder(enc);
-      }()) {
+      encoder_(encoder) {
   UV_CHECK(city_ != nullptr);
   UV_CHECK_EQ(poi_.rows(), city_->num_regions());
+  UV_CHECK_EQ(encoder.image_size, city_->config.image_size);
   const int n = city_->num_regions();
   const int dim = encoder_.out_dim();
 
@@ -103,8 +83,8 @@ LazyFeatureStore::LazyFeatureStore(std::shared_ptr<const synth::City> city,
   col_mean_ = Tensor(1, dim);
   col_std_ = Tensor(1, dim);
   col_std_.Fill(1.0f);
-  if (options_.standardize) {
-    const int sample = std::min(n, std::max(1, options_.stats_sample));
+  if (standardize) {
+    const int sample = std::min(n, std::max(1, options.stats_sample));
     std::vector<int> ids(sample);
     for (int i = 0; i < sample; ++i) {
       ids[i] = static_cast<int>(static_cast<int64_t>(i) * n / sample);
@@ -120,7 +100,7 @@ LazyFeatureStore::LazyFeatureStore(std::shared_ptr<const synth::City> city,
     }
   }
 
-  const int rows = std::max(1, options_.cache_rows);
+  const int rows = std::max(1, options.cache_rows);
   cache_ = Tensor::Uninit(rows, dim);
   region_of_slot_.assign(rows, -1);
   lru_pos_.assign(rows, lru_.end());
@@ -131,7 +111,7 @@ LazyFeatureStore::LazyFeatureStore(std::shared_ptr<const synth::City> city,
 }
 
 void LazyFeatureStore::GatherPoi(const std::vector<int>& ids, Tensor* out) {
-  GatherRowsInto(poi_, ids, out);
+  GatherRowsInto(poi_, ids.data(), static_cast<int>(ids.size()), out);
 }
 
 void LazyFeatureStore::EncodeRegions(const std::vector<int>& ids,

@@ -82,15 +82,16 @@ void RenderAndEncodeTiles(const synth::City& city,
 class LazyFeatureStore : public FeatureStore {
  public:
   struct Options {
-    int image_feature_dim = 256;
-    uint64_t encoder_seed = 7;    // Must match UrgOptions::encoder_seed.
     int cache_rows = 32768;       // LRU capacity in encoded rows.
     int stats_sample = 4096;      // Regions sampled for column stats.
-    bool standardize = true;
   };
 
+  // `encoder` and `standardize` are the URG builder's, the ones BuildUrg
+  // encodes the eager table with.
   LazyFeatureStore(std::shared_ptr<const synth::City> city,
-                   Tensor poi_features, const Options& options);
+                   Tensor poi_features,
+                   const features::ConvEncoder::Options& encoder,
+                   bool standardize, const Options& options);
 
   int num_regions() const override { return poi_.rows(); }
   int poi_dim() const override { return poi_.cols(); }
@@ -109,7 +110,6 @@ class LazyFeatureStore : public FeatureStore {
 
   std::shared_ptr<const synth::City> city_;
   Tensor poi_;
-  Options options_;
   features::ConvEncoder encoder_;
   Tensor col_mean_;  // 1 x image_dim.
   Tensor col_std_;   // 1 x image_dim (already floored like the eager path).

@@ -40,10 +40,6 @@ MinibatchConfig MinibatchConfig::FromEnv(const MinibatchConfig& base) {
   return cfg;
 }
 
-MinibatchConfig MinibatchConfig::FromEnv() {
-  return FromEnv(MinibatchConfig());
-}
-
 NeighborView::NeighborView(const UrbanRegionGraph& urg)
     : sharded_(urg.sharded.get()) {
   UV_CHECK(sharded_ != nullptr);

@@ -23,11 +23,8 @@ struct MinibatchConfig {
   int hops = 2;        // Trunk depth: two MAGA layers = two graph hops.
   uint64_t seed = 0x5eedbeef;
 
-  bool enabled() const { return batch_size > 0; }
-
   // Applies UV_BATCH / UV_FANOUT (when set and positive) over `base`.
   static MinibatchConfig FromEnv(const MinibatchConfig& base);
-  static MinibatchConfig FromEnv();
 };
 
 // Read access to a URG's global in-neighborhoods, whatever its shard

@@ -53,6 +53,17 @@ Tensor PoiBlock(const synth::City& city, const UrgOptions& options) {
   return poi;
 }
 
+// The frozen tile encoder both builders encode `city`'s tiles with, so
+// the lazy store's rows match the eager table's.
+features::ConvEncoder::Options TileEncoderOptions(const synth::City& city,
+                                                  const UrgOptions& options) {
+  features::ConvEncoder::Options enc;
+  enc.image_size = city.config.image_size;
+  enc.out_dim = options.image_feature_dim;
+  enc.seed = options.encoder_seed;
+  return enc;
+}
+
 int ResolveShardTarget(int requested) {
   if (requested > 0) return requested;
   if (const char* v = std::getenv("UV_SHARDS")) {
@@ -295,13 +306,10 @@ UrbanRegionGraph BuildUrg(const synth::City& city, const UrgOptions& options) {
   Tensor image;
   if (options.feature_ablation != FeatureAblation::kNoImage &&
       city.images != nullptr) {
-    features::ConvEncoder::Options enc;
-    enc.image_size = city.config.image_size;
-    enc.out_dim = options.image_feature_dim;
-    enc.seed = options.encoder_seed;
     obs::SpanGuard span("encode_tiles", obs::SpanLevel::kFine, "tiles",
                         city.images->rows());
-    image = features::ConvEncoder(enc).Encode(*city.images);
+    image = features::ConvEncoder(TileEncoderOptions(city, options))
+                .Encode(*city.images);
     if (options.standardize_features) StandardizeColumnsInPlace(&image);
   } else {
     // Regions characterized by POI features only; keep a minimal zero block
@@ -338,12 +346,9 @@ UrbanRegionGraph BuildShardedUrg(std::shared_ptr<const synth::City> city,
         std::move(poi),
         Tensor(n, std::max(8, options.image_feature_dim / 8)));
   } else {
-    LazyFeatureStore::Options store = shard_options.feature_store;
-    store.image_feature_dim = options.image_feature_dim;
-    store.encoder_seed = options.encoder_seed;
-    store.standardize = options.standardize_features;
-    urg.features = std::make_shared<LazyFeatureStore>(city, std::move(poi),
-                                                      store);
+    urg.features = std::make_shared<LazyFeatureStore>(
+        city, std::move(poi), TileEncoderOptions(c, options),
+        options.standardize_features, shard_options.feature_store);
   }
 
   const graph::ShardSpec& spec = urg.sharded->spec;

@@ -107,6 +107,8 @@ struct ShardOptions {
   // (ShardSpec) depends only on the grid and this count — never on the
   // thread count — so the sharded graph is bit-stable across UV_THREADS.
   int num_shards = 0;
+  // The lazy image store's cache and statistics sample; its encoder and
+  // standardization follow UrgOptions.
   LazyFeatureStore::Options feature_store;
 };
 

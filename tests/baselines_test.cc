@@ -6,6 +6,7 @@
 #include "core/batch_plan.h"
 #include "eval/metrics.h"
 #include "eval/splits.h"
+#include "tensor/tensor_ops.h"
 #include "test_helpers.h"
 
 namespace uv::baselines {
@@ -118,7 +119,7 @@ TEST_F(BaselinesTest, ModelSizeOrdering) {
 
 TEST_F(BaselinesTest, CommonHelpers) {
   Tensor features(4, 2, {1, 2, 3, 4, 5, 6, 7, 8});
-  auto rows = GatherConstRows(features, {3, 0});
+  auto rows = ag::MakeConst(GatherRows(features, {3, 0}));
   EXPECT_FLOAT_EQ(rows->value.at(0, 1), 8.0f);
   EXPECT_FLOAT_EQ(rows->value.at(1, 0), 1.0f);
   EXPECT_FALSE(rows->requires_grad);

@@ -115,6 +115,17 @@ TEST(AggregateTest, MeanAndStd) {
   EXPECT_DOUBLE_EQ(empty.mean, 0.0);
 }
 
+// Percentile takes index floor(p * n / 100) of the sorted samples, which
+// is not nearest-rank: cmsfbench's setup_s and latency_ms_p50 depend on
+// exactly this definition.
+TEST(PercentileTest, TakesIndexFloorOfPTimesNOver100) {
+  EXPECT_DOUBLE_EQ(Percentile({4.0, 2.0, 1.0, 3.0}, 50.0), 3.0);
+  std::vector<double> twenty(20);
+  for (int i = 0; i < 20; ++i) twenty[i] = 20.0 - i;
+  EXPECT_DOUBLE_EQ(Percentile(twenty, 95.0), 20.0);
+  EXPECT_DOUBLE_EQ(Percentile({}, 50.0), 0.0);
+}
+
 // ------------------------------ Splits --------------------------------------
 
 class BlockKFoldTest : public ::testing::TestWithParam<int> {};
