@@ -45,6 +45,7 @@
 #include "urg/feature_store.h"
 #include "urg/neighbor_sampler.h"
 #include "util/buffer_pool.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace {
@@ -226,14 +227,48 @@ void RunMicroSuite(uv::obs::Report* report) {
 //                                    encoded once into an N-row table,
 //                                    tiles_per_sec, peak pool bytes
 //   city_scale.sampler_<tag>         subgraphs_per_sec
-//   city_scale.train_step_cmsf_<tag> per-batch master step, peak pool bytes
+//   city_scale.train_step_cmsf_<tag> per-batch master step, peak pool
+//                                    bytes, tile encodes per step and the
+//                                    feature cache's hit ratio
 //   city_scale.freeze_<tag>          gated CMSF's freeze sweep (whole-city
 //                                    pass + GSCM assignment), peak pool bytes
-//   city_scale.train_step_gcn_<tag>  per-batch GCN step, peak pool bytes
+//   city_scale.train_step_gcn_<tag>  per-batch GCN step, with the same
+//                                    metrics as the CMSF step
 // Each encode, train-step and freeze closure resets the pool high-water
 // mark first, so mem.pool_peak_delta isolates its transient footprint —
 // for a train step the number that must stay flat from 93k to 354k at
 // fixed batch / fanout.
+// The lazy feature store's traffic over one train-step closure: cache
+// misses are tile encodes.
+struct StoreTraffic {
+  explicit StoreTraffic(const uv::urg::UrbanRegionGraph& urg)
+      : store(dynamic_cast<const uv::urg::LazyFeatureStore*>(
+            urg.features.get())) {
+    UV_CHECK(store != nullptr);
+  }
+  void Start() {
+    hits = store->cache_hits();
+    misses = store->cache_misses();
+  }
+  void Stop() {
+    hits = store->cache_hits() - hits;
+    misses = store->cache_misses() - misses;
+  }
+  void AddMetrics(uv::obs::BenchmarkEntry* e, int steps) const {
+    e->AddMetric("tiles_per_step", static_cast<double>(misses) / steps,
+                 uv::obs::Direction::kLowerIsBetter);
+    e->AddMetric("feature_cache_hit_ratio",
+                 hits + misses > 0
+                     ? static_cast<double>(hits) /
+                           static_cast<double>(hits + misses)
+                     : 0.0);
+  }
+
+  const uv::urg::LazyFeatureStore* store;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
 void RunCityScaleSuite(uv::obs::Report* report,
                        const uv::bench::BenchConfig& bench,
                        const std::string& tag) {
@@ -346,16 +381,19 @@ void RunCityScaleSuite(uv::obs::Report* report,
     cfg.use_gate = false;
     double step_ms = 0.0;
     uint64_t peak_delta = 0, peak = 0;
+    StoreTraffic traffic(urg);
     auto& e = report->RunTimed("city_scale.train_step_cmsf_" + tag,
                                /*warmup=*/0, step_repeats, [&] {
       uv::BufferPool::ResetPeak();
       const uint64_t base = uv::BufferPool::Stats().pool_bytes;
+      traffic.Start();
       uv::Rng rng(bench.seed);
       uv::core::CmsfModel model(cfg, urg.PoiDim(), urg.ImageDim(), &rng);
       uv::core::BatchPlan plan(cfg.batch_size, cfg.fanout, cfg.maga_layers);
       plan.SetTrainSet(train_ids, train_labels, cfg.pos_weight);
       const auto result = uv::core::TrainMaster(&model, urg, &plan);
       step_ms = result.seconds_per_epoch * 1000.0 / num_batches;
+      traffic.Stop();
       peak = uv::BufferPool::Stats().pool_bytes_peak;
       peak_delta = peak > base ? peak - base : 0;
     });
@@ -364,6 +402,7 @@ void RunCityScaleSuite(uv::obs::Report* report,
                 uv::obs::Direction::kLowerIsBetter);
     e.AddMetric("mem.pool_peak_delta", static_cast<double>(peak_delta));
     e.AddMetric("batches_per_epoch", static_cast<double>(num_batches));
+    traffic.AddMetrics(&e, num_batches);
   }
 
   {
@@ -399,14 +438,17 @@ void RunCityScaleSuite(uv::obs::Report* report,
     options.fanout = kFanout;
     double step_ms = 0.0;
     uint64_t peak_delta = 0, peak = 0;
+    StoreTraffic traffic(urg);
     auto& e = report->RunTimed("city_scale.train_step_gcn_" + tag,
                                /*warmup=*/0, step_repeats, [&] {
       uv::BufferPool::ResetPeak();
       const uint64_t base = uv::BufferPool::Stats().pool_bytes;
+      traffic.Start();
       auto detector = uv::baselines::MakeDetector("GCN", options,
                                                   uv::core::CmsfConfig{});
       detector->Train(urg, train_ids, train_labels);
       step_ms = detector->TrainSecondsPerEpoch() * 1000.0 / num_batches;
+      traffic.Stop();
       peak = uv::BufferPool::Stats().pool_bytes_peak;
       peak_delta = peak > base ? peak - base : 0;
     });
@@ -415,6 +457,7 @@ void RunCityScaleSuite(uv::obs::Report* report,
                 uv::obs::Direction::kLowerIsBetter);
     e.AddMetric("mem.pool_peak_delta", static_cast<double>(peak_delta));
     e.AddMetric("batches_per_epoch", static_cast<double>(num_batches));
+    traffic.AddMetrics(&e, num_batches);
   }
 }
 

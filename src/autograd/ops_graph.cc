@@ -207,6 +207,10 @@ VarPtr NeighborWeightedSum(
         if (!xv->requires_grad) return;
         obs::SpanGuard span("scatter_add", obs::SpanLevel::kFine, "rows",
                             xv->rows());
+        for (size_t e = 0; e < dst_ids->size(); ++e) {
+          UV_CHECK_GE(dst[e], 0);
+          UV_CHECK_LT(dst[e], num_segments);
+        }
         Tensor& gx = xv->EnsureGrad();
         const float* a = av->value.data();
         ParallelFor(0, gx.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
@@ -214,8 +218,6 @@ VarPtr NeighborWeightedSum(
             float* row = gx.row(static_cast<int>(r));
             for (int s = by_src->offsets[r]; s < by_src->offsets[r + 1]; ++s) {
               const int e = by_src->sources[s];
-              UV_CHECK_GE(dst[e], 0);
-              UV_CHECK_LT(dst[e], num_segments);
               const float w = a[e];
               const float* gout = self->grad.row(dst[e]);
               for (int c = 0; c < d; ++c) row[c] += w * gout[c];

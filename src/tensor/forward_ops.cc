@@ -155,12 +155,22 @@ void Conv2dForwardImage(const float* image, const Conv2dSpec& spec,
   kern::Active().conv2d(args);
 }
 
-namespace {
-
-// `v > best` keeps a window's first maximum and never selects a NaN.
-template <bool kArgmax>
-void MaxPoolPlanes(const float* image, int channels, int h, int w,
-                   int kernel, int stride, float* out, int* argmax) {
+void MaxPool2dImage(const float* image, int channels, int h, int w,
+                    int kernel, int stride, float* out, int* argmax) {
+  if (argmax == nullptr) {
+    kern::PoolArgs args;
+    args.channels = channels;
+    args.h = h;
+    args.w = w;
+    args.kernel = kernel;
+    args.stride = stride;
+    args.image = image;
+    args.out = out;
+    kern::Active().max_pool(args);
+    return;
+  }
+  // `v > best` keeps a window's first maximum and never selects a NaN, as
+  // the kernel's Max does.
   const int oh = (h - kernel) / stride + 1;
   const int ow = (w - kernel) / stride + 1;
   for (int c = 0; c < channels; ++c) {
@@ -173,26 +183,15 @@ void MaxPoolPlanes(const float* image, int channels, int h, int w,
           const int row = (oy * stride + ky) * w + ox * stride;
           for (int kx = 0; kx < kernel; ++kx) {
             const float v = plane[row + kx];
-            if constexpr (kArgmax) best_idx = v > best ? row + kx : best_idx;
+            best_idx = v > best ? row + kx : best_idx;
             best = v > best ? v : best;
           }
         }
         const int o = (c * oh + oy) * ow + ox;
         out[o] = best;
-        if constexpr (kArgmax) argmax[o] = c * h * w + best_idx;
+        argmax[o] = c * h * w + best_idx;
       }
     }
-  }
-}
-
-}  // namespace
-
-void MaxPool2dImage(const float* image, int channels, int h, int w,
-                    int kernel, int stride, float* out, int* argmax) {
-  if (argmax != nullptr) {
-    MaxPoolPlanes<true>(image, channels, h, w, kernel, stride, out, argmax);
-  } else {
-    MaxPoolPlanes<false>(image, channels, h, w, kernel, stride, out, argmax);
   }
 }
 
@@ -215,6 +214,10 @@ void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
   const int* src = src_ids.data();
   const int src_rows = s_src.rows();
   float* o = out->data();
+  for (int e = 0; e < num_edges; ++e) {
+    UV_CHECK_GE(src[e], 0);
+    UV_CHECK_LT(src[e], src_rows);
+  }
   const auto& off = offsets;
   ParallelFor(0, num_segments, kSegmentGrain, [&](int64_t s0, int64_t s1) {
     for (int64_t i = s0; i < s1; ++i) {
@@ -222,8 +225,6 @@ void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
       if (lo == hi) continue;
       float mx = -1e30f;
       for (int e = lo; e < hi; ++e) {
-        UV_CHECK_GE(src[e], 0);
-        UV_CHECK_LT(src[e], src_rows);
         o[e] = LeakyReluScalar(sd[i] + ss[src[e]], negative_slope);
         mx = std::max(mx, o[e]);
       }
@@ -251,13 +252,15 @@ void NeighborWeightedSumInto(const Tensor& alpha, const Tensor& x,
   const float* a = alpha.data();
   const int* src = src_ids.data();
   const int src_rows = x.rows();
+  for (int e = 0; e < alpha.rows(); ++e) {
+    UV_CHECK_GE(src[e], 0);
+    UV_CHECK_LT(src[e], src_rows);
+  }
   const auto& off = offsets;
   ParallelFor(0, num_segments, kSegmentGrain, [&](int64_t s0, int64_t s1) {
     for (int64_t i = s0; i < s1; ++i) {
       float* dst = out->row(static_cast<int>(i));
       for (int e = off[i]; e < off[i + 1]; ++e) {
-        UV_CHECK_GE(src[e], 0);
-        UV_CHECK_LT(src[e], src_rows);
         const float w = a[e];
         const float* f = x.row(src[e]);
         for (int c = 0; c < d; ++c) dst[c] += w * f[c];

@@ -93,9 +93,10 @@ void Conv2dForwardImage(const float* image, const Conv2dSpec& spec,
 
 // One image's max pool: channels x h x w (CHW) in, channels x oh x ow out
 // with oh = (h - kernel) / stride + 1 (likewise ow). A window keeps its
-// first maximum in row-major order. `argmax` may be null; otherwise
-// argmax[o] receives the flat input index that output o took its value
-// from, which is all the backward pass needs.
+// first maximum in row-major order. `argmax` may be null: then the
+// dispatched kernel pools eight outputs per vector with the same bytes.
+// Otherwise argmax[o] receives the flat input index that output o took its
+// value from, which is all the backward pass needs.
 void MaxPool2dImage(const float* image, int channels, int h, int w,
                     int kernel, int stride, float* out, int* argmax);
 

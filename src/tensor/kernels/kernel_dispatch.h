@@ -66,6 +66,18 @@ struct ConvArgs {
   float* out = nullptr;  // out_channels x pixels (CHW).
 };
 
+// One image's max pool without argmax, as uv::MaxPool2dImage defines it:
+// channels x h x w (CHW) in, channels x oh x ow out.
+struct PoolArgs {
+  int channels = 0;
+  int h = 0;
+  int w = 0;
+  int kernel = 0;
+  int stride = 0;
+  const float* image = nullptr;
+  float* out = nullptr;
+};
+
 // The dispatch table. GEMM parallelizes internally (row panels over the
 // global thread pool); the elementwise/reduction entries are serial over
 // the range they are given — callers chunk them with ParallelFor so the
@@ -78,6 +90,8 @@ struct KernelDispatch {
   // One image's convolution (see ConvArgs); serial, the caller owns the
   // per-image parallel split.
   void (*conv2d)(const ConvArgs& args);
+  // One image's max pool (see PoolArgs); serial like conv2d.
+  void (*max_pool)(const PoolArgs& args);
 
   // y[i] += alpha * x[i].
   void (*axpy)(float alpha, const float* x, float* y, int64_t n);

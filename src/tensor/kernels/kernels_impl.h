@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/kernels/simd.h"
@@ -513,12 +514,60 @@ struct Kernels {
     }
   }
 
+  // ------------------------------------------------------------------
+  // Max pool (see PoolArgs), kL outputs of one output row per vector: lane
+  // l gathers column l * stride of the block's windows, so one path serves
+  // every kernel and stride. Each lane visits its window tap by tap in the
+  // scalar loop's order (ky, then kx) and keeps Max(v, best), which is
+  // `v > best ? v : best` on both backends: a window keeps its first
+  // maximum, never selects a NaN, and an all-NaN window gives -inf. A
+  // row's last, partial block reads the block's first window in its spare
+  // lanes and stores only its own.
+  // ------------------------------------------------------------------
+  static void MaxPool(const PoolArgs& g) {
+    const int oh = (g.h - g.kernel) / g.stride + 1;
+    const int ow = (g.w - g.kernel) / g.stride + 1;
+    int full[kL], partial[kL];
+    for (int l = 0; l < kL; ++l) {
+      full[l] = l * g.stride;
+      partial[l] = l < ow % kL ? full[l] : 0;
+    }
+    const V8 lowest = V8::Broadcast(-std::numeric_limits<float>::infinity());
+    float* out = g.out;
+    for (int c = 0; c < g.channels; ++c) {
+      for (int oy = 0; oy < oh; ++oy) {
+        const float* row =
+            g.image + (static_cast<int64_t>(c) * g.h + oy * g.stride) * g.w;
+        for (int ox = 0; ox < ow; ox += kL) {
+          const int lanes = std::min(kL, ow - ox);
+          const int* lane = lanes == kL ? full : partial;
+          const float* window = row + ox * g.stride;
+          V8 best = lowest;
+          for (int ky = 0; ky < g.kernel; ++ky) {
+            for (int kx = 0; kx < g.kernel; ++kx) {
+              best = V8::Max(V8::Gather(window + ky * g.w + kx, lane), best);
+            }
+          }
+          if (lanes == kL) {
+            V8::Store(out, best);
+          } else {
+            float part[kL];
+            V8::Store(part, best);
+            std::copy(part, part + lanes, out);
+          }
+          out += lanes;
+        }
+      }
+    }
+  }
+
   // The dispatch table for this backend.
   static KernelDispatch Table(const char* name) {
     KernelDispatch t;
     t.name = name;
     t.gemm = &Kernels::Gemm;
     t.conv2d = &Kernels::Conv2d;
+    t.max_pool = &Kernels::MaxPool;
     t.axpy = &Kernels::Axpy;
     t.mul = &Kernels::Mul;
     t.scale = &Kernels::Scale;

@@ -18,8 +18,8 @@ namespace uv::kern {
 // instantiation TU — the kernels themselves never change.
 //
 // Both types expose the same static-function surface:
-//   Zero, Broadcast, Load, Store, Add, Sub, Mul, Fma(a,b,c)=a*b+c, Max,
-//   ReduceSum, ReduceMax, Transpose8, kLanes.
+//   Zero, Broadcast, Load, Gather, Store, Add, Sub, Mul, Fma(a,b,c)=a*b+c,
+//   Max(a,b)=a>b?a:b, ReduceSum, ReduceMax, Transpose8, kLanes.
 // ReduceSum uses the same fixed pairwise tree in both backends
 // ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) so that a lane-for-lane identical
 // vector reduces to a bit-identical scalar regardless of backend.
@@ -46,6 +46,12 @@ struct ScalarF32x8 {
   static ScalarF32x8 Load(const float* p) {
     ScalarF32x8 r;
     for (int i = 0; i < kLanes; ++i) r.v[i] = p[i];
+    return r;
+  }
+  // Lane i = p[idx[i]].
+  static ScalarF32x8 Gather(const float* p, const int* idx) {
+    ScalarF32x8 r;
+    for (int i = 0; i < kLanes; ++i) r.v[i] = p[idx[i]];
     return r;
   }
   static void Store(float* p, ScalarF32x8 x) {
@@ -108,6 +114,11 @@ struct Avx2F32x8 {
   static Avx2F32x8 Zero() { return {_mm256_setzero_ps()}; }
   static Avx2F32x8 Broadcast(float x) { return {_mm256_set1_ps(x)}; }
   static Avx2F32x8 Load(const float* p) { return {_mm256_loadu_ps(p)}; }
+  static Avx2F32x8 Gather(const float* p, const int* idx) {
+    const __m256i i =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+    return {_mm256_i32gather_ps(p, i, sizeof(float))};
+  }
   static void Store(float* p, Avx2F32x8 x) { _mm256_storeu_ps(p, x.v); }
   static Avx2F32x8 Add(Avx2F32x8 a, Avx2F32x8 b) {
     return {_mm256_add_ps(a.v, b.v)};

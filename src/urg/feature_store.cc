@@ -103,11 +103,9 @@ LazyFeatureStore::LazyFeatureStore(
   const int rows = std::max(1, options.cache_rows);
   cache_ = Tensor::Uninit(rows, dim);
   region_of_slot_.assign(rows, -1);
-  lru_pos_.assign(rows, lru_.end());
-  for (int s = rows - 1; s >= 0; --s) {
-    lru_.push_front(s);
-    lru_pos_[s] = lru_.begin();
-  }
+  row_of_region_.assign(n, -1);
+  requests_.assign(n, 0);
+  last_request_.assign(n, 0);
 }
 
 void LazyFeatureStore::GatherPoi(const std::vector<int>& ids, Tensor* out) {
@@ -128,61 +126,78 @@ void LazyFeatureStore::EncodeRegions(const std::vector<int>& ids,
 
 void LazyFeatureStore::GatherImage(const std::vector<int>& ids, Tensor* out) {
   const int dim = encoder_.out_dim();
+  const int capacity = cache_.rows();
   out->ResizeUninit(static_cast<int>(ids.size()), dim);
   std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t gather = ++gathers_;
 
-  // Pass 1: find misses (deduplicated, first-seen order).
-  std::vector<int> missing;
-  std::unordered_map<int, int> fresh_row;  // region -> row in `fresh`.
+  // Pass 1: count one request per distinct id and list the misses; a miss
+  // points at its future row of fresh_.
+  missing_.clear();
   for (const int id : ids) {
     UV_CHECK_GE(id, 0);
     UV_CHECK_LT(id, num_regions());
-    if (slot_of_region_.count(id) == 0 && fresh_row.count(id) == 0) {
-      fresh_row.emplace(id, static_cast<int>(missing.size()));
-      missing.push_back(id);
+    if (last_request_[id] == gather) continue;
+    last_request_[id] = gather;
+    ++requests_[id];
+    if (row_of_region_[id] < 0) {
+      row_of_region_[id] = capacity + static_cast<int>(missing_.size());
+      missing_.push_back(id);
     }
   }
+  if (!missing_.empty()) EncodeRegions(missing_, &fresh_);
 
-  thread_local Tensor fresh;
-  if (!missing.empty()) {
-    cache_misses_ += missing.size();
-    EncodeRegions(missing, &fresh);
-  }
-
-  // Pass 2: copy rows out — freshly encoded rows from `fresh`, the rest
-  // from the cache (with an LRU touch).
+  // Pass 2: copy rows out, from the cache or from fresh_.
   for (size_t i = 0; i < ids.size(); ++i) {
-    const auto miss_it = fresh_row.find(ids[i]);
-    if (miss_it != fresh_row.end()) {
-      std::memcpy(out->row(static_cast<int>(i)), fresh.row(miss_it->second),
-                  sizeof(float) * static_cast<size_t>(dim));
-      continue;
-    }
-    const int slot = slot_of_region_.at(ids[i]);
-    std::memcpy(out->row(static_cast<int>(i)), cache_.row(slot),
+    const int row = row_of_region_[ids[i]];
+    const float* src =
+        row < capacity ? cache_.row(row) : fresh_.row(row - capacity);
+    std::memcpy(out->row(static_cast<int>(i)), src,
                 sizeof(float) * static_cast<size_t>(dim));
-    lru_.splice(lru_.begin(), lru_, lru_pos_[slot]);
-    lru_pos_[slot] = lru_.begin();
   }
-  cache_hits_ += ids.size() - missing.size();
+  cache_hits_ += ids.size() - missing_.size();
+  cache_misses_ += missing_.size();
+  if (!missing_.empty()) Admit();
+}
 
-  // Pass 3: admit the fresh rows, newest last, capped at capacity (a miss
-  // batch larger than the cache keeps only its tail resident).
-  const size_t capacity = region_of_slot_.size();
-  const size_t first =
-      missing.size() > capacity ? missing.size() - capacity : 0;
-  for (size_t i = first; i < missing.size(); ++i) {
-    const int slot = lru_.back();
-    lru_.pop_back();
-    if (region_of_slot_[slot] >= 0) {
-      slot_of_region_.erase(region_of_slot_[slot]);
+void LazyFeatureStore::Admit() {
+  const int capacity = cache_.rows();
+  ranked_.clear();
+  for (const int region : region_of_slot_) {
+    if (region >= 0) ranked_.push_back(region);
+  }
+  ranked_.insert(ranked_.end(), missing_.begin(), missing_.end());
+  if (ranked_.size() > static_cast<size_t>(capacity)) {
+    // A strict total order, so the kept set is unique.
+    const auto better = [&](int a, int b) {
+      if (requests_[a] != requests_[b]) return requests_[a] > requests_[b];
+      const bool resident_a = row_of_region_[a] < capacity;
+      const bool resident_b = row_of_region_[b] < capacity;
+      if (resident_a != resident_b) return resident_a;
+      if (last_request_[a] != last_request_[b]) {
+        return last_request_[a] > last_request_[b];
+      }
+      return a < b;
+    };
+    std::nth_element(ranked_.begin(), ranked_.begin() + capacity,
+                     ranked_.end(), better);
+    for (size_t i = capacity; i < ranked_.size(); ++i) {
+      int& row = row_of_region_[ranked_[i]];
+      if (row < capacity) region_of_slot_[row] = -1;
+      row = -1;
     }
-    region_of_slot_[slot] = missing[i];
-    slot_of_region_[missing[i]] = slot;
-    std::memcpy(cache_.row(slot), fresh.row(static_cast<int>(i)),
-                sizeof(float) * static_cast<size_t>(dim));
-    lru_.push_front(slot);
-    lru_pos_[slot] = lru_.begin();
+    ranked_.resize(capacity);
+  }
+  // The kept fresh rows fill the free slots.
+  int slot = 0;
+  for (const int region : ranked_) {
+    int& row = row_of_region_[region];
+    if (row < capacity) continue;
+    while (region_of_slot_[slot] >= 0) ++slot;
+    std::memcpy(cache_.row(slot), fresh_.row(row - capacity),
+                sizeof(float) * static_cast<size_t>(cache_.cols()));
+    region_of_slot_[slot] = region;
+    row = slot;
   }
 }
 

@@ -2,10 +2,8 @@
 #define UV_URG_FEATURE_STORE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "features/image_encoder.h"
@@ -68,21 +66,31 @@ void RenderAndEncodeTiles(const synth::City& city,
 // floats/region is ~90 MB at 354k — cheap), while tile images — the 12x
 // larger modality plus the encode cost — are materialized per batch:
 //
-//   GatherImage(ids) -> LRU lookup -> miss: render tiles from the city's
-//   per-region RNG streams -> ConvEncoder -> standardize -> cache row.
+//   GatherImage(ids) -> resident row? -> miss: render tiles from the city's
+//   per-region RNG streams -> ConvEncoder -> standardize -> admission.
 //
 // Misses are rendered and encoded one encoder chunk at a time, so the tile
 // transient is bounded by the chunk, not by the batch.
 //
 // The cache is a fixed (cache_rows x image_dim) pool-backed tensor, so the
-// store's footprint is O(cache) regardless of city size. Standardization
-// statistics come from a deterministic evenly-spaced region sample; when
-// the sample covers the whole city the gathered rows are bit-identical to
-// the eager BuildUrg pipeline.
+// store's footprint is O(cache) plus a few ints per region. Admission is
+// frequency-aware: the store counts, per region, the gathers that asked
+// for it, and after a gather's misses are encoded it keeps the cache_rows
+// most-requested regions among the resident rows and the fresh ones (ties
+// keep the resident row, then the more recently requested one, then the
+// lower id). A sampled epoch asks for more rows than a capped cache holds;
+// counting keeps the train seeds and hub regions that every epoch asks for
+// again, where recency would let each batch's one-off halo rows evict
+// them. Counts never decay: every caller keeps one training set per store.
+// The policy only decides which rows stay resident, never a row's bytes.
+//
+// Standardization statistics come from a deterministic evenly-spaced
+// region sample; when the sample covers the whole city the gathered rows
+// are bit-identical to the eager BuildUrg pipeline.
 class LazyFeatureStore : public FeatureStore {
  public:
   struct Options {
-    int cache_rows = 32768;       // LRU capacity in encoded rows.
+    int cache_rows = 32768;       // Resident encoded rows (below 1: 1).
     int stats_sample = 4096;      // Regions sampled for column stats.
   };
 
@@ -99,7 +107,9 @@ class LazyFeatureStore : public FeatureStore {
   void GatherPoi(const std::vector<int>& ids, Tensor* out) override;
   void GatherImage(const std::vector<int>& ids, Tensor* out) override;
 
-  // Cache observability (for tests and bench logging).
+  // Cache observability (for tests and bench logging): a gathered row is a
+  // miss when its region was neither resident nor already encoded by the
+  // same call, so misses count tile encodes.
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
 
@@ -107,6 +117,9 @@ class LazyFeatureStore : public FeatureStore {
   // Renders + encodes `ids` into consecutive rows of `out`, applying the
   // precomputed column standardization.
   void EncodeRegions(const std::vector<int>& ids, Tensor* out);
+  // Ranks the resident regions and missing_ (whose rows are in fresh_) and
+  // keeps the cache_rows best resident.
+  void Admit();
 
   std::shared_ptr<const synth::City> city_;
   Tensor poi_;
@@ -115,11 +128,18 @@ class LazyFeatureStore : public FeatureStore {
   Tensor col_std_;   // 1 x image_dim (already floored like the eager path).
 
   std::mutex mu_;
-  Tensor cache_;                        // cache_rows x image_dim.
-  std::vector<int> region_of_slot_;     // -1 = free.
-  std::unordered_map<int, int> slot_of_region_;
-  std::list<int> lru_;                  // Front = most recent slot.
-  std::vector<std::list<int>::iterator> lru_pos_;
+  Tensor cache_;                      // cache_rows x image_dim.
+  std::vector<int> region_of_slot_;   // -1 = free.
+  // Per region: its cache slot, -1 when not resident, and during a gather
+  // cache_rows + its row of fresh_ when that gather encoded it.
+  std::vector<int> row_of_region_;
+  std::vector<uint64_t> requests_;      // Gathers that asked for it.
+  std::vector<uint64_t> last_request_;  // Number of the last one (0: none).
+  uint64_t gathers_ = 0;
+  // Scratch of one gather.
+  std::vector<int> missing_;  // Misses, deduplicated, first-seen order.
+  Tensor fresh_;              // Their encoded rows.
+  std::vector<int> ranked_;   // Admission candidates.
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
 };

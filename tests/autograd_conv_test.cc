@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -239,28 +240,81 @@ TEST(MaxPool2dTest, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(x->grad.at(0, 0), 0.0f);
 }
 
+// The loop every max pool must reproduce byte for byte: each window tap by
+// tap in row-major order, keeping `v > best ? v : best` from -inf.
+void ReferenceMaxPool(const float* image, int channels, int h, int w,
+                      int kernel, int stride, float* out) {
+  const int oh = (h - kernel) / stride + 1;
+  const int ow = (w - kernel) / stride + 1;
+  for (int c = 0; c < channels; ++c) {
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (int ky = 0; ky < kernel; ++ky) {
+          for (int kx = 0; kx < kernel; ++kx) {
+            const float v =
+                image[(c * h + oy * stride + ky) * w + ox * stride + kx];
+            best = v > best ? v : best;
+          }
+        }
+        out[(c * oh + oy) * ow + ox] = best;
+      }
+    }
+  }
+}
+
 TEST(MaxPool2dTest, RawPoolSameValuesWithAndWithoutArgmax) {
-  // Rounded values make ties common; a window keeps its first maximum.
-  const int channels = 3, h = 7, w = 6;
-  Tensor img = RandomTensor(1, channels * h * w, 34);
-  for (int64_t i = 0; i < img.size(); ++i) img[i] = std::round(img[i]);
-  for (const auto& [kernel, stride] : {std::make_tuple(2, 2),
-                                       std::make_tuple(3, 1)}) {
-    const int oh = (h - kernel) / stride + 1;
-    const int ow = (w - kernel) / stride + 1;
-    const int outs = channels * oh * ow;
-    std::vector<float> with(outs), without(outs);
-    std::vector<int> argmax(outs, -1);
-    MaxPool2dImage(img.data(), channels, h, w, kernel, stride, with.data(),
-                   argmax.data());
-    MaxPool2dImage(img.data(), channels, h, w, kernel, stride,
-                   without.data(), nullptr);
-    EXPECT_TRUE(SameBytes(with.data(), without.data(), outs))
-        << "kernel " << kernel;
-    for (int o = 0; o < outs; ++o) {
-      ASSERT_GE(argmax[o], 0);
-      ASSERT_LT(argmax[o], img.cols());
-      EXPECT_EQ(img[argmax[o]], with[o]) << "output " << o;
+  // Rounded values make ties common, and half the values are NaN, +0, -0
+  // or -inf: a window keeps its first maximum (so its first zero), never
+  // selects a NaN, and an all-NaN window gives -inf. The shapes give output
+  // rows of fewer than, exactly and more than 8 outputs, odd heights and
+  // widths, and partial last vectors. The suite also runs under
+  // UV_SIMD=scalar, so both backends' kernels are held to the loop.
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {kNan, 0.0f, -0.0f, -kInf};
+  const int channels = 3;
+  for (const auto& [h, w] : {std::make_tuple(7, 6), std::make_tuple(9, 21),
+                             std::make_tuple(11, 17),
+                             std::make_tuple(5, 37)}) {
+    Tensor img = RandomTensor(1, channels * h * w, 34 + h);
+    Rng rng(100 * h + w);
+    for (int64_t i = 0; i < img.size(); ++i) {
+      img[i] = std::round(img[i]);
+      const int pick = rng.UniformInt(8);
+      if (pick < 4) img[i] = specials[pick];
+    }
+    for (int ky = 0; ky < 3; ++ky) {
+      for (int kx = 0; kx < 3; ++kx) img[ky * w + kx] = kNan;
+    }
+    for (const auto& [kernel, stride] :
+         {std::make_tuple(2, 2), std::make_tuple(3, 1), std::make_tuple(2, 1),
+          std::make_tuple(3, 2)}) {
+      const int oh = (h - kernel) / stride + 1;
+      const int ow = (w - kernel) / stride + 1;
+      const int outs = channels * oh * ow;
+      std::vector<float> expected(outs), with(outs), without(outs);
+      std::vector<int> argmax(outs, -1);
+      ReferenceMaxPool(img.data(), channels, h, w, kernel, stride,
+                       expected.data());
+      MaxPool2dImage(img.data(), channels, h, w, kernel, stride, with.data(),
+                     argmax.data());
+      MaxPool2dImage(img.data(), channels, h, w, kernel, stride,
+                     without.data(), nullptr);
+      const std::string shape = std::to_string(h) + "x" + std::to_string(w) +
+                                " kernel " + std::to_string(kernel) +
+                                " stride " + std::to_string(stride);
+      EXPECT_TRUE(SameBytes(without.data(), expected.data(), outs)) << shape;
+      EXPECT_TRUE(SameBytes(with.data(), expected.data(), outs)) << shape;
+      EXPECT_EQ(expected[0], -kInf) << shape;  // The all-NaN window.
+      for (int o = 0; o < outs; ++o) {
+        ASSERT_GE(argmax[o], 0);
+        ASSERT_LT(argmax[o], img.cols());
+        if (std::isfinite(with[o])) {
+          EXPECT_TRUE(SameBytes(&img[argmax[o]], &with[o], 1))
+              << shape << " output " << o;
+        }
+      }
     }
   }
 }

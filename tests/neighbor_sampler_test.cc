@@ -49,12 +49,14 @@ UrbanRegionGraph OneShard(const std::shared_ptr<const synth::City>& city) {
   return BuildUrg(*city, SmallOptions());
 }
 
-UrbanRegionGraph Sharded(const std::shared_ptr<const synth::City>& city,
-                         int num_shards) {
+UrbanRegionGraph Sharded(
+    const std::shared_ptr<const synth::City>& city, int num_shards,
+    int cache_rows = LazyFeatureStore::Options{}.cache_rows) {
   ShardOptions shard;
   shard.num_shards = num_shards;
   // Statistics over the whole tiny city so lazy features match eager ones.
   shard.feature_store.stats_sample = 1 << 20;
+  shard.feature_store.cache_rows = cache_rows;
   return BuildShardedUrg(city, SmallOptions(), shard);
 }
 
@@ -357,7 +359,8 @@ TEST(FeatureStoreTest, LazyRowsMatchEagerFeatures) {
   eager.GatherImageRows(all, &eager_all_img);
   EXPECT_TRUE(SameBytes(all_img, eager_all_img));
 
-  // A second gather is served from the LRU cache and returns identical rows.
+  // A second gather is served from the resident rows and returns identical
+  // rows.
   auto store = std::dynamic_pointer_cast<LazyFeatureStore>(sharded.features);
   ASSERT_NE(store, nullptr);
   const uint64_t hits_before = store->cache_hits();
@@ -366,6 +369,80 @@ TEST(FeatureStoreTest, LazyRowsMatchEagerFeatures) {
   EXPECT_GT(store->cache_hits(), hits_before);
   EXPECT_EQ(0, std::memcmp(img.data(), again.data(),
                            sizeof(float) * img.size()));
+}
+
+// Frequency-aware admission: a hot set that every gather asks for stays
+// resident while one-off scan ids pass through a smaller cache. Recency
+// would let each gather's scan ids evict the hot rows instead.
+TEST(FeatureStoreTest, HotSetStaysResidentThroughScans) {
+  auto city = TinyCity();
+  const UrbanRegionGraph eager = OneShard(city);
+  const UrbanRegionGraph sharded = Sharded(city, 2, /*cache_rows=*/8);
+  auto store = std::dynamic_pointer_cast<LazyFeatureStore>(sharded.features);
+  ASSERT_NE(store, nullptr);
+  const uint64_t hits0 = store->cache_hits();
+  const uint64_t misses0 = store->cache_misses();
+  for (int g = 0; g < 5; ++g) {
+    // The hot set {0, 1, 2, 3} (0 twice: the repeat is a hit) and six scan
+    // ids no other gather asks for.
+    std::vector<int> ids = {0, 1, 2, 3, 0};
+    for (int i = 0; i < 6; ++i) ids.push_back(100 + 6 * g + i);
+    Tensor img, eager_img;
+    sharded.GatherImageRows(ids, &img);
+    eager.GatherImageRows(ids, &eager_img);
+    EXPECT_TRUE(SameBytes(img, eager_img)) << "gather " << g;
+  }
+  // Gather 0 misses its ten distinct ids; all were asked for once, so the
+  // eight lowest ids stay. Each later gather hits its five hot requests and
+  // misses its six scan ids, which tie the resident scan rows on one
+  // request each and lose the tie to them.
+  EXPECT_EQ(store->cache_hits() - hits0, 1u + 4u * 5u);
+  EXPECT_EQ(store->cache_misses() - misses0, 10u + 4u * 6u);
+  Tensor hot;
+  sharded.GatherImageRows({3, 2, 1, 0}, &hot);
+  EXPECT_EQ(store->cache_hits() - hits0, 25u);
+  EXPECT_EQ(store->cache_misses() - misses0, 34u);
+}
+
+// Admission only picks which rows stay resident: random gather sequences,
+// with repeated ids and batches larger than the cache, return the eager
+// rows at every cache size.
+TEST(FeatureStoreTest, RandomGathersMatchEagerRowsAtAnyCacheSize) {
+  auto city = TinyCity();
+  const int n = city->num_regions();
+  const Tensor eager = uv::testing::ImageRows(OneShard(city));
+  for (const int cache_rows : {1, 3, 64, n}) {
+    const UrbanRegionGraph sharded = Sharded(city, 2, cache_rows);
+    auto store = std::dynamic_pointer_cast<LazyFeatureStore>(sharded.features);
+    ASSERT_NE(store, nullptr);
+    Rng rng(static_cast<uint64_t>(cache_rows));
+    std::set<int> distinct;
+    uint64_t requested = 0;
+    for (int g = 0; g < 12; ++g) {
+      // Mostly a 48-region hot range, so ids repeat within and across
+      // gathers, plus a tail over the whole city.
+      std::vector<int> ids(1 + rng.UniformInt(160));
+      for (int& id : ids) {
+        id = rng.Bernoulli(0.7) ? rng.UniformInt(48) : rng.UniformInt(n);
+        distinct.insert(id);
+      }
+      requested += ids.size();
+      Tensor img;
+      sharded.GatherImageRows(ids, &img);
+      ASSERT_EQ(img.rows(), static_cast<int>(ids.size()));
+      for (size_t i = 0; i < ids.size(); ++i) {
+        ASSERT_EQ(0, std::memcmp(img.row(static_cast<int>(i)),
+                                 eager.row(ids[i]),
+                                 sizeof(float) * eager.cols()))
+            << "cache_rows " << cache_rows << " gather " << g << " row " << i;
+      }
+    }
+    EXPECT_EQ(store->cache_hits() + store->cache_misses(), requested);
+    // A cache that holds the city never evicts: one encode per region.
+    if (cache_rows == n) {
+      EXPECT_EQ(store->cache_misses(), distinct.size());
+    }
+  }
 }
 
 TEST(FeatureStoreTest, TilesRenderedCounterTracksOnDemandRenders) {

@@ -51,6 +51,7 @@ Exits 0 when every check passes, 1 otherwise (so CI can gate on it).
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -321,6 +322,19 @@ CITY_SCALE_KINDS = {
 }
 
 
+# Metrics a city_scale.* entry kind may carry, checked when present: the
+# lazy feature store's traffic on the train-step entries, which ledgers
+# recorded before the store counted it lack. name -> (direction, lo, hi).
+STORE_TRAFFIC = {
+    "tiles_per_step": ("lower", 0.0, math.inf),
+    "feature_cache_hit_ratio": ("info", 0.0, 1.0),
+}
+CITY_SCALE_OPTIONAL = {
+    "train_step_cmsf": STORE_TRAFFIC,
+    "train_step_gcn": STORE_TRAFFIC,
+}
+
+
 # Required metrics per serve.* entry kind, matching what bench_suite's
 # RunServeSuite records. Entries are named serve.<kind>_<tag>; the engine
 # entry must also carry the serving histograms captured from the final
@@ -406,6 +420,18 @@ def check_city_scale_entry(path, name, bench):
             fail(f"{path}: city-scale benchmark {name!r} metric {mname!r} "
                  f"has direction {metric.get('direction')!r}, "
                  f"expected {direction!r}")
+    optional = CITY_SCALE_OPTIONAL.get(kind, {})
+    for mname, (direction, lo, hi) in optional.items():
+        metric = metrics.get(mname)
+        if metric is None:
+            continue
+        if metric.get("direction") != direction:
+            fail(f"{path}: city-scale benchmark {name!r} metric {mname!r} "
+                 f"has direction {metric.get('direction')!r}, "
+                 f"expected {direction!r}")
+        if not lo <= metric["value"] <= hi:
+            fail(f"{path}: city-scale benchmark {name!r} metric {mname!r} "
+                 f"is {metric['value']!r}, outside [{lo}, {hi}]")
 
 
 def check_ledger(path):
