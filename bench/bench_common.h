@@ -251,8 +251,9 @@ inline void PrintBenchHeader(const char* title, const BenchConfig& bench) {
       static_cast<unsigned long long>(bench.seed));
 }
 
-// Returns a closure running the fused edge-softmax + neighbor-sum pair,
-// forward and backward, over a 20k-segment CSR (4-11 edges per segment)
+// Returns a closure running one-head ag::EdgeAttention (edge softmax and
+// neighbor sum), forward and backward, over a 20k-segment CSR (4-11 edges
+// per segment)
 // whose edge e reads source row e: the micro suite's segment_fwd_bwd_20k
 // and the --scaling leg's graph_segment_fwd_bwd time it. The index arrays
 // live in the closure, so the memoized inverse index is reused across
@@ -282,8 +283,9 @@ inline std::function<void()> SegmentFwdBwd(uint64_t seed) {
     auto s_dst = ag::MakeParam(s_dst0);
     auto s_src = ag::MakeParam(s_src0);
     auto feats = ag::MakeParam(feats0);
-    auto alpha = ag::EdgeSoftmax(s_dst, s_src, src_ids, off, 0.2f);
-    auto y = ag::NeighborWeightedSum(alpha, feats, src_ids, dst_ids, off);
+    ag::AttentionHeads head;
+    head.Add(s_dst, s_src, feats);
+    auto y = ag::EdgeAttention(head, src_ids, dst_ids, off, 0.2f);
     ag::Backward(ag::SumAll(ag::Mul(y, y)));
   };
 }

@@ -39,6 +39,7 @@
 #include "legs.h"
 #include "nn/graph_context.h"
 #include "nn/linear.h"
+#include "nn/maga.h"
 #include "nn/ms_gate.h"
 #include "obs/quality.h"
 #include "tensor/tensor_ops.h"
@@ -113,13 +114,36 @@ void RunMicroSuite(uv::obs::Report* report) {
     auto a_dst = uv::ag::MakeConst(RandomTensor(32, 1, 7));
     report->RunTimed("attention_pass_grid64", [&] {
       auto h = uv::ag::MatMul(x, w);
-      auto alpha = uv::ag::EdgeSoftmax(uv::ag::MatMul(h, a_dst),
-                                       uv::ag::MatMul(h, a_src), ctx.src_ids,
+      uv::ag::AttentionHeads head;
+      head.Add(uv::ag::MatMul(h, a_dst), uv::ag::MatMul(h, a_src), h);
+      auto out = uv::ag::EdgeAttention(head, ctx.src_ids, ctx.dst_ids,
                                        ctx.offsets, 0.2f);
-      auto out = uv::ag::NeighborWeightedSum(alpha, h, ctx.src_ids,
-                                             ctx.dst_ids, ctx.offsets);
       (void)out->value.data();
     });
+  }
+  {
+    // One default MAGA layer (eq. 1-8: 2 heads in each of the four banks,
+    // attention AGG, hidden 64) forward and backward over the 64 x 64 grid
+    // from 64 POI and 128 image columns. The pool peak of a repeat is the
+    // layer's transient.
+    auto ctx = GridContext(64);
+    uv::Rng rng(29);
+    const uv::nn::MagaLayer layer(64, 128, 64, 2, uv::nn::AggKind::kAttention,
+                                  &rng);
+    auto x_p = uv::ag::MakeParam(RandomTensor(64 * 64, 64, 30));
+    auto x_i = uv::ag::MakeParam(RandomTensor(64 * 64, 128, 31));
+    uint64_t peak = 0;
+    auto& e = report->RunTimed("maga_layer_fwd_bwd_grid64", [&] {
+      uv::BufferPool::ResetPeak();
+      auto out = layer.Forward(x_p, x_i, ctx);
+      uv::ag::Backward(uv::ag::SumAll(uv::ag::Add(
+          uv::ag::Mul(out.p, out.p), uv::ag::Mul(out.i, out.i))));
+      peak = uv::BufferPool::Stats().pool_bytes_peak;
+      uv::ag::ZeroGrads(layer.Params());
+      uv::ag::ZeroGrads({x_p, x_i});
+    });
+    e.AddMetric("mem.pool_bytes_peak", static_cast<double>(peak),
+                uv::obs::Direction::kLowerIsBetter);
   }
   {
     // GSCM regions->clusters->regions round trip.
@@ -167,7 +191,7 @@ void RunMicroSuite(uv::obs::Report* report) {
                 uv::obs::Direction::kLowerIsBetter);
   }
   {
-    // Fused edge softmax + neighbor sum over a 20k-segment CSR.
+    // One-head edge attention forward + backward over a 20k-segment CSR.
     report->RunTimed("segment_fwd_bwd_20k", uv::bench::SegmentFwdBwd(14));
   }
   {

@@ -15,7 +15,8 @@ int GatedMlpFilterSize(int d_in, int d_hidden) {
 
 VarPtr GatedMlp(const VarPtr& x, const VarPtr& context, const VarPtr& w_f,
                 const VarPtr& b_f, const VarPtr& w1, const VarPtr& b1,
-                const VarPtr& w2, const VarPtr& b2) {
+                const VarPtr& w2, const VarPtr& b2,
+                const std::vector<int>* rows) {
   const int d_in = x->cols();
   const int d_hidden = w1->cols();
 
@@ -26,7 +27,7 @@ VarPtr GatedMlp(const VarPtr& x, const VarPtr& context, const VarPtr& w_f,
   GatedMlpTile tile;
   uv::GatedMlpForward(x->value, context->value, w_f->value, b_f->value,
                       w1->value, b1->value, w2->value, b2->value, &tile, &out,
-                      &hidden);
+                      &hidden, rows);
 
   VarPtr xv = x, cv = context, wfv = w_f, bfv = b_f;
   VarPtr w1v = w1, b1v = b1, w2v = w2, b2v = b2;

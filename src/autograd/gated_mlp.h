@@ -1,6 +1,8 @@
 #ifndef UV_AUTOGRAD_GATED_MLP_H_
 #define UV_AUTOGRAD_GATED_MLP_H_
 
+#include <vector>
+
 #include "autograd/variable.h"
 
 namespace uv::ag {
@@ -27,10 +29,14 @@ int GatedMlpFilterSize(int d_in, int d_hidden);
 
 // x: (N x d_in), context: (N x c), w_f: (c x P), b_f: (1 x P),
 // w1: (d_in x d_hidden), b1: (1 x d_hidden), w2: (d_hidden x 1),
-// b2: (1 x 1). Returns (N x 1) logits.
+// b2: (1 x 1). Returns (N x 1) logits. With `rows`, only those rows are
+// computed and every other logit is zero, which the backward treats as it
+// treats any row whose upstream gradient is zero: pass exactly the rows
+// the loss reads.
 VarPtr GatedMlp(const VarPtr& x, const VarPtr& context, const VarPtr& w_f,
                 const VarPtr& b_f, const VarPtr& w1, const VarPtr& b1,
-                const VarPtr& w2, const VarPtr& b2);
+                const VarPtr& w2, const VarPtr& b2,
+                const std::vector<int>* rows = nullptr);
 
 }  // namespace uv::ag
 

@@ -79,20 +79,44 @@ VarPtr MeanAll(const VarPtr& a);
 VarPtr GatherRows(const VarPtr& x,
                   const std::shared_ptr<const std::vector<int>>& indices);
 
-// The two fused message-passing ops below read per-node rows through the
-// edge index arrays and never build an E x d per-edge tensor: the only
-// per-edge state is an (E x 1) coefficient column and its gradient. Edge e
-// with offsets[i] <= e < offsets[i+1] belongs to destination segment i.
+// The two message-passing ops below read per-node rows through the edge
+// index arrays and never build an E x d per-edge tensor. Edge e with
+// offsets[i] <= e < offsets[i+1] belongs to destination segment i.
 
-// Attention coefficients (E x 1): per destination segment i, the softmax
-// of LeakyReLU(s_dst[i] + s_src[src_ids[e]], negative_slope), where s_dst
-// (N x 1) and s_src are per-node score columns. Backward recomputes the
-// LeakyReLU branch, reduces into s_dst by segment walk and into s_src
-// through the memoized inverse of src_ids.
-VarPtr EdgeSoftmax(const VarPtr& s_dst, const VarPtr& s_src,
-                   const std::shared_ptr<const std::vector<int>>& src_ids,
-                   const std::shared_ptr<const std::vector<int>>& offsets,
-                   float negative_slope);
+// The per-head inputs of EdgeAttention, head h in lane h: score columns
+// s_dst[h] (N x 1) and s_src[h] (rows x 1), and source rows x_src[h]
+// (rows x d). Fixed storage, so building it allocates nothing.
+struct AttentionHeads {
+  static constexpr int kMaxHeads = 64;
+  int count = 0;
+  VarPtr s_dst[kMaxHeads];
+  VarPtr s_src[kMaxHeads];
+  VarPtr x_src[kMaxHeads];
+
+  void Add(VarPtr dst_scores, VarPtr src_scores, VarPtr src_rows);
+};
+
+// Graph attention of every head in one pass over the edges, with head h in
+// vector lane h (kern::EdgeLaneArgs; more than kern::kEdgeLanes heads run
+// in groups of that many). Per head: alpha(e) is the softmax over segment
+// i of LeakyReLU(s_dst[i] + s_src[src_ids[e]], negative_slope), and output
+// row i is the sum over its edges, ascending, of alpha(e) *
+// x_src[src_ids[e]]. Returns N x (heads * d), head h in columns
+// [h * d, (h + 1) * d), which is the head-by-head ConcatCols layout.
+//
+// Values and gradients are bit-identical to running each head alone. The
+// backward adds into every head's x_src, s_src and s_dst, in that order,
+// before any op that produced them runs its own backward. Inputs are
+// visited in lane order, (s_dst, s_src) per head, then x_src, so the ops
+// behind them run their backward in the order they would for separate
+// heads that each listed (s_dst, s_src, x_src). Needs dst_ids[e] == i, as
+// GraphContext and the k-hop sampler lay it out; each head's three inputs
+// must be distinct from the other heads' inputs of the same role.
+VarPtr EdgeAttention(const AttentionHeads& heads,
+                     const std::shared_ptr<const std::vector<int>>& src_ids,
+                     const std::shared_ptr<const std::vector<int>>& dst_ids,
+                     const std::shared_ptr<const std::vector<int>>& offsets,
+                     float negative_slope);
 
 // out[i] = sum over edges e of segment i of alpha(e) * x[src_ids[e]];
 // alpha is (E x 1), x is (rows x d), result is (N x d) with

@@ -118,6 +118,10 @@ class VarList {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  void push_back(VarPtr p) {
+    UV_CHECK_LT(size_, kCapacity);
+    items_[size_++] = std::move(p);
+  }
   VarPtr& operator[](size_t i) { return items_[i]; }
   const VarPtr& operator[](size_t i) const { return items_[i]; }
   VarPtr* begin() { return items_; }

@@ -139,14 +139,15 @@ CmsfModel::ForwardResult CmsfModel::Head(
 }
 
 ag::VarPtr CmsfModel::SlaveLogits(const ForwardResult& master,
-                                  ag::VarPtr* out_inclusion) const {
+                                  ag::VarPtr* out_inclusion,
+                                  const std::vector<int>* rows) const {
   obs::SpanGuard span("ms_gate", obs::SpanLevel::kFine);
   UV_CHECK(gate_ != nullptr);
   UV_CHECK(master.cluster_repr != nullptr);
   ag::VarPtr inclusion = gate_->EstimateInclusion(master.cluster_repr);
   if (out_inclusion != nullptr) *out_inclusion = inclusion;
   return gate_->Forward(master.region_repr, master.assignment, inclusion,
-                        *classifier_);
+                        *classifier_, rows);
 }
 
 std::vector<ag::VarPtr> CmsfModel::MasterParams() const {
@@ -280,8 +281,10 @@ SlaveTrainResult TrainSlave(CmsfModel* model,
         CmsfModel::FrozenAssignment slice;
         auto fwd =
             model->Forward(*batch.inputs, PinFrozen(batch, frozen, &slice));
+        // The loss reads only the batch rows, so only they run the gate.
         ag::VarPtr inclusion;
-        ag::VarPtr slave_logits = model->SlaveLogits(fwd, &inclusion);
+        ag::VarPtr slave_logits =
+            model->SlaveLogits(fwd, &inclusion, batch.rows.get());
         ag::VarPtr loss =
             ag::BceWithLogits(ag::GatherRows(slave_logits, batch.rows),
                               batch.labels, &batch.weights);

@@ -47,9 +47,11 @@ class CmsfModel : public LayeredTrunk {
   ForwardResult Head(ag::VarPtr fused, const FrozenAssignment* frozen) const;
 
   // Slave-path logits (eq. 22) given a master forward result; requires the
-  // hierarchy and gate to be enabled.
+  // hierarchy and gate to be enabled. With `rows`, only those logits are
+  // computed and the rest are zero (nn::MsGate::Forward).
   ag::VarPtr SlaveLogits(const ForwardResult& master,
-                         ag::VarPtr* out_inclusion) const;
+                         ag::VarPtr* out_inclusion,
+                         const std::vector<int>* rows = nullptr) const;
 
   // Parameter sets: theta_1 (master) and theta_2 \ theta_1 (gate + pseudo
   // predictor), mirroring Algorithms 1 and 2.

@@ -4,10 +4,6 @@
 
 namespace uv::nn {
 
-namespace {
-constexpr float kAttentionSlope = 0.2f;  // LeakyReLU slope for scores.
-}  // namespace
-
 AttentionHead::AttentionHead(int in_dst, int in_src, int out_dim,
                              bool share_transform, Rng* rng)
     : shared_(share_transform) {
@@ -31,23 +27,15 @@ AttentionHead::AttentionHead(int in_dst, int in_src, int out_dim,
   a_src_ = ag::MakeParam(std::move(as));
 }
 
-ag::VarPtr AttentionHead::Forward(const ag::VarPtr& x_dst,
-                                  const ag::VarPtr& x_src,
-                                  const GraphContext& ctx) const {
-  // Per-node projected features and score halves.
+void AttentionHead::AddLane(const ag::VarPtr& x_dst, const ag::VarPtr& x_src,
+                            ag::AttentionHeads* lanes) const {
   ag::VarPtr h_dst = ag::MatMul(x_dst, w_dst_);
   ag::VarPtr h_src = shared_ && x_dst.get() == x_src.get()
                          ? h_dst
                          : ag::MatMul(x_src, w_src_);
   ag::VarPtr s_dst = ag::MatMul(h_dst, a_dst_);  // (N x 1)
   ag::VarPtr s_src = ag::MatMul(h_src, a_src_);  // (N x 1)
-
-  // Softmax of leakyrelu(s_dst[dst(e)] + s_src[src(e)]) per destination,
-  // then the coefficient-weighted sum of source rows, read in place.
-  ag::VarPtr alpha =
-      ag::EdgeSoftmax(s_dst, s_src, ctx.src_ids, ctx.offsets, kAttentionSlope);
-  return ag::NeighborWeightedSum(alpha, h_src, ctx.src_ids, ctx.dst_ids,
-                                 ctx.offsets);
+  lanes->Add(std::move(s_dst), std::move(s_src), std::move(h_src));
 }
 
 std::vector<ag::VarPtr> AttentionHead::Params() const {
@@ -71,12 +59,10 @@ GatLayer::GatLayer(int in_dim, int out_dim, int num_heads, Rng* rng) {
 
 ag::VarPtr GatLayer::Forward(const ag::VarPtr& x,
                              const GraphContext& ctx) const {
-  ag::VarPtr out;
-  for (const auto& head : heads_) {
-    ag::VarPtr h = head.Forward(x, x, ctx);
-    out = out ? ag::ConcatCols(out, h) : h;
-  }
-  return out;
+  ag::AttentionHeads lanes;
+  for (const auto& head : heads_) head.AddLane(x, x, &lanes);
+  return ag::EdgeAttention(lanes, ctx.src_ids, ctx.dst_ids, ctx.offsets,
+                           kAttentionSlope);
 }
 
 std::vector<ag::VarPtr> GatLayer::Params() const {

@@ -21,9 +21,12 @@ class AttentionHead {
   AttentionHead(int in_dst, int in_src, int out_dim, bool share_transform,
                 Rng* rng);
 
-  // Returns the aggregated messages (N x out_dim), pre-activation.
-  ag::VarPtr Forward(const ag::VarPtr& x_dst, const ag::VarPtr& x_src,
-                     const GraphContext& ctx) const;
+  // Adds this head to `lanes` as its next lane: the projected source rows
+  // h_src = x_src W_src and the score halves (h_dst a_dst, h_src a_src)
+  // with h_dst = x_dst W_dst. ag::EdgeAttention over the lanes then gives
+  // each head's aggregated messages (N x out_dim), pre-activation.
+  void AddLane(const ag::VarPtr& x_dst, const ag::VarPtr& x_src,
+               ag::AttentionHeads* lanes) const;
 
   std::vector<ag::VarPtr> Params() const;
 
@@ -35,8 +38,11 @@ class AttentionHead {
   ag::VarPtr a_src_;   // (out_dim x 1) attention vector, source half.
 };
 
+// LeakyReLU slope of every attention score.
+inline constexpr float kAttentionSlope = 0.2f;
+
 // Multi-head GAT layer (heads concatenated), used by the GAT baseline and
-// by the CMSF-M ablation variant.
+// by the CMSF-M ablation variant. All heads run in one ag::EdgeAttention.
 class GatLayer {
  public:
   GatLayer(int in_dim, int out_dim, int num_heads, Rng* rng);

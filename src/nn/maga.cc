@@ -53,31 +53,29 @@ int MagaLayer::out_width() const {
   return agg_ == AggKind::kConcat ? 2 * out_dim_ : out_dim_;
 }
 
-namespace {
-
-// Runs a bank of heads and concatenates their outputs.
-ag::VarPtr RunHeads(const std::vector<AttentionHead>& heads,
-                    const ag::VarPtr& x_dst, const ag::VarPtr& x_src,
-                    const GraphContext& ctx) {
-  ag::VarPtr out;
-  for (const auto& head : heads) {
-    ag::VarPtr h = head.Forward(x_dst, x_src, ctx);
-    out = out ? ag::ConcatCols(out, h) : h;
-  }
-  return out;
-}
-
-}  // namespace
-
 MagaLayer::Output MagaLayer::Forward(const ag::VarPtr& x_p,
                                      const ag::VarPtr& x_i,
                                      const GraphContext& ctx) const {
+  // All four banks' heads in one edge pass. The banks go in AGG order
+  // (out.p's intra and inter context, then out.i's) and each head lists
+  // its (s_dst, s_src) pair, so every shared projection and input row
+  // receives its gradients in the order separate per-head ops gave them.
+  ag::AttentionHeads lanes;
+  for (const auto& head : intra_p_) head.AddLane(x_p, x_p, &lanes);
+  for (const auto& head : inter_pi_) head.AddLane(x_p, x_i, &lanes);
+  for (const auto& head : intra_i_) head.AddLane(x_i, x_i, &lanes);
+  for (const auto& head : inter_ip_) head.AddLane(x_i, x_p, &lanes);
+  ag::VarPtr heads = ag::EdgeAttention(lanes, ctx.src_ids, ctx.dst_ids,
+                                       ctx.offsets, kAttentionSlope);
   // Intra-modal contexts (eq. 2, 4) and inter-modal contexts (eq. 6), with
   // the paper's sigma instantiated as ReLU.
-  ag::VarPtr p_from_p = ag::Relu(RunHeads(intra_p_, x_p, x_p, ctx));
-  ag::VarPtr i_from_i = ag::Relu(RunHeads(intra_i_, x_i, x_i, ctx));
-  ag::VarPtr p_from_i = ag::Relu(RunHeads(inter_pi_, x_p, x_i, ctx));
-  ag::VarPtr i_from_p = ag::Relu(RunHeads(inter_ip_, x_i, x_p, ctx));
+  auto bank = [&](int b) {
+    return ag::Relu(ag::SliceCols(heads, b * out_dim_, (b + 1) * out_dim_));
+  };
+  ag::VarPtr p_from_p = bank(0);
+  ag::VarPtr p_from_i = bank(1);
+  ag::VarPtr i_from_i = bank(2);
+  ag::VarPtr i_from_p = bank(3);
 
   Output out;
   out.p = AggregatePair(agg_, p_from_p, p_from_i, agg_query_p_);

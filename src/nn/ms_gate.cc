@@ -40,8 +40,8 @@ ag::VarPtr MsGate::ContextVector(const ag::VarPtr& assignment,
 
 ag::VarPtr MsGate::Forward(const ag::VarPtr& region_repr,
                            const ag::VarPtr& assignment,
-                           const ag::VarPtr& inclusion,
-                           const Mlp& master) const {
+                           const ag::VarPtr& inclusion, const Mlp& master,
+                           const std::vector<int>* rows) const {
   UV_CHECK_EQ(region_repr->cols(), options_.classifier_in);
   ag::VarPtr context = ContextVector(assignment, inclusion);
   // Region-specific parameter filter (eq. 20) and the slave prediction with
@@ -49,7 +49,7 @@ ag::VarPtr MsGate::Forward(const ag::VarPtr& region_repr,
   // the filter a tile of rows at a time instead of storing it.
   return ag::GatedMlp(region_repr, context, w_f_, b_f_, master.layer1().w(),
                       master.layer1().b(), master.layer2().w(),
-                      master.layer2().b());
+                      master.layer2().b(), rows);
 }
 
 std::vector<ag::VarPtr> MsGate::Params() const {

@@ -32,10 +32,12 @@ class MsGate {
   // Derives slave models and returns per-region logits (eq. 19-22).
   // `region_repr` (N x classifier_in), `assignment` soft B (N x K),
   // `inclusion` (K x 1), `master` the 2-layer master classifier whose
-  // parameters are gated.
+  // parameters are gated. With `rows`, only those logits are computed
+  // (ag::GatedMlp) and the rest are zero.
   ag::VarPtr Forward(const ag::VarPtr& region_repr,
                      const ag::VarPtr& assignment, const ag::VarPtr& inclusion,
-                     const Mlp& master) const;
+                     const Mlp& master,
+                     const std::vector<int>* rows = nullptr) const;
 
   // Region context vectors q_i (N x context_dim), exposed for tests.
   ag::VarPtr ContextVector(const ag::VarPtr& assignment,

@@ -195,50 +195,6 @@ void MaxPool2dImage(const float* image, int channels, int h, int w,
   }
 }
 
-void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
-                     const std::vector<int>& src_ids,
-                     const std::vector<int>& offsets, float negative_slope,
-                     Tensor* out) {
-  UV_CHECK_EQ(s_dst.cols(), 1);
-  UV_CHECK_EQ(s_src.cols(), 1);
-  const int num_segments = static_cast<int>(offsets.size()) - 1;
-  const int num_edges = static_cast<int>(src_ids.size());
-  UV_CHECK_EQ(s_dst.rows(), num_segments);
-  // Segments must tile [0, E) exactly: that guarantees every element of
-  // the uninitialized output below is written by exactly one segment.
-  UV_CHECK_EQ(offsets.front(), 0);
-  UV_CHECK_EQ(offsets.back(), num_edges);
-  out->ResizeUninit(num_edges, 1);
-  const float* sd = s_dst.data();
-  const float* ss = s_src.data();
-  const int* src = src_ids.data();
-  const int src_rows = s_src.rows();
-  float* o = out->data();
-  for (int e = 0; e < num_edges; ++e) {
-    UV_CHECK_GE(src[e], 0);
-    UV_CHECK_LT(src[e], src_rows);
-  }
-  const auto& off = offsets;
-  ParallelFor(0, num_segments, kSegmentGrain, [&](int64_t s0, int64_t s1) {
-    for (int64_t i = s0; i < s1; ++i) {
-      const int lo = off[i], hi = off[i + 1];
-      if (lo == hi) continue;
-      float mx = -1e30f;
-      for (int e = lo; e < hi; ++e) {
-        o[e] = LeakyReluScalar(sd[i] + ss[src[e]], negative_slope);
-        mx = std::max(mx, o[e]);
-      }
-      double total = 0.0;
-      for (int e = lo; e < hi; ++e) {
-        o[e] = std::exp(o[e] - mx);
-        total += o[e];
-      }
-      const float inv = total > 0.0 ? static_cast<float>(1.0 / total) : 0.0f;
-      for (int e = lo; e < hi; ++e) o[e] *= inv;
-    }
-  });
-}
-
 void NeighborWeightedSumInto(const Tensor& alpha, const Tensor& x,
                              const std::vector<int>& src_ids,
                              const std::vector<int>& offsets, Tensor* out) {
@@ -371,7 +327,8 @@ float GatedMlpRow(const float* x, const float* filter, int d_in,
 void GatedMlpForward(const Tensor& x, const Tensor& context,
                      const Tensor& w_f, const Tensor& b_f, const Tensor& w1,
                      const Tensor& b1, const Tensor& w2, const Tensor& b2,
-                     GatedMlpTile* tile, Tensor* out, Tensor* hidden) {
+                     GatedMlpTile* tile, Tensor* out, Tensor* hidden,
+                     const std::vector<int>* rows) {
   const int n = x.rows();
   const int d_in = x.cols();
   const int d_hidden = w1.cols();
@@ -389,16 +346,29 @@ void GatedMlpForward(const Tensor& x, const Tensor& context,
 
   out->ResizeUninit(n, 1);
   hidden->ResizeUninit(n, d_hidden);
-  for (int r0 = 0; r0 < n; r0 += kGatedMlpTileRows) {
-    const int rows = std::min(kGatedMlpTileRows, n - r0);
-    tile->context.ResizeUninit(rows, context_dim);
-    std::memcpy(tile->context.data(), context.row(r0),
-                sizeof(float) * static_cast<size_t>(rows) * context_dim);
+  if (rows != nullptr) {
+    out->Zero();
+    hidden->Zero();
+    for (const int r : *rows) {
+      UV_CHECK_GE(r, 0);
+      UV_CHECK_LT(r, n);
+    }
+  }
+  const int count = rows != nullptr ? static_cast<int>(rows->size()) : n;
+  auto row_of = [rows](int i) { return rows != nullptr ? (*rows)[i] : i; };
+  for (int i0 = 0; i0 < count; i0 += kGatedMlpTileRows) {
+    const int tile_rows = std::min(kGatedMlpTileRows, count - i0);
+    tile->context.ResizeUninit(tile_rows, context_dim);
+    for (int i = 0; i < tile_rows; ++i) {
+      std::memcpy(tile->context.row(i), context.row(row_of(i0 + i)),
+                  sizeof(float) * static_cast<size_t>(context_dim));
+    }
     GatedMlpFilterTile(w_f, b_f, tile);
-    for (int i = 0; i < rows; ++i) {
-      (*out)[r0 + i] = GatedMlpRow(x.row(r0 + i), tile->filter.row(i), d_in,
-                                   d_hidden, w1.data(), b1.data(), w2.data(),
-                                   b2.data(), hidden->row(r0 + i));
+    for (int i = 0; i < tile_rows; ++i) {
+      const int r = row_of(i0 + i);
+      (*out)[r] = GatedMlpRow(x.row(r), tile->filter.row(i), d_in, d_hidden,
+                              w1.data(), b1.data(), w2.data(), b2.data(),
+                              hidden->row(r));
     }
   }
 }

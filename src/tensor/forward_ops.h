@@ -101,21 +101,13 @@ void MaxPool2dImage(const float* image, int channels, int h, int w,
                     int kernel, int stride, float* out, int* argmax);
 
 // Fused message passing over a destination-grouped edge list. `offsets` is
-// a CSR row pointer of size num_segments + 1 tiling [0, E) exactly: edge e
-// with offsets[i] <= e < offsets[i+1] points into node i and reads source
-// row src_ids[e]. Both kernels read per-node rows in place, so no E x d
-// per-edge copy is ever built, and both abort on a source id outside the
-// source rows.
-
-// Attention coefficients: for the edges e of each segment i, the softmax
-// of LeakyReLU(s_dst[i] + s_src[src_ids[e]], negative_slope). s_dst
-// (num_segments x 1) and s_src (rows x 1) are per-node score columns.
-// Empty segments are skipped. Resizes `out` to E x 1.
-void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
-                     const std::vector<int>& src_ids,
-                     const std::vector<int>& offsets, float negative_slope,
-                     Tensor* out);
-
+// a CSR row pointer of size num_segments + 1: edge e with offsets[i] <= e <
+// offsets[i+1] points into node i and reads source row src_ids[e]. The
+// kernel reads per-node rows in place, so no E x d per-edge copy is ever
+// built, and aborts on a source id outside the source rows. (Graph
+// attention runs its softmax and weighted sum together, all heads in one
+// pass, through the kernel table's edge lane entries.)
+//
 // out[i] = sum over edges e of segment i, ascending, of
 // alpha[e] * x.row(src_ids[e]). Resizes `out` to num_segments x x.cols()
 // and zero-fills it first, so the accumulation order matches the
@@ -173,11 +165,15 @@ void GatedMlpFilterTile(const Tensor& w_f, const Tensor& b_f,
 
 // Logits (n x 1) into `out` and the hidden activations (n x d_hidden, what
 // the backward pass reads) into `hidden` for x (n x d_in) and context
-// (n x c), deriving the filter kGatedMlpTileRows rows at a time.
+// (n x c), deriving the filter kGatedMlpTileRows rows at a time. With
+// `rows`, only those rows are computed, in that order, and every other row
+// of `out` and `hidden` is zero; a row's values do not depend on which
+// rows share its tile.
 void GatedMlpForward(const Tensor& x, const Tensor& context,
                      const Tensor& w_f, const Tensor& b_f, const Tensor& w1,
                      const Tensor& b1, const Tensor& w2, const Tensor& b2,
-                     GatedMlpTile* tile, Tensor* out, Tensor* hidden);
+                     GatedMlpTile* tile, Tensor* out, Tensor* hidden,
+                     const std::vector<int>* rows = nullptr);
 
 }  // namespace uv
 

@@ -78,6 +78,52 @@ struct PoolArgs {
   float* out = nullptr;
 };
 
+// Graph attention of up to kEdgeLanes heads over one destination-grouped
+// edge list, head l in vector lane l. Edge e with offsets[i] <= e < offsets[i+1]
+// points into segment i and reads source row src[e]. Per lane, every pass
+// does the per-head scalar arithmetic of a segment softmax of
+// LeakyReLU(s_dst[i] + s_src[src[e]]) followed by the alpha-weighted sum of
+// source rows, with each multiply and add rounded separately: the kernels
+// are built without floating-point contraction on every backend.
+// Layouts: scores lane l of row r at s_dst[r * ld_score + l] (s_src
+// likewise); alpha and the per-edge score gradient lane l of edge e at
+// [e * ld_edge + l]; outputs and their gradients head-major, column c of
+// lane l at out[i * ld_out + l * d + c]. Source rows: with kEdgeLanes
+// lanes they are interleaved head-minor, column c of lane l at
+// x[r * ld_x + c * kEdgeLanes + l], and the backward keeps the output
+// gradient transposed the same way in g_out_t (row stride
+// d * kEdgeLanes); with fewer lanes each lane reads its own rows in place,
+// x_lane[l] + r * d.
+inline constexpr int kEdgeLanes = 8;  // Lanes of the vector path.
+struct EdgeLaneArgs {
+  int lanes = 0;  // 1..kEdgeLanes; fewer than kEdgeLanes run lane by lane.
+  int d = 0;      // Columns per head.
+  float negative_slope = 0.0f;
+  const int* offsets = nullptr;      // Segment row pointer.
+  const int* src = nullptr;          // Source row of each edge.
+  const int* dst = nullptr;          // Segment of each edge.
+  const int* src_offsets = nullptr;  // Edges by source row: row pointer
+  const int* src_edges = nullptr;    // and ascending edge ids.
+  const float* s_dst = nullptr;
+  const float* s_src = nullptr;
+  int64_t ld_score = 0;
+  const float* x = nullptr;  // Interleaved source rows (kEdgeLanes lanes).
+  int64_t ld_x = 0;
+  const float* x_lane[kEdgeLanes] = {};  // Each lane's rows (fewer lanes).
+  float* alpha = nullptr;  // Written by the softmax pass, read after it.
+  int64_t ld_edge = 0;
+  float* out = nullptr;         // Forward output.
+  const float* g_out = nullptr;  // Its gradient (backward).
+  int64_t ld_out = 0;
+  float* g_out_t = nullptr;  // Transposed g_out (kEdgeLanes lanes).
+  float* g_edge = nullptr;   // Per-edge score gradient.
+  // Per-lane gradient accumulators (backward), each added into in place:
+  // s_dst's and s_src's (one float per row) and x's (d floats per row).
+  float* g_s_dst[kEdgeLanes] = {};
+  float* g_s_src[kEdgeLanes] = {};
+  float* g_x[kEdgeLanes] = {};
+};
+
 // The dispatch table. GEMM parallelizes internally (row panels over the
 // global thread pool); the elementwise/reduction entries are serial over
 // the range they are given — callers chunk them with ParallelFor so the
@@ -87,6 +133,27 @@ struct KernelDispatch {
 
   // Packed GEMM with fused epilogue (see GemmArgs).
   void (*gemm)(const GemmArgs& args);
+  // The same product for n == 1, with 8 rows of C in the lanes of one
+  // vector and A read in place. Every element gets the packed kernel's
+  // arithmetic (alpha-scaled A, one Fma chain from zero per kGemmKc block
+  // over p ascending, one add into C per block, then the epilogue), so
+  // the results equal gemm's bit for bit on each backend.
+  void (*gemv)(const GemmArgs& args);
+  // Graph attention with heads in lanes (see EdgeLaneArgs). Each is serial
+  // over [begin, end); the caller owns the parallel split. Forward: the
+  // softmax pass writes alpha for segments [begin, end), the weighted-sum
+  // pass their output rows. Backward: the segment pass adds into g_s_dst
+  // and writes g_edge (and g_out_t) for segments [begin, end); the source
+  // pass then adds into g_x and g_s_src for source rows [begin, end), over
+  // their edges in ascending order.
+  void (*edge_softmax_lanes)(const EdgeLaneArgs& args, int64_t begin,
+                             int64_t end);
+  void (*edge_weighted_sum_lanes)(const EdgeLaneArgs& args, int64_t begin,
+                                  int64_t end);
+  void (*edge_grad_segments_lanes)(const EdgeLaneArgs& args, int64_t begin,
+                                   int64_t end);
+  void (*edge_grad_sources_lanes)(const EdgeLaneArgs& args, int64_t begin,
+                                  int64_t end);
   // One image's convolution (see ConvArgs); serial, the caller owns the
   // per-image parallel split.
   void (*conv2d)(const ConvArgs& args);

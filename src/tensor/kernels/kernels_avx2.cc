@@ -13,8 +13,14 @@ namespace uv::kern {
 
 template struct Kernels<Avx2F32x8>;
 
+void FillAvx2EdgeLanes(KernelDispatch* table);  // edge_lanes_avx2.cc
+
 const KernelDispatch& GetAvx2Kernels() {
-  static const KernelDispatch table = Kernels<Avx2F32x8>::Table("avx2");
+  static const KernelDispatch table = [] {
+    KernelDispatch t = Kernels<Avx2F32x8>::Table("avx2");
+    FillAvx2EdgeLanes(&t);
+    return t;
+  }();
   return table;
 }
 

@@ -453,6 +453,86 @@ struct Kernels {
   }
 
   // ------------------------------------------------------------------
+  // Matrix-vector product: Gemm for n == 1 without packing. Lane l of a
+  // vector is row i + l of C, so each row gets Micro's lane arithmetic:
+  // per kGemmKc block an Fma chain from zero of (alpha * op(A)(i, p)) *
+  // b[p] over p ascending, then one add into C, and the epilogue after
+  // the last block. op(A) is read in place: a column of A^T is contiguous,
+  // and 8 x 8 blocks of a row-major A are transposed in registers. Rows past
+  // m and columns past a block's end load as zeros and are never stored.
+  // ------------------------------------------------------------------
+
+  // Eight consecutive floats from p, or the first `count` and zeros.
+  static V8 LoadPartial(const float* p, int count) {
+    if (count == kL) return V8::Load(p);
+    float buf[kL] = {};
+    std::copy(p, p + count, buf);
+    return V8::Load(buf);
+  }
+
+  static void GemvRows(const GemmArgs& g, int i0, int i1) {
+    const V8 alpha = V8::Broadcast(g.alpha);
+    const int k = g.k;
+    for (int i = i0; i < i1; i += kL) {
+      const int rows = std::min(kL, i1 - i);
+      V8 c = LoadPartial(g.c + i, rows);
+      for (int pc = 0; pc < k; pc += kGemmKc) {
+        const int pe = std::min(k, pc + kGemmKc);
+        V8 acc = V8::Zero();
+        if (g.trans_a) {
+          // A is k x m: op(A)(i + l, p) = A(p, i + l), contiguous in l.
+          for (int p = pc; p < pe; ++p) {
+            const V8 a = LoadPartial(g.a + static_cast<int64_t>(p) * g.m + i,
+                                     rows);
+            acc = V8::Fma(V8::Mul(alpha, a), V8::Broadcast(g.b[p]), acc);
+          }
+        } else {
+          // A is m x k: load 8 rows of an 8-column block, then transpose so
+          // vector j holds column p + j across the rows.
+          for (int p = pc; p < pe; p += kL) {
+            const int cols = std::min(kL, pe - p);
+            V8 t[kL];
+            for (int r = 0; r < kL; ++r) {
+              t[r] = r < rows ? LoadPartial(
+                                    g.a + static_cast<int64_t>(i + r) * k + p,
+                                    cols)
+                              : V8::Zero();
+            }
+            V8::Transpose8(t);
+            for (int j = 0; j < cols; ++j) {
+              acc = V8::Fma(V8::Mul(alpha, t[j]), V8::Broadcast(g.b[p + j]),
+                            acc);
+            }
+          }
+        }
+        c = V8::Add(c, acc);
+      }
+      if (rows == kL) {
+        V8::Store(g.c + i, c);
+      } else {
+        float part[kL];
+        V8::Store(part, c);
+        std::copy(part, part + rows, g.c + i);
+      }
+    }
+    if (g.bias != nullptr || g.act != Activation::kNone) {
+      BiasActRows(g.c + i0, g.bias, i1 - i0, 1, g.act, g.leaky_slope);
+    }
+  }
+
+  static void Gemv(const GemmArgs& g) {
+    if (g.m == 0) return;
+    // b has one column: b[p] is element p whether or not it is transposed.
+    if (static_cast<int64_t>(g.m) * g.k >= kGemmFlopThreshold) {
+      ParallelFor(0, g.m, kGemmRowGrain, [&](int64_t i0, int64_t i1) {
+        GemvRows(g, static_cast<int>(i0), static_cast<int>(i1));
+      });
+    } else {
+      GemvRows(g, 0, g.m);
+    }
+  }
+
+  // ------------------------------------------------------------------
   // Implicit-GEMM convolution (see ConvArgs). Output channels run across
   // the vector lanes and input pixels are broadcast from the padded image,
   // so a register tile is kConvTile pixels by kL channels and no
@@ -566,6 +646,7 @@ struct Kernels {
     KernelDispatch t;
     t.name = name;
     t.gemm = &Kernels::Gemm;
+    t.gemv = &Kernels::Gemv;
     t.conv2d = &Kernels::Conv2d;
     t.max_pool = &Kernels::MaxPool;
     t.axpy = &Kernels::Axpy;

@@ -8,8 +8,14 @@ namespace uv::kern {
 
 template struct Kernels<ScalarF32x8>;
 
+void FillScalarEdgeLanes(KernelDispatch* table);  // edge_lanes_scalar.cc
+
 const KernelDispatch& GetScalarKernels() {
-  static const KernelDispatch table = Kernels<ScalarF32x8>::Table("scalar");
+  static const KernelDispatch table = [] {
+    KernelDispatch t = Kernels<ScalarF32x8>::Table("scalar");
+    FillScalarEdgeLanes(&t);
+    return t;
+  }();
   return table;
 }
 

@@ -19,7 +19,8 @@ namespace uv::kern {
 //
 // Both types expose the same static-function surface:
 //   Zero, Broadcast, Load, Gather, Store, Add, Sub, Mul, Fma(a,b,c)=a*b+c,
-//   Max(a,b)=a>b?a:b, ReduceSum, ReduceMax, Transpose8, kLanes.
+//   Max(a,b)=a>b?a:b, SelectGt(x,y,a,b)=x>y?a:b, ReduceSum, ReduceMax,
+//   Transpose8, kLanes.
 // ReduceSum uses the same fixed pairwise tree in both backends
 // ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) so that a lane-for-lane identical
 // vector reduces to a bit-identical scalar regardless of backend.
@@ -82,6 +83,12 @@ struct ScalarF32x8 {
     for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
     return r;
   }
+  static ScalarF32x8 SelectGt(ScalarF32x8 x, ScalarF32x8 y, ScalarF32x8 a,
+                              ScalarF32x8 b) {
+    ScalarF32x8 r;
+    for (int i = 0; i < kLanes; ++i) r.v[i] = x.v[i] > y.v[i] ? a.v[i] : b.v[i];
+    return r;
+  }
   static float ReduceSum(ScalarF32x8 a) {
     return ((a.v[0] + a.v[4]) + (a.v[2] + a.v[6])) +
            ((a.v[1] + a.v[5]) + (a.v[3] + a.v[7]));
@@ -134,6 +141,11 @@ struct Avx2F32x8 {
   }
   static Avx2F32x8 Max(Avx2F32x8 a, Avx2F32x8 b) {
     return {_mm256_max_ps(a.v, b.v)};
+  }
+  // The ordered compare is false on NaN, as the scalar x > y is.
+  static Avx2F32x8 SelectGt(Avx2F32x8 x, Avx2F32x8 y, Avx2F32x8 a,
+                            Avx2F32x8 b) {
+    return {_mm256_blendv_ps(b.v, a.v, _mm256_cmp_ps(x.v, y.v, _CMP_GT_OQ))};
   }
   static float ReduceSum(Avx2F32x8 a) {
     // Same fixed tree as ScalarF32x8::ReduceSum: hadd within 128-bit halves

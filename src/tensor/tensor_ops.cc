@@ -72,7 +72,11 @@ void GemmBiasAct(bool transpose_a, bool transpose_b, float alpha,
   args.bias = bias != nullptr ? bias->data() : nullptr;
   args.act = act;
   args.leaky_slope = leaky_slope;
-  kern::Active().gemm(args);
+  if (n == 1) {
+    kern::Active().gemv(args);
+  } else {
+    kern::Active().gemm(args);
+  }
 }
 
 void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,

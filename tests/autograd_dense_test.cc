@@ -289,7 +289,7 @@ TEST(DenseOpsTest, ConstInputsReceiveNoGrad) {
   EXPECT_FALSE(p->grad.empty());
 }
 
-// MatMul, DenseBiasAct and EdgeSoftmax over parameters. Every call draws
+// MatMul, DenseBiasAct and EdgeAttention over parameters. Every call draws
 // the same values, so grad-mode and no-grad outputs can be compared.
 std::vector<VarPtr> OpsOverParams() {
   auto x = MakeParam(RandomTensor(3, 4, 41));
@@ -302,8 +302,12 @@ std::vector<VarPtr> OpsOverParams() {
       std::make_shared<const std::vector<int>>(std::vector<int>{0, 2, 3, 5});
   auto src_ids = std::make_shared<const std::vector<int>>(
       std::vector<int>{0, 1, 2, 0, 2});
+  auto dst_ids = std::make_shared<const std::vector<int>>(
+      std::vector<int>{0, 0, 1, 2, 2});
+  AttentionHeads head;
+  head.Add(s_dst, s_src, x);
   return {MatMul(x, w), DenseBiasAct(x, w, b, kern::Activation::kRelu),
-          EdgeSoftmax(s_dst, s_src, src_ids, offsets, 0.2f)};
+          EdgeAttention(head, src_ids, dst_ids, offsets, 0.2f)};
 }
 
 void ExpectConstant(const VarPtr& node) {

@@ -27,6 +27,24 @@ std::shared_ptr<const std::vector<int>> Ids(std::vector<int> v) {
 
 VarPtr SquaredReadout(const VarPtr& x) { return SumAll(Mul(x, x)); }
 
+// One-head EdgeAttention over the edge list of `off`/`src`/`dst`.
+VarPtr OneHead(const VarPtr& s_dst, const VarPtr& s_src, const VarPtr& x,
+               const std::shared_ptr<const std::vector<int>>& src,
+               const std::shared_ptr<const std::vector<int>>& dst,
+               const std::shared_ptr<const std::vector<int>>& off) {
+  AttentionHeads head;
+  head.Add(s_dst, s_src, x);
+  return EdgeAttention(head, src, dst, off, 0.2f);
+}
+
+// n x n identity rows: with them as source rows, output row i holds, in
+// column j, the summed attention of segment i's edges from node j.
+VarPtr IdentityRows(int n) {
+  Tensor t(n, n);
+  for (int i = 0; i < n; ++i) t.at(i, i) = 1.0f;
+  return MakeConst(std::move(t));
+}
+
 // A destination-grouped edge list: edge e with offsets[i] <= e <
 // offsets[i+1] points into node i == dst[e] and reads source row src[e].
 struct EdgeList {
@@ -78,11 +96,11 @@ TEST(SegmentSoftmaxTest, SegmentsSumToOne) {
   // Edge scores leakyrelu(0 + s_src[src]): 1.0, -0.4, 0.5.
   auto s_dst = MakeConst(Tensor(3, 1));
   auto s_src = MakeConst(Tensor(3, 1, {0.5f, 1.0f, -2.0f}));
-  auto alpha = EdgeSoftmax(s_dst, s_src, g.src, g.offsets, 0.2f);
-  ASSERT_EQ(alpha->rows(), 3);
-  EXPECT_NEAR(alpha->value.at(0, 0) + alpha->value.at(1, 0), 1.0f, 1e-6f);
-  EXPECT_GT(alpha->value.at(0, 0), alpha->value.at(1, 0));
-  EXPECT_NEAR(alpha->value.at(2, 0), 1.0f, 1e-6f);  // Singleton segment.
+  auto out =
+      OneHead(s_dst, s_src, IdentityRows(3), g.src, g.dst, g.offsets)->value;
+  EXPECT_NEAR(out.at(0, 1) + out.at(0, 2), 1.0f, 1e-6f);
+  EXPECT_GT(out.at(0, 1), out.at(0, 2));
+  EXPECT_NEAR(out.at(1, 0), 1.0f, 1e-6f);  // Singleton segment.
 }
 
 TEST(SegmentSoftmaxTest, LargeScoresStable) {
@@ -90,18 +108,19 @@ TEST(SegmentSoftmaxTest, LargeScoresStable) {
   // Edge scores 500, leakyrelu(-500) = -100, 900.
   auto s_dst = MakeConst(Tensor(3, 1));
   auto s_src = MakeConst(Tensor(3, 1, {900.0f, 500.0f, -500.0f}));
-  auto alpha = EdgeSoftmax(s_dst, s_src, g.src, g.offsets, 0.2f);
-  EXPECT_FALSE(alpha->value.HasNonFinite());
-  EXPECT_NEAR(alpha->value.at(0, 0), 1.0f, 1e-5f);
+  auto out =
+      OneHead(s_dst, s_src, IdentityRows(3), g.src, g.dst, g.offsets)->value;
+  EXPECT_FALSE(out.HasNonFinite());
+  EXPECT_NEAR(out.at(0, 1), 1.0f, 1e-5f);
 }
 
 TEST(SegmentSoftmaxTest, GradCheck) {
   for (const EdgeList& g : {TinyGraph(), RepeatGraph()}) {
     auto s_dst = MakeParam(RandomTensor(g.nodes, 1, 6 + g.nodes));
     auto s_src = MakeParam(RandomTensor(g.nodes, 1, 16 + g.nodes));
+    auto x = MakeConst(RandomTensor(g.nodes, 3, 26 + g.nodes));
     auto result = CheckGradients({s_dst, s_src}, [&]() {
-      return SquaredReadout(
-          EdgeSoftmax(s_dst, s_src, g.src, g.offsets, 0.2f));
+      return SquaredReadout(OneHead(s_dst, s_src, x, g.src, g.dst, g.offsets));
     });
     EXPECT_TRUE(result.ok) << g.nodes << " nodes: " << result.detail;
   }
@@ -137,7 +156,7 @@ TEST(SegmentWeightedSumTest, GradCheckBothInputs) {
 // writing out of bounds: a source id outside the source rows (negative or
 // too large, in either op), a destination score column whose row count is
 // not the segment count, a destination id outside the segments (read only
-// by the source-row scatter in backward), and a destination past the end
+// by the source-row scatters in backward), and a destination past the end
 // of an inverse scatter index.
 TEST(FusedEdgeOpsDeathTest, IndexOutOfRangeAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -148,12 +167,12 @@ TEST(FusedEdgeOpsDeathTest, IndexOutOfRangeAborts) {
   auto short_scores = MakeParam(RandomTensor(2, 1, 32));
   auto alpha = MakeParam(RandomTensor(3, 1, 33));
   auto x = MakeParam(RandomTensor(3, 2, 34));
-  EXPECT_DEATH(EdgeSoftmax(scores, scores, too_large, g.offsets, 0.2f),
+  EXPECT_DEATH(OneHead(scores, scores, x, too_large, g.dst, g.offsets),
                "src_rows");
-  EXPECT_DEATH(EdgeSoftmax(scores, scores, negative, g.offsets, 0.2f),
+  EXPECT_DEATH(OneHead(scores, scores, x, negative, g.dst, g.offsets),
                "src\\[e\\] >= 0");
-  EXPECT_DEATH(EdgeSoftmax(short_scores, scores, g.src, g.offsets, 0.2f),
-               "s_dst.rows\\(\\) == num_segments");
+  EXPECT_DEATH(OneHead(short_scores, scores, x, g.src, g.dst, g.offsets),
+               "s_dst\\[j\\]->rows\\(\\) == num_segments");
   EXPECT_DEATH(NeighborWeightedSum(alpha, x, too_large, g.dst, g.offsets),
                "src_rows");
   EXPECT_DEATH(NeighborWeightedSum(alpha, x, negative, g.dst, g.offsets),
@@ -162,6 +181,9 @@ TEST(FusedEdgeOpsDeathTest, IndexOutOfRangeAborts) {
   EXPECT_DEATH(Backward(SumAll(
                    NeighborWeightedSum(alpha, x, g.src, bad_dst, g.offsets))),
                "dst\\[e\\] < num_segments");
+  EXPECT_DEATH(
+      Backward(SumAll(OneHead(scores, scores, x, g.src, bad_dst, g.offsets))),
+      "dst\\[e\\] < num_segments");
   EXPECT_DEATH(uv::BuildSegmentDestIndex({0, 3}, 3), "num_destinations");
 }
 
@@ -180,40 +202,32 @@ void ExpectMatchesReference(const Tensor& a, const std::vector<float>& b) {
 #endif
 }
 
-// The fused pair must reproduce, bit for bit, the unfused chain it
-// replaces: gather both score halves -> add -> LeakyReLU -> segment
-// softmax -> gather source rows -> weighted sum, and that chain's backward
-// with every gradient accumulated from zero in ascending edge order.
-TEST(FusedEdgeOpsTest, MatchesUnfusedScalarChainBitForBit) {
-  const EdgeList g = RepeatGraph();
-  const int n = g.nodes, d = 5;
-  const float slope = 0.2f;
+// One head of the plain unfused chain: gather both score halves -> add ->
+// LeakyReLU -> segment softmax -> gather source rows -> weighted sum, and
+// that chain's backward with every gradient accumulated from zero in
+// ascending edge order.
+struct ChainResult {
+  std::vector<float> out, g_x, g_sd, g_ss;
+  int positive = 0;  // Edges whose pre-activation score is above 0.
+};
+
+ChainResult UnfusedHead(const EdgeList& g, const Tensor& sd_t,
+                        const Tensor& ss_t, const Tensor& x_t,
+                        const Tensor& upstream, float slope) {
   const auto& off = *g.offsets;
   const auto& src = *g.src;
   const auto& dst = *g.dst;
+  const int n = g.nodes, d = x_t.cols();
   const int num_edges = static_cast<int>(src.size());
-  auto s_dst = MakeParam(RandomTensor(n, 1, 21));
-  auto s_src = MakeParam(RandomTensor(n, 1, 22));
-  auto x = MakeParam(RandomTensor(n, d, 23));
-  const Tensor upstream = RandomTensor(n, d, 24);
-
-  auto alpha = EdgeSoftmax(s_dst, s_src, g.src, g.offsets, slope);
-  auto out = NeighborWeightedSum(alpha, x, g.src, g.dst, g.offsets);
-  // d(loss)/d(out) is exactly `upstream`.
-  Backward(SumAll(Mul(out, MakeConst(upstream))));
-
-  // Unfused forward.
-  const float* sd = s_dst->value.data();
-  const float* ss = s_src->value.data();
+  const float* sd = sd_t.data();
+  const float* ss = ss_t.data();
+  ChainResult r;
   std::vector<float> pre(num_edges), score(num_edges), ref_alpha(num_edges);
-  int positive = 0;
   for (int e = 0; e < num_edges; ++e) {
     pre[e] = sd[dst[e]] + ss[src[e]];
     score[e] = pre[e] > 0.0f ? pre[e] : slope * pre[e];
-    positive += pre[e] > 0.0f;
+    r.positive += pre[e] > 0.0f;
   }
-  ASSERT_GT(positive, 0);
-  ASSERT_LT(positive, num_edges);  // Scores on both sides of 0.
   for (int i = 0; i < n; ++i) {
     float mx = -1e30f;
     for (int e = off[i]; e < off[i + 1]; ++e) mx = std::max(mx, score[e]);
@@ -227,18 +241,18 @@ TEST(FusedEdgeOpsTest, MatchesUnfusedScalarChainBitForBit) {
   }
   std::vector<float> messages(num_edges * d);
   for (int e = 0; e < num_edges; ++e) {
-    for (int c = 0; c < d; ++c) messages[e * d + c] = x->value.at(src[e], c);
+    for (int c = 0; c < d; ++c) messages[e * d + c] = x_t.at(src[e], c);
   }
-  std::vector<float> ref_out(n * d, 0.0f);
+  r.out.assign(n * d, 0.0f);
   for (int i = 0; i < n; ++i) {
     for (int e = off[i]; e < off[i + 1]; ++e) {
       for (int c = 0; c < d; ++c) {
-        ref_out[i * d + c] += ref_alpha[e] * messages[e * d + c];
+        r.out[i * d + c] += ref_alpha[e] * messages[e * d + c];
       }
     }
   }
 
-  // Unfused backward, in the chain's reverse order.
+  // Backward, in the chain's reverse order.
   std::vector<float> g_alpha(num_edges, 0.0f);
   std::vector<float> g_messages(num_edges * d, 0.0f);
   for (int i = 0; i < n; ++i) {
@@ -252,9 +266,11 @@ TEST(FusedEdgeOpsTest, MatchesUnfusedScalarChainBitForBit) {
       }
     }
   }
-  std::vector<float> g_x(n * d, 0.0f), g_sd(n, 0.0f), g_ss(n, 0.0f);
+  r.g_x.assign(n * d, 0.0f);
+  r.g_sd.assign(n, 0.0f);
+  r.g_ss.assign(n, 0.0f);
   for (int e = 0; e < num_edges; ++e) {  // Gather backward: ascending e.
-    for (int c = 0; c < d; ++c) g_x[src[e] * d + c] += g_messages[e * d + c];
+    for (int c = 0; c < d; ++c) r.g_x[src[e] * d + c] += g_messages[e * d + c];
   }
   std::vector<float> g_pre(num_edges);
   for (int i = 0; i < n; ++i) {
@@ -266,17 +282,61 @@ TEST(FusedEdgeOpsTest, MatchesUnfusedScalarChainBitForBit) {
     }
   }
   for (int e = 0; e < num_edges; ++e) {
-    g_sd[dst[e]] += g_pre[e];
-    g_ss[src[e]] += g_pre[e];
+    r.g_sd[dst[e]] += g_pre[e];
+    r.g_ss[src[e]] += g_pre[e];
   }
+  return r;
+}
 
-  ExpectMatchesReference(alpha->value, ref_alpha);
-  ExpectMatchesReference(out->value, ref_out);
-  ExpectMatchesReference(alpha->grad, g_alpha);
-  ExpectMatchesReference(x->grad, g_x);
-  ExpectMatchesReference(s_dst->grad, g_sd);
-  ExpectMatchesReference(s_src->grad, g_ss);
-  for (int c = 0; c < d; ++c) EXPECT_EQ(out->value.at(2, c), 0.0f);
+// Head h's column block of an n x (heads * d) output.
+Tensor HeadColumns(const Tensor& t, int h, int d) {
+  Tensor out(t.rows(), d);
+  for (int r = 0; r < t.rows(); ++r) {
+    for (int c = 0; c < d; ++c) out.at(r, c) = t.at(r, h * d + c);
+  }
+  return out;
+}
+
+// The lane op must reproduce, bit for bit and head by head, the unfused
+// chain for every head count: the vector path (8 lanes), one lane at a
+// time (1, 2 and 4), and 9 heads as a group of 8 plus one. RepeatGraph has
+// repeated sources, an empty segment and a self loop; d = 5 and d = 19
+// cover partial and whole 8-column blocks.
+TEST(FusedEdgeOpsTest, MatchesUnfusedScalarChainBitForBit) {
+  const EdgeList g = RepeatGraph();
+  const int n = g.nodes;
+  const float slope = 0.2f;
+  for (const int d : {5, 19}) {
+    for (const int heads : {1, 2, 4, 8, 9}) {
+      SCOPED_TRACE(testing::Message() << heads << " heads, d = " << d);
+      AttentionHeads lanes;
+      for (int h = 0; h < heads; ++h) {
+        lanes.Add(MakeParam(RandomTensor(n, 1, 100 + 3 * h)),
+                  MakeParam(RandomTensor(n, 1, 101 + 3 * h)),
+                  MakeParam(RandomTensor(n, d, 102 + 3 * h)));
+      }
+      const Tensor upstream = RandomTensor(n, heads * d, 24 + heads);
+      auto out = EdgeAttention(lanes, g.src, g.dst, g.offsets, slope);
+      ASSERT_EQ(out->cols(), heads * d);
+      // d(loss)/d(out) is exactly `upstream`.
+      Backward(SumAll(Mul(out, MakeConst(upstream))));
+      for (int h = 0; h < heads; ++h) {
+        SCOPED_TRACE(testing::Message() << "head " << h);
+        const ChainResult ref = UnfusedHead(
+            g, lanes.s_dst[h]->value, lanes.s_src[h]->value,
+            lanes.x_src[h]->value, HeadColumns(upstream, h, d), slope);
+        ASSERT_GT(ref.positive, 0);
+        ASSERT_LT(ref.positive, static_cast<int>(g.src->size()));
+        ExpectMatchesReference(HeadColumns(out->value, h, d), ref.out);
+        ExpectMatchesReference(lanes.x_src[h]->grad, ref.g_x);
+        ExpectMatchesReference(lanes.s_dst[h]->grad, ref.g_sd);
+        ExpectMatchesReference(lanes.s_src[h]->grad, ref.g_ss);
+        for (int c = 0; c < d; ++c) {
+          EXPECT_EQ(out->value.at(2, h * d + c), 0.0f);  // Empty segment.
+        }
+      }
+    }
+  }
 }
 
 TEST(SegmentSumByIdsTest, ForwardDropsNegativeIds) {
@@ -326,10 +386,8 @@ TEST_P(AttentionPathTest, GradCheckOnRandomGraph) {
 
   auto build = [&]() {
     auto h = MatMul(x, w);
-    auto alpha =
-        EdgeSoftmax(MatMul(h, a_dst), MatMul(h, a_src), src_ids, off, 0.2f);
-    auto out = NeighborWeightedSum(alpha, h, src_ids, dst_ids, off);
-    return SquaredReadout(out);
+    return SquaredReadout(
+        OneHead(MatMul(h, a_dst), MatMul(h, a_src), h, src_ids, dst_ids, off));
   };
   auto result = CheckGradients({w, a_src, a_dst}, build, 1e-3, 3e-2);
   EXPECT_TRUE(result.ok) << result.detail;

@@ -118,6 +118,15 @@ TEST(GcnLayerTest, MatchesDenseReference) {
   EXPECT_LT(MaxAbsDiff(y->value, expected), 1e-4f);
 }
 
+// One head's aggregated messages through a one-lane EdgeAttention.
+ag::VarPtr RunHead(const AttentionHead& head, const ag::VarPtr& x,
+                   const GraphContext& ctx) {
+  ag::AttentionHeads lanes;
+  head.AddLane(x, x, &lanes);
+  return ag::EdgeAttention(lanes, ctx.src_ids, ctx.dst_ids, ctx.offsets,
+                           kAttentionSlope);
+}
+
 TEST(AttentionHeadTest, SharedTransformReusesWeights) {
   Rng rng(5);
   AttentionHead shared(3, 3, 2, /*share_transform=*/true, &rng);
@@ -131,11 +140,11 @@ TEST(AttentionHeadTest, OutputShapeAndGradCheck) {
   AttentionHead head(3, 3, 2, true, &rng);
   GraphContext ctx = PathGraph();
   auto x = ag::MakeConst(RandomTensor(4, 3, 7));
-  auto y = head.Forward(x, x, ctx);
+  auto y = RunHead(head, x, ctx);
   EXPECT_EQ(y->rows(), 4);
   EXPECT_EQ(y->cols(), 2);
   auto result = ag::CheckGradients(head.Params(), [&]() {
-    auto out = head.Forward(x, x, ctx);
+    auto out = RunHead(head, x, ctx);
     return ag::SumAll(ag::Mul(out, out));
   }, 1e-3, 3e-2);
   EXPECT_TRUE(result.ok) << result.detail;
@@ -156,7 +165,7 @@ TEST(AttentionHeadTest, PoolPeakBelowOneMessageMatrix) {
   Rng rng(12);
   AttentionHead head(kInDim, kInDim, kHeadDim, true, &rng);
   auto x = ag::MakeConst(RandomTensor(ctx.num_nodes, kInDim, 13));
-  auto step = [&] { ag::Backward(ag::SumAll(head.Forward(x, x, ctx))); };
+  auto step = [&] { ag::Backward(ag::SumAll(RunHead(head, x, ctx))); };
   step();  // Warms kernel workspaces, parameter grads and the inverse index.
   const uint64_t live = BufferPool::Stats().pool_bytes;
   BufferPool::ResetPeak();

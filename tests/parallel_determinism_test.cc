@@ -119,16 +119,19 @@ struct GraphResult {
 };
 
 struct EdgeResult {
-  Tensor y, gs_dst, gs_src, gx;
+  Tensor y;
+  std::vector<Tensor> grads;  // s_dst, s_src and x_src of every head.
 };
 
 // A CSR-style segment layout with uneven segment sizes (empty ones
 // included) whose edges draw random, repeated source rows: enough segments
 // and rows that every fused-op loop splits into several parallel chunks.
+// Nine heads run one group of eight lanes and one single lane.
 struct EdgeListFixture {
   static constexpr int kNodes = 700;
+  static constexpr int kHeads = 9;
   std::shared_ptr<const std::vector<int>> offsets, src, dst;
-  Tensor s_dst0, s_src0, x0;
+  std::vector<Tensor> s_dst0, s_src0, x0;
 
   EdgeListFixture() {
     auto off = std::make_shared<std::vector<int>>(1, 0);
@@ -146,28 +149,38 @@ struct EdgeListFixture {
     offsets = off;
     src = s;
     dst = d;
-    s_dst0 = RandomTensor(kNodes, 1, 42);
-    s_src0 = RandomTensor(kNodes, 1, 44);
-    x0 = RandomTensor(kNodes, 24, 43);
+    for (int h = 0; h < kHeads; ++h) {
+      s_dst0.push_back(RandomTensor(kNodes, 1, 42 + 3 * h));
+      s_src0.push_back(RandomTensor(kNodes, 1, 44 + 3 * h));
+      x0.push_back(RandomTensor(kNodes, 24, 43 + 3 * h));
+    }
   }
 
-  // Fused edge softmax + neighbor sum, forward and backward.
+  // Multi-head edge attention, forward and backward.
   EdgeResult Run() const {
-    auto s_dst = ag::MakeParam(s_dst0);
-    auto s_src = ag::MakeParam(s_src0);
-    auto x = ag::MakeParam(x0);
-    auto alpha = ag::EdgeSoftmax(s_dst, s_src, src, offsets, 0.2f);
-    auto y = ag::NeighborWeightedSum(alpha, x, src, dst, offsets);
+    ag::AttentionHeads heads;
+    for (int h = 0; h < kHeads; ++h) {
+      heads.Add(ag::MakeParam(s_dst0[h]), ag::MakeParam(s_src0[h]),
+                ag::MakeParam(x0[h]));
+    }
+    auto y = ag::EdgeAttention(heads, src, dst, offsets, 0.2f);
     ag::Backward(ag::SumAll(ag::Mul(y, y)));
-    return EdgeResult{y->value, s_dst->grad, s_src->grad, x->grad};
+    EdgeResult result{y->value, {}};
+    for (int h = 0; h < kHeads; ++h) {
+      result.grads.push_back(heads.s_dst[h]->grad);
+      result.grads.push_back(heads.s_src[h]->grad);
+      result.grads.push_back(heads.x_src[h]->grad);
+    }
+    return result;
   }
 };
 
 void ExpectSameEdgeResult(const EdgeResult& a, const EdgeResult& b) {
   ExpectBitIdentical(a.y, b.y);
-  ExpectBitIdentical(a.gs_dst, b.gs_dst);
-  ExpectBitIdentical(a.gs_src, b.gs_src);
-  ExpectBitIdentical(a.gx, b.gx);
+  ASSERT_EQ(a.grads.size(), b.grads.size());
+  for (size_t i = 0; i < a.grads.size(); ++i) {
+    ExpectBitIdentical(a.grads[i], b.grads[i]);
+  }
 }
 
 TEST(ParallelDeterminismTest, SegmentOpsForwardBackward) {
@@ -176,7 +189,7 @@ TEST(ParallelDeterminismTest, SegmentOpsForwardBackward) {
   ExpectSameEdgeResult(WithThreads(1, run), WithThreads(4, run));
 }
 
-// The fused edge ops fully overwrite or zero every slab they read, so
+// The edge attention op fully overwrites or zeroes every slab it reads, so
 // recycled (dirty) slabs and fresh system allocations give the same bits.
 TEST(ParallelDeterminismTest, FusedEdgeOpsPoolOnOffBitIdentical) {
   const EdgeListFixture fixture;
