@@ -567,13 +567,8 @@ void RunServeSuite(uv::obs::Report* report,
 
   // Concurrent serving: 4 clients submit 32-id micro-batches covering every
   // region once per repeat, through the batching dispatcher.
-  // Throughput leg: flush as soon as work is queued. With 4 synchronous
-  // clients at most 32 ids are ever in flight, so a non-zero deadline just
-  // stalls every batch waiting for a 64-id fill that can never happen.
-  uv::infer::ServerOptions server_options;
-  server_options.deadline_us = 0;
   const auto serve_one_repeat = [&] {
-    uv::infer::ScoringServer server(engine.get(), server_options);
+    uv::infer::ScoringServer server(engine.get(), uv::infer::ServerOptions{});
     std::vector<std::thread> clients;
     clients.reserve(kClients);
     for (int c = 0; c < kClients; ++c) {

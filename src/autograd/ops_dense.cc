@@ -381,7 +381,7 @@ VarPtr LeakyRelu(const VarPtr& a, float negative_slope) {
 
 VarPtr Sigmoid(const VarPtr& a) {
   return Pointwise(
-      a, [](float x) { return SigmoidScalar(x); },
+      a, [](float x) { return kern::StableSigmoid(x); },
       [](float, float y) { return y * (1.0f - y); }, "sigmoid");
 }
 

@@ -2,6 +2,7 @@
 #include <utility>
 
 #include "autograd/ops.h"
+#include "tensor/kernels/kernel_dispatch.h"
 #include "util/check.h"
 
 namespace uv::ag {
@@ -50,9 +51,7 @@ VarPtr BceWithLogits(const VarPtr& logits, const Tensor& labels,
           const float y = labels_copy.at(i, 0);
           const float w = weights_copy.empty() ? 1.0f : weights_copy.at(i, 0);
           // d/dz = sigmoid(z) - y.
-          const float p = z >= 0.0f ? 1.0f / (1.0f + std::exp(-z))
-                                    : std::exp(z) / (1.0f + std::exp(z));
-          gl.at(i, 0) = g * w * inv_weight * (p - y);
+          gl.at(i, 0) = g * w * inv_weight * (kern::StableSigmoid(z) - y);
         }
         lv->AccumGrad(std::move(gl));
       },

@@ -133,8 +133,7 @@ std::unique_ptr<infer::Engine> GraphBaseline<Layer>::MakeEngine(
   UV_CHECK(img_reduce_ != nullptr);  // Train first.
   return infer::MakeDenseTailEngine(
       std::move(core::WholeCityTrunk(*this, urg)->value), fuse_->w()->value,
-      fuse_->b()->value, kern::Activation::kRelu, head_->w()->value,
-      head_->b()->value);
+      fuse_->b()->value, head_->w()->value, head_->b()->value);
 }
 
 template class GraphBaseline<nn::GcnLayer>;

@@ -1,12 +1,12 @@
 #include "baselines/imgagn_baseline.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "autograd/ops.h"
 #include "core/batch_plan.h"
 #include "obs/metrics_log.h"
 #include "obs/trace.h"
+#include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -209,7 +209,7 @@ void ImGagnBaseline::Train(const urg::UrbanRegionGraph& urg,
     ag::VarPtr logits = head_uv_->Forward(x);
     scores_all_.resize(n);
     for (int i = 0; i < n; ++i) {
-      scores_all_[i] = 1.0f / (1.0f + std::exp(-logits->value.at(i, 0)));
+      scores_all_[i] = kern::PlainSigmoid(logits->value.at(i, 0));
     }
   }
 }

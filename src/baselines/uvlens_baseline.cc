@@ -4,6 +4,7 @@
 
 #include "core/batch_plan.h"
 #include "features/image_encoder.h"
+#include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -108,7 +109,7 @@ std::vector<float> UvLensBaseline::Score(const urg::UrbanRegionGraph& urg,
     ag::VarPtr logits =
         ForwardTiles(ag::MakeConst(GatherRows(equalized_, chunk)));
     for (int i = 0; i < logits->rows(); ++i) {
-      out.push_back(1.0f / (1.0f + std::exp(-logits->value.at(i, 0))));
+      out.push_back(kern::PlainSigmoid(logits->value.at(i, 0)));
     }
   }
   inference_seconds_ = timer.Seconds();

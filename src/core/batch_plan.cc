@@ -1,13 +1,13 @@
 #include "core/batch_plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 
 #include "autograd/ops.h"
 #include "obs/metrics_log.h"
 #include "obs/trace.h"
+#include "tensor/kernels/kernel_dispatch.h"
 #include "tensor/tensor_ops.h"
 #include "urg/neighbor_sampler.h"
 #include "util/check.h"
@@ -136,7 +136,7 @@ std::vector<float> SigmoidRows(const Tensor& logits,
                                const std::vector<int>& ids) {
   std::vector<float> out(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    out[i] = 1.0f / (1.0f + std::exp(-logits.at(ids[i], 0)));
+    out[i] = kern::PlainSigmoid(logits.at(ids[i], 0));
   }
   return out;
 }

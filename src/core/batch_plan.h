@@ -152,7 +152,8 @@ class LayeredTrunk {
 ag::VarPtr WholeCityTrunk(const LayeredTrunk& model,
                           const urg::UrbanRegionGraph& urg);
 
-// Sigmoid probabilities of the given rows of a logit column (N x 1).
+// Sigmoid probabilities (kern::PlainSigmoid) of the given rows of a logit
+// column (N x 1).
 std::vector<float> SigmoidRows(const Tensor& logits,
                                const std::vector<int>& ids);
 

@@ -1,6 +1,5 @@
 #include "infer/engine.h"
 
-#include <cmath>
 #include <utility>
 
 #include "nn/gscm.h"
@@ -18,13 +17,6 @@ std::vector<float> Engine::Score(const std::vector<int>& ids) {
 }
 
 namespace {
-
-// The final probability uses the plain one-branch sigmoid because that is
-// what core::SigmoidRows applies to every detector's logits — NOT the
-// two-branch SigmoidScalar (which matches ag::Sigmoid's interior uses, e.g.
-// the gate's context vector). The two forms can differ in the last bits for
-// large |z|, and bit-identity with the autograd Score path is the contract.
-inline float PlainSigmoid(float z) { return 1.0f / (1.0f + std::exp(-z)); }
 
 // nn::AggregatePair's value on raw tensors, step for step through the same
 // kernels, so the request tail never calls a layer. The query may be null
@@ -60,8 +52,23 @@ Tensor AggregatePairRaw(nn::AggKind agg, const Tensor& u, const Tensor& v,
 // tensors:
 //   master: global context share (eq. 12-13), AGG, classifier MLP;
 //   slave:  + context vector (eq. 19), filter (eq. 20), gated MLP (eq. 21).
+// Without the hierarchy the tail is the classifier MLP alone, which is also
+// the GCN/GAT baselines' fuse and head layers over their own trunk.
 class CmsfEngine final : public Engine {
  public:
+  // The classifier tail alone over given trunk rows.
+  CmsfEngine(Tensor trunk, Tensor w1, Tensor b1, Tensor w2, Tensor b2)
+      : num_regions_(trunk.rows()),
+        trunk_(std::move(trunk)),
+        w1_(std::move(w1)),
+        b1_(std::move(b1)),
+        w2_(std::move(w2)),
+        b2_(std::move(b2)) {
+    UV_CHECK_EQ(trunk_.cols(), w1_.rows());
+    UV_CHECK_EQ(w1_.cols(), w2_.rows());
+    UV_CHECK_EQ(w2_.cols(), 1);
+  }
+
   CmsfEngine(const core::CmsfModel& model,
              const core::CmsfModel::FrozenAssignment* frozen,
              const urg::UrbanRegionGraph& urg) {
@@ -146,8 +153,10 @@ class CmsfEngine final : public Engine {
                   kern::Activation::kNone);
     }
 
+    // The one-branch sigmoid, as core::SigmoidRows applies it to every
+    // detector's logits: bit-identity with the autograd Score path.
     const float* z = logits_.data();
-    for (int r = 0; r < n; ++r) out[r] = PlainSigmoid(z[r]);
+    for (int r = 0; r < n; ++r) out[r] = kern::PlainSigmoid(z[r]);
     // x_ still holds the gathered trunk rows — the representation the
     // checkpoint baseline sketched — so drift monitoring sees exactly the
     // features this batch was scored from.
@@ -177,43 +186,6 @@ class CmsfEngine final : public Engine {
   Tensor hidden_, logits_;
 };
 
-// Two-dense-layer tail over precomputed trunk features (GCN/GAT baselines).
-class DenseTailEngine final : public Engine {
- public:
-  DenseTailEngine(Tensor features, Tensor w1, Tensor b1,
-                  kern::Activation act1, Tensor w2, Tensor b2)
-      : features_(std::move(features)),
-        w1_(std::move(w1)),
-        b1_(std::move(b1)),
-        act1_(act1),
-        w2_(std::move(w2)),
-        b2_(std::move(b2)) {
-    UV_CHECK_EQ(features_.cols(), w1_.rows());
-    UV_CHECK_EQ(w1_.cols(), w2_.rows());
-  }
-
-  int num_regions() const override { return features_.rows(); }
-
-  void ScoreInto(const int* ids, int n, float* out) override {
-    if (n <= 0) return;
-    GatherRowsInto(features_, ids, n, &x_);
-    hidden_.ResizeUninit(n, w1_.cols());
-    GemmBiasAct(false, false, 1.0f, x_, w1_, 0.0f, &hidden_, &b1_, act1_);
-    logits_.ResizeUninit(n, w2_.cols());
-    GemmBiasAct(false, false, 1.0f, hidden_, w2_, 0.0f, &logits_, &b2_,
-                kern::Activation::kNone);
-    const float* z = logits_.data();
-    for (int r = 0; r < n; ++r) out[r] = PlainSigmoid(z[r]);
-    ObserveQuality(x_.data(), n, x_.cols(), out);
-  }
-
- private:
-  Tensor features_, w1_, b1_;
-  kern::Activation act1_;
-  Tensor w2_, b2_;
-  Tensor x_, hidden_, logits_;
-};
-
 }  // namespace
 
 std::unique_ptr<Engine> MakeCmsfEngine(
@@ -224,11 +196,10 @@ std::unique_ptr<Engine> MakeCmsfEngine(
 }
 
 std::unique_ptr<Engine> MakeDenseTailEngine(Tensor features, Tensor w1,
-                                            Tensor b1, kern::Activation act1,
-                                            Tensor w2, Tensor b2) {
-  return std::make_unique<DenseTailEngine>(
-      std::move(features), std::move(w1), std::move(b1), act1, std::move(w2),
-      std::move(b2));
+                                            Tensor b1, Tensor w2, Tensor b2) {
+  return std::make_unique<CmsfEngine>(std::move(features), std::move(w1),
+                                      std::move(b1), std::move(w2),
+                                      std::move(b2));
 }
 
 }  // namespace uv::infer

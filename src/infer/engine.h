@@ -77,12 +77,12 @@ std::unique_ptr<Engine> MakeCmsfEngine(
     const core::CmsfModel::FrozenAssignment* frozen,
     const urg::UrbanRegionGraph& urg);
 
-// Generic engine for baselines whose per-region tail is two dense layers
-// over precomputed trunk features: hidden = act1(rows * w1 + b1),
-// logits = hidden * w2 + b2, probability = sigmoid(logits).
+// Engine for baselines whose per-region tail is two dense layers over
+// precomputed trunk features: hidden = relu(rows * w1 + b1), logits =
+// hidden * w2 + b2 (one column), probability = sigmoid(logits). It is the
+// CMSF engine's tail without the hierarchy.
 std::unique_ptr<Engine> MakeDenseTailEngine(Tensor features, Tensor w1,
-                                            Tensor b1, kern::Activation act1,
-                                            Tensor w2, Tensor b2);
+                                            Tensor b1, Tensor w2, Tensor b2);
 
 }  // namespace uv::infer
 

@@ -1,6 +1,5 @@
 #include "infer/server.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -27,9 +26,10 @@ double EnvRate(const char* name, double fallback) {
   return parsed > 1.0 ? 1.0 : parsed;
 }
 
-// Dispatcher-state gauge values (serve.dispatcher_state).
+// Dispatcher-state gauge values (serve.dispatcher_state). Scoring keeps
+// the value 2 it had when 1 meant waiting for a batch to fill, so exported
+// series read the same.
 constexpr int64_t kIdle = 0;
-constexpr int64_t kBatching = 1;
 constexpr int64_t kScoring = 2;
 
 }  // namespace
@@ -37,7 +37,6 @@ constexpr int64_t kScoring = 2;
 ServerOptions ServerOptions::FromEnv() {
   ServerOptions o;
   o.max_batch = EnvInt("UV_SERVE_BATCH", o.max_batch);
-  o.deadline_us = EnvInt("UV_SERVE_DEADLINE_US", o.deadline_us);
   o.slo_window_s = EnvInt("UV_SLO_WINDOW_S", o.slo_window_s);
   o.event_capacity = EnvInt("UV_SERVE_EVENTS", o.event_capacity);
   o.shadow_sample = EnvRate("UV_SHADOW_SAMPLE", o.shadow_sample);
@@ -83,7 +82,6 @@ ScoringServer::ScoringServer(Engine* engine, const ServerOptions& options)
     UV_CHECK_EQ(shadow_->num_regions(), engine_->num_regions());
   }
   UV_CHECK_GT(options_.max_batch, 0);
-  UV_CHECK_GE(options_.deadline_us, 0);
   UV_CHECK_GT(options_.slo_window_s, 0);
   UV_CHECK_GE(options_.event_capacity, 0);
   if (options_.event_capacity > 0) {
@@ -114,7 +112,6 @@ void ScoringServer::Score(const int* ids, int n, float* out) {
   req.id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   req.enqueue_us = clock_->NowMicros();
   inflight_.Add(1);
-  queue_depth_.Add(n);
   {
     std::lock_guard<std::mutex> lock(mu_);
     UV_CHECK(!stop_);
@@ -124,7 +121,9 @@ void ScoringServer::Score(const int* ids, int n, float* out) {
       head_ = &req;
     }
     tail_ = &req;
-    pending_ids_ += n;
+    // Counted once linked, so a depth of k means k ids the dispatcher can
+    // detach.
+    queue_depth_.Add(n);
   }
   work_cv_.notify_one();
   std::unique_lock<std::mutex> lock(mu_);
@@ -182,19 +181,10 @@ void ScoringServer::DispatchLoop() {
     work_cv_.wait(lock, [this] { return stop_ || head_ != nullptr; });
     if (head_ == nullptr) return;  // stop_ with a drained queue.
 
-    // Micro-batch accumulation: hold the flush until the batch is full or
-    // the oldest request's deadline expires. head_ is stable here — only
-    // the dispatcher pops.
-    dispatcher_state_.Set(kBatching);
-    while (!stop_ && pending_ids_ < options_.max_batch) {
-      const uint64_t age = clock_->NowMicros() - head_->enqueue_us;
-      if (age >= static_cast<uint64_t>(options_.deadline_us)) break;
-      work_cv_.wait_for(
-          lock, std::chrono::microseconds(options_.deadline_us - age));
-    }
-
-    // Detach whole requests up to max_batch ids (always at least one, so
-    // an oversized single request still gets served).
+    // Score what is queued now: detach whole requests up to max_batch ids
+    // (always at least one, so an oversized single request still gets
+    // served). Requests that arrive while the engine runs wait for the
+    // next pass and share its engine call.
     const uint64_t batch_id =
         batches_done_.fetch_add(1, std::memory_order_relaxed) + 1;
     batch_reqs_.clear();
@@ -204,7 +194,6 @@ void ScoringServer::DispatchLoop() {
       head_->batch = batch_id;
       batch_reqs_.push_back(head_);
       total += head_->n;
-      pending_ids_ -= head_->n;
       head_ = head_->next;
     }
     if (head_ == nullptr) tail_ = nullptr;

@@ -2,11 +2,13 @@
 #define UV_INFER_SERVER_H_
 
 // Concurrent micro-batching front end over a grad-free Engine. Client
-// threads block in Score(); a single dispatcher thread coalesces pending
-// requests into micro-batches, flushing when `max_batch` region ids are
-// queued or when the oldest request has waited `deadline_us`. Because the
-// engine tail is row-wise, results are bit-identical regardless of how
-// requests happen to be batched together.
+// threads block in Score(); a single dispatcher thread scores whatever is
+// queued as soon as it is free: whole requests in arrival order, up to
+// `max_batch` region ids per engine call (a larger request is served
+// alone). It never waits for a batch to fill, so requests that arrive
+// while the engine runs share the next engine call. Because the engine
+// tail is row-wise, results are bit-identical regardless of how requests
+// happen to be batched together.
 //
 // Request lifecycle telemetry (global obs registry):
 //   serve.queue_wait_us   histogram + rolling window, enqueue -> dispatch
@@ -16,7 +18,7 @@
 //   serve.regions         counter, region ids scored
 //   serve.queue_depth     gauge, region ids waiting for dispatch
 //   serve.inflight        gauge, Score() calls between enqueue and done
-//   serve.dispatcher_state gauge, 0 idle / 1 batching / 2 scoring
+//   serve.dispatcher_state gauge, 0 idle / 2 scoring
 //
 // Every Score() call gets a process-unique monotonically increasing
 // request id, carried through queue -> dispatcher -> engine. With tracing
@@ -55,8 +57,7 @@
 namespace uv::infer {
 
 struct ServerOptions {
-  int max_batch = 64;     // Flush when this many ids are pending.
-  int deadline_us = 200;  // Or when the oldest request is this old.
+  int max_batch = 64;     // Most ids per engine call.
   int slo_window_s = 60;  // Rolling window for serve.*_us percentiles.
 
   // Per-request completion events retained in a ring for introspection
@@ -66,9 +67,8 @@ struct ServerOptions {
 
   // Time source for enqueue/dispatch/latency stamps. nullptr means
   // obs::DefaultClock() — the tracer's timeline, so request timestamps
-  // double as span times. Tests inject a FakeClock; note the batching
-  // deadline also reads this clock, so FakeClock tests should use
-  // deadline_us = 0 (a frozen clock never ages the oldest request).
+  // double as span times. Tests inject a FakeClock; the dispatcher only
+  // stamps times with it, so a frozen clock never holds a request back.
   const obs::Clock* clock = nullptr;
 
   // Candidate engine for shadow scoring (see header comment); nullptr
@@ -80,9 +80,8 @@ struct ServerOptions {
   // shadow engine re-scores. Clamped to [0, 1].
   double shadow_sample = 1.0;
 
-  // Reads UV_SERVE_BATCH / UV_SERVE_DEADLINE_US / UV_SLO_WINDOW_S /
-  // UV_SERVE_EVENTS / UV_SHADOW_SAMPLE (out-of-range or unset values keep
-  // the defaults).
+  // Reads UV_SERVE_BATCH / UV_SLO_WINDOW_S / UV_SERVE_EVENTS /
+  // UV_SHADOW_SAMPLE (out-of-range or unset values keep the defaults).
   static ServerOptions FromEnv();
 };
 
@@ -103,7 +102,7 @@ struct ServerStats {
   uint64_t batches_total = 0;   // Engine calls.
   int64_t queue_depth = 0;      // Region ids awaiting dispatch.
   int64_t inflight = 0;         // Requests between enqueue and done.
-  int64_t dispatcher_state = 0;  // 0 idle / 1 batching / 2 scoring.
+  int64_t dispatcher_state = 0;  // 0 idle / 2 scoring.
 
   // Shadow-scoring totals (all zero when no shadow engine is attached).
   uint64_t shadow_requests = 0;
@@ -221,7 +220,6 @@ class ScoringServer {
   std::condition_variable done_cv_;  // Signals waiting clients.
   Request* head_ = nullptr;          // FIFO intrusive queue.
   Request* tail_ = nullptr;
-  int pending_ids_ = 0;
   bool stop_ = false;
 
   // Completion-event ring (mu_-guarded; preallocated in the constructor).

@@ -25,7 +25,7 @@ void LeakyReluInPlace(float negative_slope, Tensor* t) {
 
 void SigmoidInPlace(Tensor* t) {
   float* d = t->data();
-  for (int64_t i = 0; i < t->size(); ++i) d[i] = SigmoidScalar(d[i]);
+  for (int64_t i = 0; i < t->size(); ++i) d[i] = kern::StableSigmoid(d[i]);
 }
 
 namespace {

@@ -10,7 +10,6 @@
 // local. Every parallel loop here chunks by a fixed grain,
 // never by thread count, so results are identical for every UV_THREADS.
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -22,15 +21,10 @@ namespace uv {
 // Segments (CSR rows) per parallel chunk in the segment kernels below.
 inline constexpr int64_t kSegmentGrain = 64;
 
-// Scalar activation formulas. The sigmoid is the numerically stable
-// two-branch form: exp is never evaluated on a positive argument.
+// Scalar activation formulas. The sigmoid is kern::StableSigmoid.
 inline float ReluScalar(float x) { return x > 0.0f ? x : 0.0f; }
 inline float LeakyReluScalar(float x, float negative_slope) {
   return x > 0.0f ? x : negative_slope * x;
-}
-inline float SigmoidScalar(float x) {
-  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                   : std::exp(x) / (1.0f + std::exp(x));
 }
 
 void ReluInPlace(Tensor* t);

@@ -1,6 +1,7 @@
 #ifndef UV_TENSOR_KERNELS_KERNEL_DISPATCH_H_
 #define UV_TENSOR_KERNELS_KERNEL_DISPATCH_H_
 
+#include <cmath>
 #include <cstdint>
 
 namespace uv::kern {
@@ -21,9 +22,26 @@ namespace uv::kern {
 // products in eight parallel lanes, which legitimately reorders sums.
 // ---------------------------------------------------------------------------
 
-// Activations a GEMM epilogue can fuse. Sigmoid is applied with the same
-// numerically-stable scalar formula in both backends (vectorizing exp
-// would introduce a polynomial approximation, not just a reorder).
+// The two scalar sigmoids. Every sigmoid in the library is one of these,
+// so any two paths that must agree bit for bit (autograd and the engine,
+// the two backends) evaluate the same expression.
+//
+// Numerically stable two-branch form: exp is never evaluated on a positive
+// argument. It is the sigmoid activation (ag::Sigmoid, the GEMM epilogue,
+// BCE's gradient).
+inline float StableSigmoid(float x) {
+  if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
+  const float e = std::exp(x);
+  return e / (1.0f + e);
+}
+// One-branch form 1 / (1 + exp(-z)): every detector's final probability
+// from its logits. It differs from StableSigmoid in the last bits for
+// large |z|, so the two are not interchangeable.
+inline float PlainSigmoid(float z) { return 1.0f / (1.0f + std::exp(-z)); }
+
+// Activations a GEMM epilogue can fuse. Sigmoid is StableSigmoid, scalar
+// in both backends (vectorizing exp would introduce a polynomial
+// approximation, not just a reorder).
 enum class Activation { kNone, kRelu, kLeakyRelu, kSigmoid };
 
 // One GEMM problem: C += alpha * op(A) * op(B), all row-major, with an

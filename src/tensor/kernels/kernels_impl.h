@@ -156,14 +156,12 @@ struct Kernels {
   static void BiasActRows(float* rows, const float* bias, int64_t num_rows,
                           int64_t cols, Activation act, float leaky_slope) {
     if (act == Activation::kSigmoid) {
-      // Numerically-stable sigmoid, scalar in both backends so the two
-      // dispatch tables agree bit-for-bit on this epilogue.
+      // Scalar in both backends so the two dispatch tables agree
+      // bit-for-bit on this epilogue.
       for (int64_t r = 0; r < num_rows; ++r) {
         float* row = rows + r * cols;
         for (int64_t c = 0; c < cols; ++c) {
-          const float x = bias != nullptr ? row[c] + bias[c] : row[c];
-          row[c] = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                             : std::exp(x) / (1.0f + std::exp(x));
+          row[c] = StableSigmoid(bias != nullptr ? row[c] + bias[c] : row[c]);
         }
       }
       return;

@@ -68,13 +68,13 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::InParallelRegion() { return tls_region_depth > 0; }
 
+// Chunks run here record no parallel_chunk span: only chunks that a pooled
+// region hands out do, so inline kernel work stays self time of the op span
+// around it.
 void ThreadPool::RunChunksInline(int64_t num_chunks,
                                  FunctionRef<void(int64_t)> fn) {
   RegionScope scope;
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    obs::SpanGuard span("parallel_chunk", obs::SpanLevel::kFine, "chunk", c);
-    fn(c);
-  }
+  for (int64_t c = 0; c < num_chunks; ++c) fn(c);
 }
 
 void ThreadPool::RunChunks(int64_t num_chunks, FunctionRef<void(int64_t)> fn) {
@@ -206,10 +206,6 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   const int64_t total = end - begin;
   const int64_t num_chunks = (total + grain - 1) / grain;
   if (num_chunks == 1) {
-    // Same span as the pooled path so single-chunk ranges (the common case
-    // on small problems / few cores) still show up in traces.
-    obs::SpanGuard span("parallel_chunk", obs::SpanLevel::kFine, "chunk",
-                        int64_t{0});
     fn(begin, end);
     return;
   }

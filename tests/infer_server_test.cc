@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -68,19 +70,14 @@ std::vector<float>* InferServerTest::expected_ = nullptr;
 
 TEST_F(InferServerTest, OptionsFromEnv) {
   unsetenv("UV_SERVE_BATCH");
-  unsetenv("UV_SERVE_DEADLINE_US");
   ServerOptions defaults = ServerOptions::FromEnv();
   EXPECT_EQ(defaults.max_batch, 64);
-  EXPECT_EQ(defaults.deadline_us, 200);
   setenv("UV_SERVE_BATCH", "7", 1);
-  setenv("UV_SERVE_DEADLINE_US", "1234", 1);
   ServerOptions overridden = ServerOptions::FromEnv();
   EXPECT_EQ(overridden.max_batch, 7);
-  EXPECT_EQ(overridden.deadline_us, 1234);
   setenv("UV_SERVE_BATCH", "bogus", 1);
   EXPECT_EQ(ServerOptions::FromEnv().max_batch, 64);
   unsetenv("UV_SERVE_BATCH");
-  unsetenv("UV_SERVE_DEADLINE_US");
 }
 
 TEST_F(InferServerTest, SingleClientMatchesDirectScoring) {
@@ -93,21 +90,17 @@ TEST_F(InferServerTest, SingleClientMatchesDirectScoring) {
 // group requests: exercise extreme batching configurations.
 TEST_F(InferServerTest, DeterministicAcrossBatchCompositions) {
   for (const int max_batch : {1, 3, 64, 4096}) {
-    for (const int deadline_us : {0, 500}) {
-      ServerOptions options;
-      options.max_batch = max_batch;
-      options.deadline_us = deadline_us;
-      ScoringServer server(engine_, options);
-      EXPECT_EQ(server.Score(*all_ids_), *expected_)
-          << "max_batch=" << max_batch << " deadline=" << deadline_us;
-    }
+    ServerOptions options;
+    options.max_batch = max_batch;
+    ScoringServer server(engine_, options);
+    EXPECT_EQ(server.Score(*all_ids_), *expected_)
+        << "max_batch=" << max_batch;
   }
 }
 
 TEST_F(InferServerTest, ConcurrentClientsAllGetExactScores) {
   ServerOptions options;
   options.max_batch = 16;  // Force plenty of mixed-request batches.
-  options.deadline_us = 100;
   ScoringServer server(engine_, options);
 
   constexpr int kThreads = 8;
@@ -349,12 +342,107 @@ TEST_F(InferServerTest, SampledSpansCarryRequestAndBatchIds) {
   std::remove(path.c_str());
 }
 
+// --- Dispatch on arrival -----------------------------------------------------
+
+// The dispatcher scores a lone request as soon as it is queued: it never
+// waits for company, so a frozen clock cannot hold the request back and
+// the request records no queue wait.
+TEST_F(InferServerTest, LoneRequestIsNotHeld) {
+  obs::Registry::Global().ResetAll();
+  obs::FakeClock clock;
+  clock.Set(1);
+  ServerOptions options;
+  options.clock = &clock;
+  ScoringServer server(engine_, options);
+  int id = 3;
+  float out = 0.0f;
+  std::future<void> scored =
+      std::async(std::launch::async, [&] { server.Score(&id, 1, &out); });
+  const bool done =
+      scored.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // A dispatcher that waits for the clock to age the request would never
+  // return: release it so the failure is reported instead of hanging.
+  if (!done) clock.Advance(60ull * 1000 * 1000);
+  scored.get();
+  ASSERT_TRUE(done) << "a lone request waited for a batch to fill";
+  EXPECT_EQ(out, (*expected_)[id]);
+  const obs::Histogram& wait =
+      obs::Registry::Global().GetHistogram("serve.queue_wait_us");
+  EXPECT_EQ(wait.Count(), 1u);
+  EXPECT_EQ(wait.Sum(), 0u);
+  server.Shutdown();
+  obs::Registry::Global().ResetAll();
+}
+
+// Forwards to a real engine, but holds its first call until `queued`
+// region ids wait in the server's queue.
+class HoldFirstCallEngine final : public Engine {
+ public:
+  HoldFirstCallEngine(Engine* inner, int64_t queued)
+      : inner_(inner), queued_(queued) {}
+
+  void set_server(const ScoringServer* server) { server_ = server; }
+  int num_regions() const override { return inner_->num_regions(); }
+
+  void ScoreInto(const int* ids, int n, float* out) override {
+    if (calls_++ == 0) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (server_->Stats().queue_depth < queued_ &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    inner_->ScoreInto(ids, n, out);
+  }
+
+ private:
+  Engine* const inner_;
+  const int64_t queued_;
+  const ScoringServer* server_ = nullptr;
+  int calls_ = 0;
+};
+
+// Requests that arrive while the engine runs are scored together in the
+// next engine call, not one by one.
+TEST_F(InferServerTest, RequestsQueuedDuringABusyEngineShareOneBatch) {
+  constexpr int kQueued = 12;
+  HoldFirstCallEngine engine(engine_, kQueued);
+  ServerOptions options;
+  options.event_capacity = 64;
+  ScoringServer server(&engine, options);
+  engine.set_server(&server);
+
+  const int n = urg_->num_regions();
+  std::vector<float> got(kQueued + 1, -1.0f);
+  std::vector<int> ids(kQueued + 1);
+  for (int i = 0; i <= kQueued; ++i) ids[i] = (7 * i + 1) % n;
+  std::vector<std::thread> clients;
+  clients.emplace_back([&] { server.Score(&ids[0], 1, &got[0]); });
+  // Only the first request is in flight until the engine has it.
+  while (server.Stats().batches_total == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 1; i <= kQueued; ++i) {
+    clients.emplace_back([&, i] { server.Score(&ids[i], 1, &got[i]); });
+  }
+  for (auto& c : clients) c.join();
+
+  EXPECT_EQ(server.Stats().batches_total, 2u);
+  const std::vector<RequestEvent> events = server.RecentEvents();
+  ASSERT_EQ(events.size(), static_cast<size_t>(kQueued + 1));
+  EXPECT_EQ(events[0].batch, 1u);
+  for (int i = 1; i <= kQueued; ++i) EXPECT_EQ(events[i].batch, 2u);
+  for (int i = 0; i <= kQueued; ++i) {
+    EXPECT_EQ(got[i], (*expected_)[ids[i]]) << "request " << i;
+  }
+}
+
 TEST_F(InferServerTest, FakeClockDrivesWindowExpiry) {
   obs::Registry::Global().ResetAll();
   obs::FakeClock clock;
   clock.Set(1);
   ServerOptions options;
-  options.deadline_us = 0;  // A frozen clock never ages the oldest request.
   options.clock = &clock;
   options.slo_window_s = 8;  // 1-second epochs.
   ScoringServer server(engine_, options);

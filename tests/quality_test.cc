@@ -455,8 +455,8 @@ TEST_F(QualityServingTest, ShadowDisagreementLeavesPrimaryUntouched) {
   // every primary score below 0.5 is a recorded decision flip.
   const int n = urg_->num_regions();
   auto candidate = MakeDenseTailEngine(
-      Tensor(n, 1), Tensor(1, 1), Tensor(1, 1), kern::Activation::kRelu,
-      Tensor(1, 1), Tensor(1, 1, {10.0f}));
+      Tensor(n, 1), Tensor(1, 1), Tensor(1, 1), Tensor(1, 1),
+      Tensor(1, 1, {10.0f}));
   uint64_t below = 0;
   for (float s : *expected_) below += s < 0.5f ? 1 : 0;
   ASSERT_GT(below, 0u);  // The tiny city is mostly non-UV.

@@ -2,7 +2,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -242,6 +244,58 @@ TEST(SimdKernelsTest, BiasActRowsMatchesUnfusedFormulas) {
               << Name(backend) << " act=" << static_cast<int>(act);
         }
       }
+    }
+  }
+}
+
+// The two sigmoids against the expressions they replaced, bit for bit:
+// the two-branch form used to call exp twice for a negative input, and the
+// one-branch probability was written out at each detector. Inputs cover
+// signed zeros, subnormals, a log sweep over +-[1e-8, 90], infinities and
+// NaN; the GEMM epilogue must agree on every backend.
+std::vector<float> SigmoidProbeInputs() {
+  std::vector<float> xs = {0.0f,
+                           -0.0f,
+                           std::numeric_limits<float>::denorm_min(),
+                           1e-40f,
+                           std::numeric_limits<float>::min() / 2.0f,
+                           std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN()};
+  for (double x = 1e-8; x <= 90.0; x *= 1.01) {
+    xs.push_back(static_cast<float>(x));
+  }
+  xs.push_back(90.0f);
+  const size_t positive = xs.size();
+  for (size_t i = 0; i < positive; ++i) xs.push_back(-xs[i]);
+  return xs;
+}
+
+uint32_t Bits(float v) {
+  uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+TEST(SimdKernelsTest, SigmoidsMatchTheOldExpressionsBitForBit) {
+  const std::vector<float> xs = SigmoidProbeInputs();
+  std::vector<float> stable_ref(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float x = xs[i];
+    stable_ref[i] = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                              : std::exp(x) / (1.0f + std::exp(x));
+    const float plain_ref = 1.0f / (1.0f + std::exp(-x));
+    EXPECT_EQ(Bits(kern::StableSigmoid(x)), Bits(stable_ref[i])) << x;
+    EXPECT_EQ(Bits(kern::PlainSigmoid(x)), Bits(plain_ref)) << x;
+  }
+  const int64_t cols = static_cast<int64_t>(xs.size());
+  for (const kern::Backend backend : AvailableBackends()) {
+    BackendScope scope(backend);
+    std::vector<float> m = xs;
+    kern::Active().bias_act_rows(m.data(), nullptr, 1, cols,
+                                 kern::Activation::kSigmoid, 0.0f);
+    for (int64_t i = 0; i < cols; ++i) {
+      EXPECT_EQ(Bits(m[i]), Bits(stable_ref[i]))
+          << Name(backend) << " x=" << xs[i];
     }
   }
 }
